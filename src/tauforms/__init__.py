@@ -13,6 +13,7 @@ from .qseries import QSeries, Rational, as_rational
 from .forms import (
     TAU_STRATEGIES,
     GradedForm,
+    InternalInconsistency,
     SigmaTable,
     TauStrategyDisagreement,
     bernoulli,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 verification or certification failure that is not
 pre-declared audit-flagged; 2 usage or expression parse error; 3 internal
-inconsistency (tau strategy disagreement).
+inconsistency (tau strategies disagree, or an exact invariant failed).
 """
 
 import argparse
@@ -10,7 +10,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from statistics import median
 
@@ -18,7 +17,7 @@ from . import __version__
 from .expr import EvalError, ParseError, eval_expr, parse
 from .forms import (
     TAU_STRATEGIES,
-    TauStrategyDisagreement,
+    InternalInconsistency,
     sigma_table,
     tau,
     tau_range,
@@ -87,12 +86,23 @@ def _select_identities(registry, key):
     return [record]
 
 
-def _pool_map(fn, items, threads):
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = None if threads == 0 else threads
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _int_at_least(low):
+    """argparse type for an integer option that must be >= low."""
+
+    def parse_int(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return parse_int
+
+
+POSITIVE = _int_at_least(1)
+THREADS_HELP = "accepted for compatibility and ignored: every check runs sequentially"
 
 
 def cmd_tau(args):
@@ -134,7 +144,7 @@ def cmd_verify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(args.max_n)
-    reports = _pool_map(lambda r: verify_range(r, args.max_n, ctx), records, args.threads)
+    reports = [verify_range(r, args.max_n, ctx) for r in records]
     results = [_result_entry(r, rep) for r, rep in zip(records, reports)]
     if args.format == "json":
         _emit(_report_json(args.max_n, [
@@ -155,7 +165,7 @@ def cmd_verify(args):
 def cmd_certify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
-    reports = _pool_map(certify, records, args.threads)
+    reports = [certify(r) for r in records]
     failures = 0
     for record, report in zip(records, reports):
         status = report.status
@@ -266,43 +276,43 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau", help="one tau value")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--strategy", choices=TAU_STRATEGIES, default="product")
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("tau-table", help="tau(1..N) to CSV or JSON")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=POSITIVE, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--strategy", choices=TAU_STRATEGIES, default="product")
     p.set_defaults(func=cmd_tau_table)
 
     p = sub.add_parser("sigma", help="sigma_k(1..N) to CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
+    p.add_argument("--max-n", type=POSITIVE, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("verify", help="pointwise residual verification")
     p.add_argument("--identity", default="all")
-    p.add_argument("--max-n", type=int, default=DEFAULT_RANGE)
+    p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="series-level certification")
     p.add_argument("--identity", default="all")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("audit", help="verify + certify everything, refit failures")
-    p.add_argument("--max-n", type=int, default=DEFAULT_RANGE)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("congruences", help="check every catalogued congruence")
-    p.add_argument("--max-n", type=int, default=DEFAULT_RANGE)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_congruences)
 
     p = sub.add_parser("decompose", help="graded coordinates of an expression")
@@ -320,8 +330,8 @@ def build_parser():
 
     p = sub.add_parser("bench", help="tau-table wall time per strategy")
     p.add_argument("--strategies", default=",".join(TAU_STRATEGIES))
-    p.add_argument("--max-n", type=int, default=512)
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--max-n", type=POSITIVE, default=512)
+    p.add_argument("--repeat", type=POSITIVE, default=3)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -335,7 +345,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except TauStrategyDisagreement as exc:
+    except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except SystemExit as exc:

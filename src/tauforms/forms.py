@@ -26,6 +26,7 @@ __all__ = [
     "tau_range",
     "tau_cross_check",
     "TauStrategyDisagreement",
+    "InternalInconsistency",
     "dim_modular",
     "EISENSTEIN_COEFFICIENT",
     "TAU_STRATEGIES",
@@ -197,7 +198,8 @@ def eisenstein(k, truncation):
     if k >= 4:
         # The tabulated constants are the -2k/B_k normalisation; anything
         # else would break every product relation downstream.
-        assert Fraction(-2 * k) / bernoulli(k) == c
+        if Fraction(-2 * k) / bernoulli(k) != c:
+            raise InternalInconsistency(f"E{k}: tabulated coefficient {c} is not -2k/B_k")
     series = QSeries.one(truncation) + sigma_series(k - 1, truncation).scale(c)
     return GradedForm(series, k, 1 if k == 2 else 0)
 
@@ -241,7 +243,11 @@ def dim_modular(k):
     return k // 12 + (0 if k % 12 == 2 else 1)
 
 
-class TauStrategyDisagreement(Exception):
+class InternalInconsistency(Exception):
+    """An exact computation contradicted a fact that holds by construction."""
+
+
+class TauStrategyDisagreement(InternalInconsistency):
     """Two tau strategies produced different values; carries the smallest n."""
 
     def __init__(self, n, values):
@@ -293,8 +299,10 @@ def tau(n, strategy="product"):
         value = _tau_niebur(n, sigma_table(1, _ceil_pow2(n)).values)
     else:
         raise ValueError(f"unknown tau strategy {strategy!r}")
-    assert as_rational(value).denominator == 1
-    return int(value)
+    value = as_rational(value)
+    if not isinstance(value, int):
+        raise InternalInconsistency(f"tau({n}) by {strategy} is not an integer: {value}")
+    return value
 
 TAU_STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 

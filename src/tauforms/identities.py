@@ -4,7 +4,9 @@ Each identity is stored symbolically: closed terms c * n^p * (a*n+b) *
 sigma_j(n) (sigma exponent 0 standing for tau itself) and convolution
 terms c/n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n-m).  Residuals
 are exact rationals, so "holds" means residual identically 0 - no
-tolerances anywhere.
+tolerances anywhere.  Sides are evaluated as integer vectors after clearing
+denominators (L * n^d * side(n), L the lcm of the coefficient denominators),
+so pointwise checks are integer comparisons.
 
 Three independent checks are available per identity: pointwise residuals
 over a range of n, a series-level certification through the graded
@@ -12,19 +14,20 @@ decomposition, and, for entries that fail, an exact refit of the constants
 that reports the stated value next to the empirically determined one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .forms import (
     GradedForm,
+    InternalInconsistency,
+    TauStrategyDisagreement,
     delta_product,
-    sigma_series,
     sigma_table,
     tau_range,
 )
-from .qseries import QSeries, _convolve_int, as_rational
+from .qseries import QSeries, _convolve_int
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -160,6 +163,15 @@ def _sigma_name(j):
     return "sigma" if j == 1 else f"sigma{j}"
 
 
+def _closed_shape_name(p, j):
+    name = f"{_sigma_name(j)}(n)" if j else "tau(n)"
+    if p == 0:
+        return name
+    if p > 0:
+        return ("n*" if p == 1 else f"n^{p}*") + name
+    return name + ("/n" if p == -1 else f"/n^{-p}")
+
+
 @dataclass(frozen=True)
 class ClosedTerm:
     """c * n^power * (a*n + b) * sigma_j(n); sigma exponent 0 denotes tau(n)."""
@@ -168,19 +180,6 @@ class ClosedTerm:
     n_power: int
     sigma: int
     affine: tuple | None = None
-
-    def value(self, n, ctx):
-        base = ctx.tau[n] if self.sigma == 0 else ctx.sigma(self.sigma, n)
-        v = self.coefficient * base
-        p = self.n_power
-        if p > 0:
-            v *= n ** p
-        elif p < 0:
-            v = v / Fraction(n ** (-p))
-        if self.affine is not None:
-            a, b = self.affine
-            v *= a * n + b
-        return v
 
     def monomials(self):
         """Expand the affine factor: [(coefficient, power, sigma)] pieces."""
@@ -194,33 +193,8 @@ class ClosedTerm:
             out.append((self.coefficient * b, self.n_power, self.sigma))
         return tuple(out)
 
-    def series(self, truncation, extra_power):
-        total = QSeries.zero(truncation)
-        for c, p, j in self.monomials():
-            p = p + extra_power
-            if p < 0:
-                raise IdentityStructureError(
-                    f"residual n-power {p} after clearing divisors"
-                )
-            base = (
-                delta_product(truncation).series
-                if j == 0
-                else sigma_series(j, truncation)
-            )
-            total = total + base.derive(p).scale(c)
-        return total
-
     def describe(self):
-        pieces = []
-        for _, p, j in self.monomials():
-            name = f"{_sigma_name(j)}(n)" if j else "tau(n)"
-            if p == 0:
-                pieces.append(name)
-            elif p > 0:
-                pieces.append(("n*" if p == 1 else f"n^{p}*") + name)
-            else:
-                pieces.append(name + ("/n" if p == -1 else f"/n^{-p}"))
-        return pieces
+        return [_closed_shape_name(p, j) for _, p, j in self.monomials()]
 
 
 @dataclass(frozen=True)
@@ -233,50 +207,6 @@ class ConvolutionTerm:
     left: int
     right: int
 
-    def value(self, n, ctx):
-        sa = ctx.tables[self.left]
-        sb = ctx.tables[self.right]
-        acc = 0
-        for mm in range(1, n):
-            prod = sa[mm] * sb[n - mm]
-            if prod:
-                acc += self.poly(mm, n) * prod
-        v = self.coefficient * acc
-        if self.n_divisor:
-            v = v / Fraction(n ** self.n_divisor)
-        return v
-
-    def bulk(self, ctx, limit):
-        """Values for every n <= limit via one exact convolution per m-power."""
-        sa = ctx.tables[self.left]
-        sb = ctx.tables[self.right]
-        by_alpha = {}
-        for (alpha, _), _ in self.poly.monomials():
-            if alpha not in by_alpha:
-                u = [x ** alpha * sa[x] if x else 0 for x in range(limit + 1)]
-                by_alpha[alpha] = _convolve_int(u, list(sb[: limit + 1]), limit)
-        out = [0] * (limit + 1)
-        for n in range(1, limit + 1):
-            acc = 0
-            for (alpha, beta), c in self.poly.monomials():
-                acc += c * n ** beta * by_alpha[alpha][n]
-            v = self.coefficient * acc
-            if self.n_divisor:
-                v = v / Fraction(n ** self.n_divisor)
-            out[n] = v
-        return out
-
-    def series(self, truncation, extra_power):
-        total = QSeries.zero(truncation)
-        shift = extra_power - self.n_divisor
-        if shift < 0:
-            raise IdentityStructureError("divisor power exceeds the cleared n-power")
-        for (alpha, beta), c in self.poly.monomials():
-            left = sigma_series(self.left, truncation).derive(alpha)
-            piece = (left * sigma_series(self.right, truncation)).derive(beta + shift)
-            total = total + piece.scale(self.coefficient * c)
-        return total
-
     def describe(self):
         body = f"sum {self.poly!r} * {_sigma_name(self.left)}(m)*{_sigma_name(self.right)}(n-m)"
         if self.n_divisor:
@@ -286,35 +216,91 @@ class ConvolutionTerm:
 
 @dataclass(frozen=True)
 class Side:
+    """A sum of closed and convolution terms, evaluated exactly.
+
+    Every evaluation goes through `cleared`: the integers
+    scale * n^power * side(n), with scale a multiple of every coefficient
+    denominator and power at least the largest n-divisor.  `value`, `bulk`
+    and `series` divide that one vector back out.
+    """
+
     closed: tuple = ()
     conv: tuple = ()
 
-    def value(self, n, ctx):
-        total = Fraction(0)
+    def denominator(self):
+        """Least common multiple of the coefficient denominators."""
+        return lcm(1, *(Fraction(t.coefficient).denominator for t in self.closed + self.conv))
+
+    def clearing_power(self):
+        """Smallest d >= 0 with no negative n-power left in n^d * side(n)."""
+        d = 0
         for t in self.closed:
-            total += t.value(n, ctx)
+            d = max(d, -min((p for _, p, _ in t.monomials()), default=t.n_power))
         for t in self.conv:
-            total += t.value(n, ctx)
-        return total
+            d = max(d, t.n_divisor)
+        return d
+
+    def sigma_exponents(self):
+        out = {t.sigma for t in self.closed if t.sigma}
+        for t in self.conv:
+            out.update((t.left, t.right))
+        return out
+
+    def terms(self, power):
+        """(source, e, c) triples with n^power * side(n) = sum c * n^e * source[n].
+
+        A source is a sigma exponent (0 for tau) or a convolution key
+        (left, right, alpha), as served by EvalContext.source.
+        """
+        for t in self.closed:
+            for c, p, j in t.monomials():
+                yield j, p + power, c
+        for t in self.conv:
+            for (alpha, beta), c in t.poly.monomials():
+                yield (t.left, t.right, alpha), beta + power - t.n_divisor, t.coefficient * c
+
+    def cleared(self, ctx, limit, scale, power):
+        """[scale * n^power * side(n) for n = 0..limit], all exact integers."""
+        if limit > ctx.limit:
+            raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
+        out = [0] * (limit + 1)
+        for source, e, c in self.terms(power):
+            if e < 0:
+                raise IdentityStructureError(f"residual n-power {e} after clearing divisors")
+            k = Fraction(c) * scale
+            if k.denominator != 1:
+                raise IdentityStructureError(f"scale {scale} does not clear coefficient {c}")
+            k = k.numerator
+            values = ctx.source(source)
+            if e:
+                out = [o + k * n ** e * v for n, (o, v) in enumerate(zip(out, values))]
+            else:
+                out = [o + k * v for o, v in zip(out, values)]
+        return out
+
+    def value(self, n, ctx):
+        """side(n) as an exact Fraction."""
+        scale, power = self.denominator(), self.clearing_power()
+        return Fraction(self.cleared(ctx, n, scale, power)[n], scale * n ** power)
 
     def bulk(self, ctx, limit):
-        vals = [Fraction(0)] * (limit + 1)
-        for t in self.closed:
-            for n in range(1, limit + 1):
-                vals[n] += t.value(n, ctx)
-        for t in self.conv:
-            arr = t.bulk(ctx, limit)
-            for n in range(1, limit + 1):
-                vals[n] += arr[n]
-        return vals
+        """[side(n) for n = 0..limit] as Fractions, with side(0) taken as 0."""
+        scale, power = self.denominator(), self.clearing_power()
+        values = self.cleared(ctx, limit, scale, power)
+        return [Fraction(0)] + [
+            Fraction(values[n], scale * n ** power) for n in range(1, limit + 1)
+        ]
 
     def series(self, truncation, extra_power):
-        total = QSeries.zero(truncation)
-        for t in self.closed:
-            total = total + t.series(truncation, extra_power)
-        for t in self.conv:
-            total = total + t.series(truncation, extra_power)
-        return total
+        """sum n^extra_power * side(n) q^n, truncated after q^truncation."""
+        ctx = EvalContext(
+            limit=truncation,
+            tables={k: sigma_table(k, truncation).values for k in self.sigma_exponents()},
+            tau=delta_product(truncation).series.coefficients if self.has_tau else (),
+        )
+        scale = self.denominator()
+        values = self.cleared(ctx, truncation, scale, extra_power)
+        return QSeries(values).scale(Fraction(1, scale))
 
     @property
     def has_tau(self):
@@ -330,14 +316,7 @@ class IdentityRecord:
     status: str = EXPECTED_TRUE
 
     def sigma_exponents(self):
-        out = set()
-        for side in (self.lhs, self.rhs):
-            for t in side.closed:
-                if t.sigma:
-                    out.add(t.sigma)
-            for t in side.conv:
-                out.update((t.left, t.right))
-        return out
+        return self.lhs.sigma_exponents() | self.rhs.sigma_exponents()
 
 
 @dataclass(frozen=True)
@@ -389,21 +368,41 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Shared sigma tables and a tau oracle for exact evaluation."""
+    """Shared sigma tables, a tau oracle and the convolutions built from
+    them, for exact evaluation up to `limit`."""
 
     limit: int
     tables: dict  # exponent -> tuple of values, index n
     tau: tuple  # index n, tau[0] = 0
     tau_strategy: str = "product"
+    # (left, right, alpha) -> sum_{m<n} m^alpha sigma_left(m) sigma_right(n-m),
+    # filled on first use and shared by every identity evaluated here
+    _convolutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def sigma(self, k, n):
+    def table(self, k):
         try:
-            return self.tables[k][n]
+            return self.tables[k]
         except KeyError:
             raise KeyError(
                 f"no sigma_{k} table in this context; available exponents: "
                 f"{sorted(self.tables)}"
             ) from None
+
+    def sigma(self, k, n):
+        return self.table(k)[n]
+
+    def source(self, key):
+        """tau (key 0), sigma_k (key k) or a convolution (key (left, right,
+        alpha)) as a sequence indexed by n = 0..limit."""
+        if not isinstance(key, tuple):
+            return self.tau if key == 0 else self.table(key)
+        conv = self._convolutions.get(key)
+        if conv is None:
+            left, right, alpha = key
+            u = [m ** alpha * v for m, v in enumerate(self.table(left))]
+            conv = _convolve_int(u, self.table(right), self.limit)
+            self._convolutions[key] = conv
+        return conv
 
 
 def make_context(limit, tau_strategy="auto", exponents=SIGMA_EXPONENTS):
@@ -420,8 +419,6 @@ def make_context(limit, tau_strategy="auto", exponents=SIGMA_EXPONENTS):
             tau = tau_range(limit, "vdp")
             other = tau_range(limit, "niebur")
             if tau != other:
-                from .forms import TauStrategyDisagreement
-
                 n = next(i for i in range(limit + 1) if tau[i] != other[i])
                 raise TauStrategyDisagreement(n, {"vdp": tau[n], "niebur": other[n]})
         strategy = "auto"
@@ -1046,28 +1043,31 @@ def verify_range(record, limit, ctx=None):
         ctx = make_context(limit)
     elif ctx.limit < limit:
         raise ValueError(f"context limit {ctx.limit} below requested range {limit}")
-    lhs = record.lhs.bulk(ctx, limit)
-    rhs = record.rhs.bulk(ctx, limit)
-    for n in range(1, limit + 1):
-        if lhs[n] != rhs[n]:
-            return VerificationReport(
-                record.id,
-                status="failed",
-                limit=limit,
-                first_failure=(n, Fraction(lhs[n]), Fraction(rhs[n])),
-            )
+    lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
+    n = next((n for n in range(1, limit + 1) if lhs[n] != rhs[n]), None)
+    if n is not None:
+        den = scale * n ** power
+        return VerificationReport(
+            record.id,
+            status="failed",
+            limit=limit,
+            first_failure=(n, Fraction(lhs[n], den), Fraction(rhs[n], den)),
+        )
     return VerificationReport(record.id, status="verified", limit=limit)
 
 
 def _clearing_power(record):
-    d = 0
-    for side in (record.lhs, record.rhs):
-        for t in side.closed:
-            low = t.n_power if t.affine is None else min(p for _, p, _ in t.monomials())
-            d = max(d, -low)
-        for t in side.conv:
-            d = max(d, t.n_divisor)
-    return d
+    return max(record.lhs.clearing_power(), record.rhs.clearing_power())
+
+
+def _cleared_sides(record, ctx, limit):
+    """Both sides times L * n^d (L the lcm of every coefficient denominator,
+    d the clearing power) as integer vectors, with L and d."""
+    scale = lcm(record.lhs.denominator(), record.rhs.denominator())
+    power = _clearing_power(record)
+    lhs = record.lhs.cleared(ctx, limit, scale, power)
+    rhs = record.rhs.cleared(ctx, limit, scale, power)
+    return lhs, rhs, scale, power
 
 
 def certification_weight(record):
@@ -1076,18 +1076,13 @@ def certification_weight(record):
     d = _clearing_power(record)
     w = 0
     for side in (record.lhs, record.rhs):
-        for t in side.closed:
-            for _, p, j in t.monomials():
-                base = 12 if j == 0 else j + 1
-                w = max(w, base + 2 * (p + d))
-        for t in side.conv:
-            for (alpha, beta), _ in t.poly.monomials():
-                w = max(
-                    w,
-                    (t.left + 1 + 2 * alpha)
-                    + (t.right + 1)
-                    + 2 * (beta + d - t.n_divisor),
-                )
+        for source, e, _ in side.terms(d):
+            if isinstance(source, tuple):  # D^alpha(E_{left+1}) * E_{right+1}
+                left, right, alpha = source
+                base = left + 1 + 2 * alpha + right + 1
+            else:
+                base = 12 if source == 0 else source + 1
+            w = max(w, base + 2 * e)
     return w, d
 
 
@@ -1144,14 +1139,14 @@ def check_congruence(record, limit, ctx=None):
         raise ValueError(f"context limit {ctx.limit} below requested range {limit}")
     g = record.gcd_condition
     mod = record.modulus
+    lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
     for n in range(1, limit + 1):
         if g != 1 and gcd(n, g) != 1:
             continue
-        lv = record.lhs.value(n, ctx)
-        rv = record.rhs.value(n, ctx)
-        lv = as_rational(lv)
-        rv = as_rational(rv)
-        if not isinstance(lv, int) or not isinstance(rv, int):
+        den = scale * n ** power
+        lv, lr = divmod(lhs[n], den)
+        rv, rr = divmod(rhs[n], den)
+        if lr or rr:
             raise IdentityStructureError(
                 f"{record.id}: non-integral congruence side at n={n}"
             )
@@ -1189,15 +1184,6 @@ class FitResult:
         return tuple(c for c in self.coefficients if c.stated != c.fitted)
 
 
-def _closed_shape_name(p, j):
-    name = f"{_sigma_name(j)}(n)"
-    if p == 0:
-        return name
-    if p > 0:
-        return ("n*" if p == 1 else f"n^{p}*") + name
-    return name + ("/n" if p == -1 else f"/n^{-p}")
-
-
 def fit_identity(record, ctx, extra_rows=6):
     """Refit the scalar constants of a failed identity, exactly.
 
@@ -1207,20 +1193,18 @@ def fit_identity(record, ctx, extra_rows=6):
     convolution coefficients are solved for by exact elimination and then
     verified over the whole context range.
     """
-    if record.lhs.has_tau:
-        if record.lhs != _TAU_SIDE:
-            raise IdentityStructureError("refit expects a bare tau(n) left side")
-        target = list(ctx.tau)
-        free_closed = record.rhs.closed
-        free_conv = record.rhs.conv
-    else:
-        target = [v for v in record.lhs.bulk(ctx, ctx.limit)]
-        free_closed = record.rhs.closed
-        free_conv = record.rhs.conv
+    if record.lhs.has_tau and record.lhs != _TAU_SIDE:
+        raise IdentityStructureError("refit expects a bare tau(n) left side")
+    limit = ctx.limit
+    power = _clearing_power(record)
+    scale = record.lhs.denominator()
+    # every vector below is its true value times n^power (the target also
+    # times scale), so the whole-range check runs on integers
+    target = record.lhs.cleared(ctx, limit, scale, power)
 
     shapes = []
     stated = {}
-    for t in free_closed:
+    for t in record.rhs.closed:
         for c, p, j in t.monomials():
             stated[(p, j)] = stated.get((p, j), Fraction(0)) + c
             if (p, j) not in shapes:
@@ -1228,33 +1212,34 @@ def fit_identity(record, ctx, extra_rows=6):
     for p, j in list(shapes):
         if (p + 1, j) not in shapes:
             shapes.append((p + 1, j))
-    columns = []
-    labels = []
-    for p, j in shapes:
-        col = [Fraction(0)] * (ctx.limit + 1)
-        for n in range(1, ctx.limit + 1):
-            v = Fraction(ctx.sigma(j, n))
-            col[n] = v * n ** p if p >= 0 else v / n ** (-p)
-        columns.append(col)
-        labels.append(_closed_shape_name(p, j))
-    for t in free_conv:
+    units = [Side(closed=(ClosedTerm(Fraction(1), p, j),)) for p, j in shapes]
+    labels = [_closed_shape_name(p, j) for p, j in shapes]
+    for t in record.rhs.conv:
         unit = ConvolutionTerm(Fraction(1), t.n_divisor, t.poly, t.left, t.right)
-        columns.append([Fraction(v) for v in unit.bulk(ctx, ctx.limit)])
+        units.append(Side(conv=(unit,)))
         labels.append(unit.describe())
         stated[labels[-1]] = t.coefficient
+    columns = [unit.cleared(ctx, limit, 1, power) for unit in units]
 
     ncols = len(columns)
-    rows_used = min(ctx.limit, ncols + extra_rows)
+    rows_used = min(limit, ncols + extra_rows)
     if rows_used < ncols:
         return FitResult(record.id, False, detail="context range too small to refit")
-    rows = [[columns[j][n] for j in range(ncols)] for n in range(1, rows_used + 1)]
-    rhs = [Fraction(target[n]) for n in range(1, rows_used + 1)]
+    rows = [
+        [Fraction(col[n], n ** power) for col in columns] for n in range(1, rows_used + 1)
+    ]
+    rhs = [Fraction(target[n], scale * n ** power) for n in range(1, rows_used + 1)]
     try:
         solution = solve_exact(rows, rhs)
     except LinearSolveError as exc:
         return FitResult(record.id, False, detail=str(exc))
-    for n in range(1, ctx.limit + 1):
-        if sum(solution[j] * columns[j][n] for j in range(ncols)) != target[n]:
+    den = lcm(*(x.denominator for x in solution))
+    fitted = [0] * (limit + 1)
+    for x, col in zip(solution, columns):
+        k = (x * den).numerator * scale
+        fitted = [f + k * v for f, v in zip(fitted, col)]
+    for n in range(1, limit + 1):
+        if fitted[n] != den * target[n]:
             return FitResult(
                 record.id, False, detail=f"refit inconsistent at n={n}"
             )
@@ -1322,7 +1307,8 @@ def _normalization_finding():
     for k in (4, 6, 8, 10, 12):
         display = Fraction(-4 * k) / bernoulli(k)
         listed = Fraction(EISENSTEIN_COEFFICIENT[k])
-        assert display == 2 * listed
+        if display != 2 * listed:
+            raise InternalInconsistency(f"E{k}: -4k/B_k = {display}, expansion uses {listed}")
         samples.append(f"k={k}: -4k/B_k gives {display}, expansions use {listed}")
     return AuditFinding(
         id="eisenstein-leading-coefficient",
@@ -1346,7 +1332,8 @@ def _bracket_findings(truncation=32):
 
     b46 = rc_bracket(e4, e6, 1).series
     c46 = b46.coefficient(1)  # Delta is normalised, so this is the multiple
-    assert b46 == delta.scale(c46)
+    if b46 != delta.scale(c46):
+        raise InternalInconsistency("[E4,E6]_1 is not a multiple of Delta")
     f1 = AuditFinding(
         id="bracket-e4-e6-order1",
         claimed="[E4,E6]_1 = 3456*Delta (also stated as 4*E4*D(E6) - 6*E6*D(E4) = -3456*Delta)",
@@ -1359,7 +1346,8 @@ def _bracket_findings(truncation=32):
 
     b44 = rc_bracket(e4, e4, 2).series
     c44 = b44.coefficient(1)
-    assert b44 == delta.scale(c44)
+    if b44 != delta.scale(c44):
+        raise InternalInconsistency("[E4,E4]_2 is not a multiple of Delta")
     reduced = e8.series.derive(2).scale(2) - e4.series.derive(1) * e4.series.derive(1) * 9
     reduced_ok = reduced == delta.scale(960)
     f2 = AuditFinding(
@@ -1382,8 +1370,11 @@ def _weight8_decomposition_finding(truncation=32):
     e2 = eisenstein(2, truncation)
     sq = decompose(e2.derive(1) * e2.derive(1), 8).nonzero()
     mixed = decompose(e2 * e2.derive(2), 8).nonzero()
-    assert sq == {"D^2(E4)": Fraction(1, 5), "D^3(E2)": Fraction(2)}
-    assert mixed == {"D^2(E4)": Fraction(3, 10), "D^3(E2)": Fraction(4)}
+    if sq != {"D^2(E4)": Fraction(1, 5), "D^3(E2)": Fraction(2)} or mixed != {
+        "D^2(E4)": Fraction(3, 10),
+        "D^3(E2)": Fraction(4),
+    }:
+        raise InternalInconsistency(f"weight-8 decompositions changed: {sq}, {mixed}")
     return AuditFinding(
         id="weight8-decomposition-generator",
         claimed="D(E2)^2 = 1/5*D(E6) + 2*D^3(E2) and E2*D^2(E2) = 3/10*D(E6) + 4*D^3(E2)",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import GradedForm, dim_modular, eisenstein
+from .forms import GradedForm, InternalInconsistency, dim_modular, eisenstein
 from .qseries import QSeries, as_rational
 
 __all__ = [
@@ -166,7 +166,8 @@ def modular_basis(k, truncation):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
-    assert rank == dim and pivots == list(range(dim)), (k, pivots)
+    if rank != dim or pivots != list(range(dim)):
+        raise InternalInconsistency(f"weight-{k} modular basis: pivots {pivots}, expected {dim}")
     out = []
     for j in range(dim):
         if dim == 1:

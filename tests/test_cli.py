@@ -1,6 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import tauforms
 from tauforms import tau_range
 from tauforms.cli import main
 
@@ -95,10 +102,11 @@ def test_verify_json_deterministic(capsys):
 
 
 def test_verify_threaded_matches_sequential(capsys):
+    # --threads is a documented no-op kept for existing command lines
     base = ("verify", "--identity", "all", "--max-n", "40", "--format", "json")
-    _, sequential, _ = run(capsys, *base, "--threads", "1")
-    _, pooled, _ = run(capsys, *base, "--threads", "4")
-    assert pooled == sequential
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    assert run(capsys, *base, "--threads", "4") == (0, plain, "")
 
 
 def test_certify_command(capsys):
@@ -163,6 +171,41 @@ def test_eval_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--expr", "D^(E4)", "--trunc", "8")
     assert code == 2
     assert "offset 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-n", "0"),
+        ("congruences", "--max-n", "0"),
+        ("audit", "--max-n", "0"),
+        ("tau", "--n", "0"),
+        ("verify", "--identity", "eq1.1", "--max-n", "-5"),
+        ("sigma", "--k", "-1", "--max-n", "4", "--out", "unused.csv"),
+        ("bench", "--max-n", "0"),
+    ],
+)
+def test_non_positive_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "minimum" in err
+
+
+def test_library_invariants_survive_optimize_flag():
+    # python -O strips assert statements; the audit's invariants must not be
+    src = str(Path(tauforms.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tauforms.cli", "audit", "--max-n", "60"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "audit ok" in proc.stdout
 
 
 def test_strategy_disagreement_exit_code(capsys, monkeypatch):

@@ -3,7 +3,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import convolution_value, first_failure, side_value
 from tauforms import (
     AUDIT_FLAGGED,
     EXPECTED_TRUE,
@@ -22,7 +25,11 @@ from tauforms import (
     tau,
     verify_range,
 )
-from tauforms.identities import CongruenceRecord, certification_weight
+from tauforms.identities import (
+    CongruenceRecord,
+    IdentityStructureError,
+    certification_weight,
+)
 
 
 def test_registry_counts(registry):
@@ -113,7 +120,99 @@ def test_bulk_matches_pointwise(registry, ctx120):
         lhs = record.lhs.bulk(ctx120, 60)
         rhs = record.rhs.bulk(ctx120, 60)
         for n in rng.sample(range(1, 61), 12):
+            assert lhs[n] == side_value(record.lhs, n, ctx120)
+            assert rhs[n] == side_value(record.rhs, n, ctx120)
             assert lhs[n] - rhs[n] == evaluate(record, n, ctx120)
+
+
+_SIGMAS = (1, 3, 5, 7, 9, 11)
+_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36))
+_closed_terms = st.builds(
+    ClosedTerm,
+    _rationals,
+    st.integers(-2, 3),
+    st.sampled_from((0,) + _SIGMAS),
+    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-5, 5), min_size=1, max_size=3
+).map(PolyMN)
+_conv_terms = st.builds(
+    ConvolutionTerm,
+    _rationals,
+    st.integers(0, 2),
+    _polys,
+    st.sampled_from(_SIGMAS),
+    st.sampled_from(_SIGMAS),
+)
+_sides = st.builds(
+    Side,
+    st.lists(_closed_terms, max_size=3).map(tuple),
+    st.lists(_conv_terms, max_size=2).map(tuple),
+)
+
+
+def _split(side, parts):
+    """The same side with each coefficient c written as (c - x) + x."""
+
+    def split(terms):
+        return tuple(
+            piece
+            for t, x in zip(terms, parts)
+            for piece in (replace(t, coefficient=t.coefficient - x), replace(t, coefficient=x))
+        )
+
+    return Side(split(side.closed), split(side.conv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=_sides)
+def test_cleared_path_matches_oracle(side, ctx120):
+    limit = 80
+    bulk = side.bulk(ctx120, limit)
+    expected = [side_value(side, n, ctx120) for n in range(1, limit + 1)]
+    assert bulk[1:] == expected
+    assert side.value(limit, ctx120) == expected[-1]
+    d = side.clearing_power()
+    coefficients = side.series(limit, d).coefficients
+    assert list(coefficients[1:]) == [n ** d * v for n, v in enumerate(expected, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lhs=_sides,
+    parts=st.lists(_rationals, min_size=5, max_size=5),
+    extra=st.none() | _sides,
+)
+def test_first_failure_matches_oracle(lhs, parts, extra, ctx120):
+    # the right side restates the left with split coefficients (other
+    # denominators, same values), sometimes plus extra terms
+    rhs = _split(lhs, parts)
+    if extra is not None:
+        rhs = Side(rhs.closed + extra.closed, rhs.conv + extra.conv)
+    record = IdentityRecord("random", "", lhs, rhs)
+    report = verify_range(record, 80, ctx120)
+    expected = first_failure(record, 80, ctx120)
+    assert report.first_failure == expected
+    assert report.status == ("verified" if expected is None else "failed")
+
+
+def test_flagged_first_failures_pinned(registry, ctx120):
+    report = verify_range(registry.by_id["thm2.7.i"], 120, ctx120)
+    assert report.first_failure == (2, Fraction(-24), Fraction(58729, 864))
+    report = verify_range(registry.by_id["thm2.9.iv"], 120, ctx120)
+    assert report.first_failure == (2, Fraction(1), Fraction(13, 10))
+
+
+def test_context_shares_convolutions(registry):
+    ctx = make_context(40)
+    assert ctx.source((3, 3, 1)) is ctx.source((3, 3, 1))
+    for record in registry.identities:
+        verify_range(record, 40, ctx)
+    assert ctx.source((3, 3, 1)) == [
+        sum(m * ctx.sigma(3, m) * ctx.sigma(3, n - m) for m in range(1, n))
+        for n in range(41)
+    ]
 
 
 def _perturb_conv(record, delta=1):
@@ -221,6 +320,13 @@ def test_congruence_examples(registry, ctx120):
     assert rec.rhs.value(5, ctx120) == 126
     assert (150 - 126) % 24 == 0
     assert check_congruence(rec, 120, ctx120).status == "verified"
+
+
+def test_congruence_rejects_non_integral_side(ctx120):
+    half = Side(closed=(ClosedTerm(Fraction(1, 2), 0, 1),))
+    record = CongruenceRecord("half", "", half, Side(), 2, (2,))
+    with pytest.raises(IdentityStructureError, match="n=1"):
+        check_congruence(record, 10, ctx120)
 
 
 def test_congruence_gcd_condition_skips(registry, ctx120):
@@ -398,5 +504,6 @@ def test_missing_sigma_table_is_a_clear_error(registry):
 def test_cor210_vanishes_to_1000(registry):
     ctx = make_context(1000, exponents=(1,))
     record = registry.by_id["cor2.10"]
-    arr = record.lhs.conv[0].bulk(ctx, 1000)
-    assert all(v == 0 for v in arr)
+    (term,) = record.lhs.conv
+    assert all(convolution_value(term, n, ctx) == 0 for n in range(1, 1001))
+    assert all(v == 0 for v in record.lhs.bulk(ctx, 1000))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -37,6 +39,43 @@ def test_registry_counts(registry):
     assert len(registry.congruences) == 15
     assert len(registry.identities) + len(registry.congruences) >= 45
     assert len({r.id for r in registry}) == 60
+
+
+def _canonical_dump(record):
+    """A record's anchor and evaluated structure as one line of JSON."""
+
+    def side(s):
+        closed = [
+            [str(t.coefficient), t.n_power, t.sigma, t.affine]
+            for t in s.closed
+        ]
+        conv = [
+            [str(t.coefficient), t.n_divisor, t.poly.monomials(), t.left, t.right]
+            for t in s.conv
+        ]
+        return [closed, conv]
+
+    return json.dumps([
+        type(record).__name__,
+        record.id,
+        record.anchor,
+        getattr(record, "status", None),
+        side(record.lhs),
+        side(record.rhs),
+        getattr(record, "modulus", None),
+        getattr(record, "modulus_factors", None),
+        getattr(record, "gcd_condition", None),
+    ])
+
+
+# SHA-256 of the dump of every record as hand-built term literals produced
+# it, before the catalogue was parsed from its anchor text
+REGISTRY_DIGEST = "ea50eb2505e89446b565de03fa96cb3078088811cfcb09961d740933a0fb0781"
+
+
+def test_registry_structure_pinned(registry):
+    dump = "\n".join(_canonical_dump(r) for r in registry)
+    assert hashlib.sha256(dump.encode()).hexdigest() == REGISTRY_DIGEST
 
 
 def test_registry_key_contents(registry):

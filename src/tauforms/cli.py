@@ -14,7 +14,7 @@ from fractions import Fraction
 from statistics import median
 
 from . import __version__
-from .expr import EvalError, ParseError, eval_expr, parse
+from .expr import EvalError, eval_expr, parse
 from .forms import (
     TAU_STRATEGIES,
     InternalInconsistency,
@@ -102,6 +102,7 @@ def _int_at_least(low):
 
 
 POSITIVE = _int_at_least(1)
+NON_NEGATIVE = _int_at_least(0)
 THREADS_HELP = "accepted for compatibility and ignored: every check runs sequentially"
 
 
@@ -222,14 +223,13 @@ def cmd_audit(args):
 def cmd_decompose(args):
     try:
         form = eval_expr(parse(args.expr), args.trunc)
-    except (ParseError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         record = decompose(form, args.weight, args.depth)
     except NotInGradedSpace as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (EvalError, ValueError) as exc:  # ParseError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     coords = {label: _rat(c) for label, c in record.coordinates if c != 0}
     print(json.dumps(coords, indent=2))
     return EXIT_OK
@@ -238,15 +238,15 @@ def cmd_decompose(args):
 def cmd_eval(args):
     try:
         form = eval_expr(parse(args.expr), args.trunc)
-    except (ParseError, EvalError) as exc:
+        if args.coeff is not None:
+            print(_rat(form.coefficient(args.coeff)))
+            return EXIT_OK
+    except (EvalError, ValueError, IndexError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.coeff is not None:
-        print(_rat(form.coefficient(args.coeff)))
-    else:
-        weight = "inhomogeneous" if form.weight is None else form.weight
-        print(f"weight: {weight}, depth bound: {form.depth}")
-        print(form.series.to_text(max_terms=12))
+    weight = "inhomogeneous" if form.weight is None else form.weight
+    print(f"weight: {weight}, depth bound: {form.depth}")
+    print(form.series.to_text(max_terms=12))
     return EXIT_OK
 
 
@@ -288,7 +288,7 @@ def build_parser():
     p.set_defaults(func=cmd_tau_table)
 
     p = sub.add_parser("sigma", help="sigma_k(1..N) to CSV")
-    p.add_argument("--k", type=_int_at_least(0), required=True)
+    p.add_argument("--k", type=NON_NEGATIVE, required=True)
     p.add_argument("--max-n", type=POSITIVE, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sigma)
@@ -318,14 +318,14 @@ def build_parser():
     p = sub.add_parser("decompose", help="graded coordinates of an expression")
     p.add_argument("--expr", required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--depth", type=NON_NEGATIVE, default=None)
+    p.add_argument("--trunc", type=NON_NEGATIVE, default=DEFAULT_TRUNCATION)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("eval", help="evaluate an expression to a q-series")
     p.add_argument("--expr", required=True)
-    p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
-    p.add_argument("--coeff", type=int, default=None)
+    p.add_argument("--trunc", type=NON_NEGATIVE, default=DEFAULT_TRUNCATION)
+    p.add_argument("--coeff", type=NON_NEGATIVE, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="tau-table wall time per strategy")

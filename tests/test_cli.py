@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tauforms
-from tauforms import tau_range
+from tauforms import NotInGradedSpace, decompose, eval_expr, parse, tau_range
 from tauforms.cli import main
 
 
@@ -173,23 +175,64 @@ def test_eval_parse_error_exit_code(capsys):
     assert "offset 2" in err
 
 
+_USAGE_ERRORS = [
+    (("verify", "--max-n", "0"), "minimum"),
+    (("congruences", "--max-n", "0"), "minimum"),
+    (("audit", "--max-n", "0"), "minimum"),
+    (("tau", "--n", "0"), "minimum"),
+    (("verify", "--identity", "eq1.1", "--max-n", "-5"), "minimum"),
+    (("sigma", "--k", "-1", "--max-n", "4", "--out", "unused.csv"), "minimum"),
+    (("bench", "--max-n", "0"), "minimum"),
+    (("eval", "--expr", "E4", "--trunc", "8", "--coeff", "9"), "outside known range 0..8"),
+    (("eval", "--expr", "E4", "--coeff", "-1"), "minimum"),
+    (("eval", "--expr", "E4", "--trunc", "-1"), "minimum"),
+    (("decompose", "--expr", "E4", "--weight", "5"), "decompose in weight 5"),
+    (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "3"), "truncation 3 too small"),
+    (("decompose", "--expr", "E4", "--weight", "4", "--depth", "-1"), "minimum"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--max-n", "0"),
-        ("congruences", "--max-n", "0"),
-        ("audit", "--max-n", "0"),
-        ("tau", "--n", "0"),
-        ("verify", "--identity", "eq1.1", "--max-n", "-5"),
-        ("sigma", "--k", "-1", "--max-n", "4", "--out", "unused.csv"),
-        ("bench", "--max-n", "0"),
-    ],
+    "argv, reason", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))]
 )
-def test_non_positive_sizes_are_usage_errors(capsys, argv):
+def test_non_positive_sizes_are_usage_errors(capsys, argv, reason):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "minimum" in err
+    assert reason in err
+    assert "error:" in err and "Traceback" not in err
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(("eval", "decompose")),
+    expr=st.sampled_from(("E4", "E2*E2", "Delta", "D(E2)")),
+    trunc=st.none() | st.integers(-2, 40),
+    coeff=st.none() | st.integers(-2, 44),
+    weight=st.integers(-2, 12),
+    depth=st.none() | st.integers(-2, 6),
+)
+def test_eval_decompose_exit_codes(capsys, command, expr, trunc, coeff, weight, depth):
+    argv = [command, "--expr", expr]
+    if trunc is not None:
+        argv += ["--trunc", str(trunc)]
+    if command == "eval" and coeff is not None:
+        argv += ["--coeff", str(coeff)]
+    if command == "decompose":
+        argv += ["--weight", str(weight)]
+        if depth is not None:
+            argv += ["--depth", str(depth)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        # a verdict: the request is valid and the form is not in the space
+        assert command == "decompose"
+        form = eval_expr(parse(expr), 64 if trunc is None else trunc)
+        with pytest.raises(NotInGradedSpace):
+            decompose(form, weight, depth)
 
 
 def test_library_invariants_survive_optimize_flag():
@@ -229,3 +272,33 @@ def test_bench_command(capsys):
     assert "vdp" in out and "niebur" in out and "ns/value" in out
     code, _, _ = run(capsys, "bench", "--strategies", "bogus", "--max-n", "8", "--repeat", "1")
     assert code == 2
+
+
+def test_benchmark_tracer_wraps_the_library():
+    # perfbench/run.py --trace 1 wraps these names; a rename must fail here
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = Path(tauforms.__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "from tracer import Tracer, install\n"
+        "import tauforms.cli\n"
+        "tracer = install(Tracer())\n"
+        "code = tauforms.cli.main(['audit', '--max-n', '40'])\n"
+        "print(json.dumps(sorted(tracer.layers())))\n"
+        "sys.exit(code)\n"
+    )
+    path = [str(perfbench), str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {
+        "cli.main",
+        "identities.builtin_registry",
+        "identities.make_context",
+        "identities.side_series",
+        "quasidecomp.graded_generators",
+        "quasidecomp.modular_basis",
+    } <= layers

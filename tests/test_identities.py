@@ -27,10 +27,12 @@ from tauforms import (
     tau,
     verify_range,
 )
+from tauforms.expr import ParseError
 from tauforms.identities import (
     CongruenceRecord,
     IdentityStructureError,
     certification_weight,
+    parse_record,
 )
 
 
@@ -76,6 +78,28 @@ REGISTRY_DIGEST = "ea50eb2505e89446b565de03fa96cb3078088811cfcb09961d740933a0fb0
 def test_registry_structure_pinned(registry):
     dump = "\n".join(_canonical_dump(r) for r in registry)
     assert hashlib.sha256(dump.encode()).hexdigest() == REGISTRY_DIGEST
+
+
+@pytest.mark.parametrize(
+    "anchor, offset",
+    [
+        ("tau(n) = sigma3 + sigma5(n)", 16),  # sigma3 without (n)
+        ("tau(n) = 60*sum (2n-3m*(n-3m)*sigma3(m)*sigma3(n-m)", 29),  # unbalanced (
+        ("tau(n) n^2*sigma7(n)", 7),  # no =
+        ("tau(n) = 60*sum m*sigma3(m)", 27),  # no *sigma_b(n-m)
+        # well-formed, but 8*3*5 is not the modulus
+        ("12*tau(n) == 5*n*sigma3(n) + 7*n*sigma5(n) mod 840 = 8*3*5", None),
+    ],
+)
+def test_malformed_anchor_is_rejected(anchor, offset):
+    if offset is None:
+        with pytest.raises(ValueError, match="factorisation") as info:
+            parse_record("bad", anchor)
+        assert not isinstance(info.value, ParseError)
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_record("bad", anchor)
+        assert info.value.offset == offset
 
 
 def test_registry_key_contents(registry):

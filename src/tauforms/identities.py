@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .expr import _Parser
 from .forms import (
     GradedForm,
     InternalInconsistency,
@@ -46,7 +47,6 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .expr import _Parser
 from .qseries import QSeries, _convolve_int
 from .quasidecomp import (
     GUARD_ROWS,

@@ -68,6 +68,8 @@ class BracketSpec:
 def rc_bracket(f, g, order):
     """Order-v Rankin-Cohen bracket of two modular (depth-0) forms.
 
+    At depth 0 the quasimodular bracket's binomials are the modular ones,
+    so this validates the operands and returns quasi_bracket(order, f, g).
     Order 0 is permitted and collapses to the plain product.
     """
     if order < 0:
@@ -82,17 +84,7 @@ def rc_bracket(f, g, order):
             )
         if h.weight < 4 or h.weight % 2:
             raise ValueError(f"{name} operand weight {h.weight} not an even weight >= 4")
-    k, l = f.weight, g.weight
-    n = min(f.truncation, g.truncation)
-    total = QSeries.zero(n)
-    for r in range(order + 1):
-        c = binomial(order + k - 1, order - r) * binomial(order + l - 1, r)
-        if c == 0:
-            continue
-        if r % 2:
-            c = -c
-        total = total + (f.series.derive(r) * g.series.derive(order - r)).scale(c)
-    return GradedForm(total, k + l + 2 * order, 0)
+    return quasi_bracket(order, f, g)
 
 
 def quasi_bracket(order, f, g, left=None, right=None):

@@ -2,8 +2,8 @@
 
 Everything is constructed from scratch: Bernoulli numbers by recurrence,
 divisor-power sums by sieving, Eisenstein series from their defining
-expansions, the discriminant form as an explicit product, and tau(n) by
-four independent strategies that are required to agree.
+expansions, the discriminant form from Jacobi's identity for eta^3, and
+tau(n) by four independent strategies that are required to agree.
 """
 
 from dataclasses import dataclass
@@ -206,20 +206,21 @@ def eisenstein(k, truncation):
 
 @lru_cache(maxsize=None)
 def delta_product(truncation):
-    """The weight-12 cusp form q * prod_{n=1..N} (1 - q^n)^24.
+    """The weight-12 cusp form q * prod_{n>=1} (1 - q^n)^24.
 
-    Factors with n > N cannot touch coefficients <= N and are omitted.
+    Jacobi's identity prod(1 - q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}
+    gives the cube of the product with O(sqrt N) nonzero coefficients, and
+    Delta = q * cube^8 takes three squarings.
     """
     n = truncation
     if n < 1:
         raise ValueError("truncation must be at least 1")
-    base = [0] * (n + 1)
-    base[0] = 1
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            base[i] -= base[i - j]
-    powered = QSeries(base) ** 24
-    return GradedForm(powered.shift(1), 12, 0)
+    cube = [0] * (n + 1)
+    k = 0
+    while (t := k * (k + 1) // 2) <= n:
+        cube[t] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return GradedForm((QSeries(cube) ** 8).shift(1), 12, 0)
 
 
 @lru_cache(maxsize=None)

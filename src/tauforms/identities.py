@@ -42,7 +42,6 @@ from .expr import _Parser
 from .forms import (
     GradedForm,
     InternalInconsistency,
-    TauStrategyDisagreement,
     delta_product,
     sigma_table,
     tau_range,
@@ -314,11 +313,7 @@ class Side:
 
     def series(self, truncation, extra_power):
         """sum n^extra_power * side(n) q^n, truncated after q^truncation."""
-        ctx = EvalContext(
-            limit=truncation,
-            tables={k: sigma_table(k, truncation).values for k in self.sigma_exponents()},
-            tau=delta_product(truncation).series.coefficients if self.has_tau else (),
-        )
+        ctx = make_context(truncation)
         scale = self.denominator()
         values = self.cleared(ctx, truncation, scale, extra_power)
         return QSeries(values).scale(Fraction(1, scale))
@@ -395,7 +390,6 @@ class EvalContext:
     limit: int
     tables: dict  # exponent -> tuple of values, index n
     tau: tuple  # index n, tau[0] = 0
-    tau_strategy: str = "product"
     # (left, right, alpha) -> sum_{m<n} m^alpha sigma_left(m) sigma_right(n-m),
     # filled on first use and shared by every identity evaluated here
     _convolutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -426,27 +420,18 @@ class EvalContext:
         return conv
 
 
-def make_context(limit, tau_strategy="auto", exponents=SIGMA_EXPONENTS):
-    """Build an evaluation context: sieved sigma tables plus a tau table.
+def make_context(limit):
+    """Build an evaluation context: the sieved sigma_k tables for k in
+    SIGMA_EXPONENTS plus tau(1..limit) read off Delta's product expansion.
 
-    Strategy "auto" uses the product expansion up to 2048 and the
-    convolution strategies (cross-checked against each other) above that.
+    Taking tau from Delta's definition at every limit means the catalogue's
+    tau formulas (van der Pol, Niebur) are never checked against themselves.
     """
-    tables = {k: sigma_table(k, limit).values for k in exponents}
-    if tau_strategy == "auto":
-        if limit <= 2048:
-            tau = tau_range(limit, "product")
-        else:
-            tau = tau_range(limit, "vdp")
-            other = tau_range(limit, "niebur")
-            if tau != other:
-                n = next(i for i in range(limit + 1) if tau[i] != other[i])
-                raise TauStrategyDisagreement(n, {"vdp": tau[n], "niebur": other[n]})
-        strategy = "auto"
-    else:
-        tau = tau_range(limit, tau_strategy)
-        strategy = tau_strategy
-    return EvalContext(limit=limit, tables=tables, tau=tuple(tau), tau_strategy=strategy)
+    return EvalContext(
+        limit=limit,
+        tables={k: sigma_table(k, limit).values for k in SIGMA_EXPONENTS},
+        tau=tuple(tau_range(limit, "product")),
+    )
 
 
 # --------------------------------------------------------------------------

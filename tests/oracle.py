@@ -1,10 +1,15 @@
-"""Naive per-n evaluation of identity sides, the reference for the tests.
+"""Naive references for the tests.
 
-This is the direct reading of each term's definition: a closed term
-c * n^p * (a*n + b) * sigma_j(n), and a convolution term as the O(n) sum
+Identity sides are evaluated per n by the direct reading of each term's
+definition: a closed term c * n^p * (a*n + b) * sigma_j(n), and a
+convolution term as the O(n) sum
 c / n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m), all in
-`Fraction` arithmetic.  It shares nothing with the library's cleared
+`Fraction` arithmetic.  That shares nothing with the library's cleared
 integer path except the raw sigma and tau tables of the context.
+
+Delta is expanded as its Euler product, one factor (1 - q^j) at a time,
+and raised to the 24th power by schoolbook products on plain lists; the
+library builds it from Jacobi's identity and `QSeries` powers instead.
 """
 
 from fractions import Fraction
@@ -53,3 +58,20 @@ def first_failure(record, limit, ctx):
         if lhs != rhs:
             return n, lhs, rhs
     return None
+
+
+def delta_euler(truncation):
+    """Coefficients 0..N of q * prod_{j=1..N} (1 - q^j)^24.
+
+    Factors with j > N cannot touch coefficients <= N and are omitted.
+    """
+    n = truncation
+    base = [0] * (n + 1)
+    base[0] = 1
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            base[i] -= base[i - j]
+    power = [1] + [0] * n
+    for _ in range(24):
+        power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return [0] + power[:n]

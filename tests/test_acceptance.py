@@ -168,7 +168,7 @@ def test_criterion_06_congruence_sweep():
     start = time.perf_counter()
     limit = 10 ** 4
     registry = builtin_registry()
-    ctx = make_context(limit, exponents=(1, 3, 5, 7, 9))
+    ctx = make_context(limit)
     for record in registry.congruences:
         report = check_congruence(record, limit, ctx)
         assert report.status == "verified", (record.id, report.first_failure)

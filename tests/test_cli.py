@@ -302,3 +302,19 @@ def test_benchmark_tracer_wraps_the_library():
         "quasidecomp.graded_generators",
         "quasidecomp.modular_basis",
     } <= layers
+
+
+@pytest.mark.parametrize(
+    "demo",
+    sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_demo_runs(demo):
+    src = Path(tauforms.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

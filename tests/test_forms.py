@@ -3,11 +3,13 @@ from math import comb, factorial, gcd
 
 import pytest
 
+from oracle import delta_euler
 from tauforms import (
     GradedForm,
     QSeries,
     TauStrategyDisagreement,
     bernoulli,
+    delta_from_eisenstein,
     delta_product,
     dim_modular,
     eisenstein,
@@ -110,6 +112,15 @@ def test_delta_product_leading_terms():
             order2[i + j] += (-1) ** i * comb(24, i) * (-1) ** (j // 2) * comb(24, j // 2)
     assert d.coefficient(2) == order2[1] == -24
     assert d.weight == 12 and d.depth == 0
+
+
+def test_delta_product_matches_euler_oracle():
+    # every N up to 300 crosses each triangular-number edge of Jacobi's sum
+    # and the top coefficient that shift(1) drops
+    reference = delta_euler(300)
+    for n in range(1, 301):
+        assert list(delta_product(n).series.coefficients) == reference[: n + 1], n
+    assert delta_product(2049) == delta_from_eisenstein(2049)
 
 
 def test_delta_equals_eisenstein_combination():

@@ -558,14 +558,31 @@ def test_make_context_bounds():
     assert ctx.tau[:3] == (0, 1, -24)
 
 
-def test_missing_sigma_table_is_a_clear_error(registry):
-    ctx = make_context(30, exponents=(1, 3))
-    with pytest.raises(KeyError, match="sigma_7"):
-        evaluate(registry.by_id["thm2.1.i"], 5, ctx)
+def test_missing_sigma_table_is_a_clear_error():
+    record = parse_record("s13", "tau(n) = sigma13(n)")
+    with pytest.raises(KeyError, match="sigma_13"):
+        evaluate(record, 5, make_context(30))
+
+
+def test_context_tau_comes_from_delta_at_every_limit(registry, monkeypatch):
+    # eq1.2 is van der Pol's formula for tau; checked against a tau table
+    # built by that same formula, a verdict would be circular
+    import tauforms.identities as identities
+
+    tau_range = identities.tau_range
+
+    def product_only(limit, strategy="product"):
+        if strategy != "product":
+            raise AssertionError(f"evaluation context asked for tau by {strategy!r}")
+        return tau_range(limit, strategy)
+
+    monkeypatch.setattr(identities, "tau_range", product_only)
+    ctx = make_context(2049)
+    assert verify_range(registry.by_id["eq1.2"], 2049, ctx).status == "verified"
 
 
 def test_cor210_vanishes_to_1000(registry):
-    ctx = make_context(1000, exponents=(1,))
+    ctx = make_context(1000)
     record = registry.by_id["cor2.10"]
     (term,) = record.lhs.conv
     assert all(convolution_value(term, n, ctx) == 0 for n in range(1, 1001))

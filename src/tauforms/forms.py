@@ -225,10 +225,22 @@ def delta_product(truncation):
 
 @lru_cache(maxsize=None)
 def delta_from_eisenstein(truncation):
-    """The same cusp form via (E4^3 - E6^2) / 1728."""
+    """The same cusp form via (E4^3 - E6^2) / 1728.
+
+    The division is exact in integers; a remainder would contradict the
+    Eisenstein expansions and raises InternalInconsistency.
+    """
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
-    return GradedForm((e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728)), 12, 0)
+    coeffs = []
+    for i, c in enumerate((e4 ** 3 - e6 ** 2).coefficients):
+        quotient, remainder = divmod(c, 1728)
+        if remainder:
+            raise InternalInconsistency(
+                f"E4^3 - E6^2 has q^{i} coefficient {c}, not divisible by 1728"
+            )
+        coeffs.append(quotient)
+    return GradedForm(QSeries(coeffs), 12, 0)
 
 
 def dim_modular(k):

@@ -8,8 +8,28 @@ operand and never invent coefficients.
 Coefficients are always kept in canonical form: a `Fraction` with
 denominator 1 is stored as a plain int, and every `Fraction` is reduced
 (that is what `fractions.Fraction` guarantees).
+
+Products clear denominators and convolve integer vectors.  Short vectors
+use the schoolbook double loop.  Longer ones use Kronecker substitution:
+each vector becomes one big number with a fixed-width slot per
+coefficient, wide enough that no slot of the product overflows, so a
+single big-number product yields every coefficient at once.  Mid-size
+operands are packed in binary and multiplied by CPython's `int`
+(Karatsuba); large ones are packed in decimal digits and multiplied by
+libmpdec through `decimal`, which switches to a number-theoretic
+transform on huge operands.  Both routes are exact.
 """
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -36,6 +56,20 @@ def as_rational(x):
 # big-integer product.
 _PACK_THRESHOLD = 64
 
+# Packed operands of at least this many decimal digits (coefficients times
+# slot width, of the shorter operand) go through libmpdec; below it the
+# binary packing and CPython's Karatsuba are faster.  Taken from the
+# crossover sweep in BENCH_decimal_mul.json (scripts/mul_crossover.py).
+_DECIMAL_THRESHOLD = 24576
+
+# Integers only, at any size: a product that would need rounding raises.
+_DECIMAL = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, Inexact, Rounded],
+)
+
 
 def _schoolbook_convolve(a, b, n):
     out = [0] * (n + 1)
@@ -47,44 +81,75 @@ def _schoolbook_convolve(a, b, n):
     return out
 
 
-def _packed_convolve_nonneg(a, b, n):
-    # Kronecker substitution: evaluate both polynomials at a huge power of
-    # two and let CPython's big-integer multiplication do the convolution.
-    amax = max(a)
-    bmax = max(b)
-    if amax == 0 or bmax == 0:
-        return [0] * (n + 1)
-    bound = min(len(a), len(b)) * amax * bmax
+def _pack_bytes(c, stride):
+    buf = bytearray(len(c) * stride)
+    for i, v in enumerate(c):
+        if v:
+            buf[i * stride : i * stride + stride] = v.to_bytes(stride, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _packed_int(a, b, n, bound):
+    # Slots of whole bytes in a little-endian integer.
     stride = bound.bit_length() // 8 + 1
-    abuf = bytearray(len(a) * stride)
-    for i, v in enumerate(a):
-        if v:
-            abuf[i * stride : i * stride + stride] = v.to_bytes(stride, "little")
-    bbuf = bytearray(len(b) * stride)
-    for i, v in enumerate(b):
-        if v:
-            bbuf[i * stride : i * stride + stride] = v.to_bytes(stride, "little")
-    prod = int.from_bytes(bytes(abuf), "little") * int.from_bytes(bytes(bbuf), "little")
-    cbuf = prod.to_bytes((len(a) + len(b)) * stride, "little")
+    x = _pack_bytes(a, stride)
+    y = x if b is a else _pack_bytes(b, stride)
+    cbuf = (x * y).to_bytes((len(a) + len(b)) * stride, "little")
     return [
         int.from_bytes(cbuf[k * stride : (k + 1) * stride], "little")
         for k in range(n + 1)
     ]
 
 
+def _pack_decimal(c, width):
+    # Most significant slot first; Decimal(str) reads the digits in linear time.
+    return Decimal((f"%0{width}d" * len(c)) % tuple(reversed(c)))
+
+
+def _packed_decimal(a, b, n, width):
+    # Slots of `width` decimal digits; a squaring packs its operand once.
+    x = _pack_decimal(a, width)
+    product = _DECIMAL.multiply(x, x if b is a else _pack_decimal(b, width))
+    del x  # peak memory: drop each big number once it is read
+    digits = str(product).zfill((n + 1) * width)
+    del product
+    end = len(digits)
+    return [int(digits[i - width : i]) for i in range(end, end - (n + 1) * width, -width)]
+
+
+def _packed_convolve_nonneg(a, b, n):
+    # Kronecker substitution: every coefficient of the product is at most
+    # `bound`, so slots that hold `bound` never carry into each other.
+    amax = max(a)
+    bmax = amax if b is a else max(b)
+    if amax == 0 or bmax == 0:
+        return [0] * (n + 1)
+    short = min(len(a), len(b))
+    bound = short * amax * bmax
+    try:
+        width = len(str(bound))
+    except ValueError:  # wider than sys.get_int_max_str_digits(): stay binary
+        return _packed_int(a, b, n, bound)
+    if short * width >= _DECIMAL_THRESHOLD:
+        return _packed_decimal(a, b, n, width)
+    return _packed_int(a, b, n, bound)
+
+
 def _convolve_int(a, b, n):
     """Truncated convolution of two integer sequences, exactly.
 
     Schoolbook for short inputs; for longer ones the sequences are packed
-    into big integers (shifted to be non-negative first, with the linear
-    correction terms restored afterwards).
+    into big numbers (shifted to be non-negative first, with the linear
+    correction terms restored afterwards).  Passing the same object twice
+    is a squaring, which packs its operand once.
     """
+    square = a is b
     a = list(a[: n + 1])
-    b = list(b[: n + 1])
+    b = a if square else list(b[: n + 1])
     if n + 1 <= _PACK_THRESHOLD:
         return _schoolbook_convolve(a, b, n)
     mina = min(a)
-    minb = min(b)
+    minb = mina if square else min(b)
     if mina >= 0 and minb >= 0:
         return _packed_convolve_nonneg(a, b, n)
     a += [0] * (n + 1 - len(a))
@@ -92,7 +157,7 @@ def _convolve_int(a, b, n):
     ca = -mina if mina < 0 else 0
     cb = -minb if minb < 0 else 0
     a2 = [x + ca for x in a]
-    b2 = [x + cb for x in b]
+    b2 = a2 if square else [x + cb for x in b]
     raw = _packed_convolve_nonneg(a2, b2, n)
     out = []
     sa = sb = 0
@@ -208,7 +273,10 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.truncation, other.truncation)
             a, da = _clear_denominators(self._coeffs[: n + 1])
-            b, db = _clear_denominators(other._coeffs[: n + 1])
+            if other is self:
+                b, db = a, da
+            else:
+                b, db = _clear_denominators(other._coeffs[: n + 1])
             raw = _convolve_int(a, b, n)
             if da == 1 and db == 1:
                 return QSeries(raw)
@@ -226,15 +294,19 @@ class QSeries:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers are defined")
-        result = QSeries.one(self.truncation)
+        if exponent == 0:
+            return QSeries.one(self.truncation)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
                 result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+            exponent >>= 1
         return result
 
     def derive(self, times=1):

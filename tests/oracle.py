@@ -10,9 +10,13 @@ integer path except the raw sigma and tau tables of the context.
 Delta is expanded as its Euler product, one factor (1 - q^j) at a time,
 and raised to the 24th power by schoolbook products on plain lists; the
 library builds it from Jacobi's identity and `QSeries` powers instead.
+
+The Rankin-Cohen bracket is summed straight from its binomial formula on
+plain coefficient lists, with `math.comb` and schoolbook products.
 """
 
 from fractions import Fraction
+from math import comb
 
 
 def closed_value(term, n, ctx):
@@ -75,3 +79,21 @@ def delta_euler(truncation):
     for _ in range(24):
         power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(n + 1)]
     return [0] + power[:n]
+
+
+def rc_bracket_direct(f, k, g, l, v):
+    """Coefficients of sum_r (-1)^r C(v+k-1, v-r) C(v+l-1, r) D^r f D^(v-r) g.
+
+    f and g are coefficient lists of forms of weights k and l; D is
+    a_n -> n*a_n, and the result has the length of the shorter operand.
+    """
+    n = min(len(f), len(g))
+    out = [0] * n
+    for r in range(v + 1):
+        c = (-1) ** r * comb(v + k - 1, v - r) * comb(v + l - 1, r)
+        df = [i ** r * a for i, a in enumerate(f[:n])]
+        dg = [i ** (v - r) * b for i, b in enumerate(g[:n])]
+        for i in range(n):
+            for j in range(n - i):
+                out[i + j] += c * df[i] * dg[j]
+    return out

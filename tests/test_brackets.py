@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracle import rc_bracket_direct
 from tauforms import (
     BracketSpec,
     binomial,
@@ -78,11 +79,14 @@ def test_antisymmetry_grading():
         assert left.weight == k + l + 2 * order
 
 
-def test_quasi_bracket_coincides_with_modular_bracket_at_depth_zero():
+def test_rc_bracket_matches_direct_binomial_sum():
     n = 16
     for k, l, order in ((4, 6, 1), (4, 4, 2), (6, 8, 3), (4, 10, 0)):
         f, g = eisenstein(k, n), eisenstein(l, n)
-        assert quasi_bracket(order, f, g).series == rc_bracket(f, g, order).series
+        direct = rc_bracket_direct(
+            list(f.series.coefficients), k, list(g.series.coefficients), l, order
+        )
+        assert list(rc_bracket(f, g, order).series.coefficients) == direct
 
 
 def test_quasi_bracket_expansions_match_direct_construction():

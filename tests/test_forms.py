@@ -19,7 +19,8 @@ from tauforms import (
     tau_cross_check,
     tau_range,
 )
-from tauforms.forms import EISENSTEIN_COEFFICIENT
+from tauforms import forms, qseries
+from tauforms.forms import EISENSTEIN_COEFFICIENT, InternalInconsistency
 
 
 def bernoulli_oracle(limit):
@@ -121,6 +122,38 @@ def test_delta_product_matches_euler_oracle():
     for n in range(1, 301):
         assert list(delta_product(n).series.coefficients) == reference[: n + 1], n
     assert delta_product(2049) == delta_from_eisenstein(2049)
+
+
+def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch):
+    widths = []
+    real = qseries._packed_decimal
+
+    def spy(a, b, n, width):
+        widths.append(width)
+        return real(a, b, n, width)
+
+    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+    # past the caches, so both constructions multiply here
+    product = forms.delta_product.__wrapped__(4096)
+    assert widths, "Delta at N=4096 should use the decimal route"
+    assert product == forms.delta_from_eisenstein.__wrapped__(4096)
+    assert product == delta_product(4096) == delta_from_eisenstein(4096)
+    assert tau_cross_check(4096) == tau_range(4096, "product")
+
+
+def test_delta_from_eisenstein_rejects_a_remainder(monkeypatch):
+    real = forms.eisenstein
+
+    def bent(k, truncation):
+        form = real(k, truncation)
+        if k != 6:
+            return form
+        return GradedForm(form.series + QSeries([0, 0, 0, 1], truncation), 6)
+
+    monkeypatch.setattr(forms, "eisenstein", bent)
+    # (E6 + q^3)^2 moves the q^3 coefficient of E4^3 - E6^2 by -2
+    with pytest.raises(InternalInconsistency, match=r"q\^3 coefficient"):
+        forms.delta_from_eisenstein.__wrapped__(8)
 
 
 def test_delta_equals_eisenstein_combination():

@@ -1,3 +1,5 @@
+import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -7,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauforms import QSeries, delta_product, eisenstein
-from tauforms.qseries import _convolve_int, _schoolbook_convolve, as_rational
+from tauforms import qseries
+from tauforms.qseries import (
+    _DECIMAL_THRESHOLD,
+    _PACK_THRESHOLD,
+    _convolve_int,
+    _schoolbook_convolve,
+    as_rational,
+)
 
 # bounded random series per the ring-axiom contract: truncation <= 16,
 # coefficients in [-9, 9] (ints or ninths)
@@ -163,6 +172,139 @@ def test_packed_convolution_large_prefix():
     b = [(-1) ** i * i ** 3 for i in range(180)]
     n = 150
     assert _convolve_int(a, b, n) == _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
+
+
+def _lengths_around_crossover(digits):
+    """Operand lengths on both sides of the decimal route's crossover.
+
+    Coefficients of `digits` digits give slots of about 2*digits + 4
+    digits (shifting signed inputs doubles them), so the crossover falls
+    near _DECIMAL_THRESHOLD / (2*digits + 4) coefficients.
+    """
+    cross = _DECIMAL_THRESHOLD // (2 * digits + 4)
+    below = st.integers(max(_PACK_THRESHOLD + 1, cross // 2), cross * 3 // 4)
+    above = st.integers(cross * 4 // 3, cross * 2)
+    return below, above
+
+
+def _random_ints(rnd, length, digits, signed=True):
+    top = 10 ** digits
+    return [rnd.randint(-top if signed else 0, top) for _ in range(length)]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_packed_routes_match_schoolbook(side, data):
+    digits = 40
+    length = _lengths_around_crossover(digits)[side]
+    rnd = data.draw(st.randoms(use_true_random=False))
+    a = _random_ints(rnd, data.draw(length), digits)
+    b = _random_ints(rnd, data.draw(length), digits, signed=data.draw(st.booleans()))
+    n = min(len(a), len(b)) - 1 + data.draw(st.integers(0, 3))
+    assert _convolve_int(a, b, n) == _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_rational_products_match_schoolbook(side, data):
+    digits = 80
+    length = data.draw(_lengths_around_crossover(digits)[side])
+    rnd = data.draw(st.randoms(use_true_random=False))
+    top = 10 ** digits
+
+    def coefficients():
+        return [Fraction(rnd.randint(-top, top), rnd.randint(1, 9)) for _ in range(length)]
+
+    f, g = coefficients(), coefficients()
+    expected = tuple(as_rational(c) for c in _schoolbook_convolve(f, g, length - 1))
+    assert (QSeries(f) * QSeries(g)).coefficients == expected
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_squaring_matches_product_of_copies(side, data):
+    digits = 40
+    rnd = data.draw(st.randoms(use_true_random=False))
+    x = _random_ints(
+        rnd,
+        data.draw(_lengths_around_crossover(digits)[side]),
+        digits,
+        signed=data.draw(st.booleans()),
+    )
+    n = len(x) - 1
+    assert _convolve_int(x, x, n) == _convolve_int(x, list(x), n)
+    assert _convolve_int(x, x, n) == _schoolbook_convolve(x, x, n)
+    f = QSeries(x).scale(Fraction(2, 3))
+    assert f * f == f * QSeries(f.coefficients)
+
+
+def test_route_follows_packed_size(monkeypatch):
+    widths = []
+    real = qseries._packed_decimal
+
+    def spy(a, b, n, width):
+        widths.append(width)
+        return real(a, b, n, width)
+
+    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+    top = 10 ** 30
+
+    def width(length):  # digits of the bound length * max(a) * max(b)
+        return len(str(length * top * top))
+
+    first = next(
+        k for k in itertools.count(_PACK_THRESHOLD) if k * width(k) >= _DECIMAL_THRESHOLD
+    )
+    for length, taken in ((first - 1, False), (first, True)):
+        a = [top] + [1] * (length - 1)
+        widths.clear()
+        assert _convolve_int(a, a, length - 1) == _schoolbook_convolve(a, a, length - 1)
+        assert widths == ([width(length)] if taken else []), length
+
+
+def test_packed_convolution_edge_cases():
+    # 40-digit coefficients give slots of over 80 digits, so `long` packs
+    # above the decimal route's crossover.
+    long = [(-1) ** i * (10 ** 40 + i) for i in range(_DECIMAL_THRESHOLD // 80 + 100)]
+    for a, b, n in (
+        ([0] * 200, long, 300),  # all-zero operand
+        ([0] * len(long), long, len(long) - 1),
+        ([5], long, len(long) - 1),  # length-1 operand
+        (long, long[-8::-1], 2 * len(long)),  # n beyond both lengths
+    ):
+        expected = _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
+        assert _convolve_int(a, b, n) == expected
+        assert _convolve_int(b, a, n) == expected
+
+
+def test_coefficients_wider_than_the_str_limit_stay_binary():
+    # A slot wider than sys.get_int_max_str_digits() cannot be written or
+    # read as decimal text, so such products keep the binary packing.
+    digits = (sys.get_int_max_str_digits() or 4300) // 2 + 10
+    a = [(-1) ** i * 10 ** digits + i for i in range(_PACK_THRESHOLD + 6)]
+    b = [10 ** digits - 7 * i for i in range(_PACK_THRESHOLD + 2)]
+    n = len(a) - 1
+    assert _convolve_int(a, b, n) == _schoolbook_convolve(a, b, n)
+    assert _convolve_int(b, b, n) == _schoolbook_convolve(b, b, n)
+
+
+def test_pow_multiplies_only_the_powers_it_needs(monkeypatch):
+    products = []
+    real = qseries._convolve_int
+    monkeypatch.setattr(
+        qseries, "_convolve_int", lambda a, b, n: products.append(a is b) or real(a, b, n)
+    )
+    f = QSeries([1, -2, 3, 5, 7])
+    for exponent, squarings, others in ((1, 0, 0), (2, 1, 0), (3, 1, 1), (8, 3, 0), (13, 3, 2)):
+        products.clear()
+        expected = QSeries.one(f.truncation)
+        for _ in range(exponent):
+            expected = QSeries(_schoolbook_convolve(expected.coefficients, f.coefficients, 4))
+        assert f ** exponent == expected
+        assert (products.count(True), products.count(False)) == (squarings, others), exponent
 
 
 def test_as_rational_normalises():

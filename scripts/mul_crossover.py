@@ -22,18 +22,18 @@ import time
 from tauforms.forms import sigma_table
 from tauforms.qseries import _packed_decimal, _packed_int
 
-SIZES = [64 * 2 ** i * m // 2 for i in range(9) for m in (2, 3)][:-1]  # 64, 96, ..., 16384
+SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
+         12288, 16384)
 EXPONENTS = (3, 5, 11)
 
 
 def best_of(route, a, b, n, arg, runs):
-    best = None
+    times = []
     for _ in range(runs):
         t0 = time.perf_counter()
         route(a, b, n, arg)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best
+        times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 def measure(k, size):
@@ -47,13 +47,11 @@ def measure(k, size):
         raise SystemExit(f"routes disagree on sigma_{k} at {size} coefficients")
     times = {}
     for label, y in (("product", b), ("square", a)):
-        t_int = t_dec = None
+        t_int, t_dec = [], []
         for _ in range(2):  # alternate the routes, keep each one's best
-            ti = best_of(_packed_int, a, y, n, bound, runs)
-            td = best_of(_packed_decimal, a, y, n, width, runs)
-            t_int = ti if t_int is None else min(t_int, ti)
-            t_dec = td if t_dec is None else min(t_dec, td)
-        times[label] = (t_int, t_dec)
+            t_int.append(best_of(_packed_int, a, y, n, bound, runs))
+            t_dec.append(best_of(_packed_decimal, a, y, n, width, runs))
+        times[label] = (min(t_int), min(t_dec))
     return {
         "sigma": k,
         "coefficients": size,

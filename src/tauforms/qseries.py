@@ -20,16 +20,7 @@ libmpdec through `decimal`, which switches to a number-theoretic
 transform on huge operands.  Both routes are exact.
 """
 
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    Inexact,
-    InvalidOperation,
-    Rounded,
-)
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -52,8 +43,8 @@ def as_rational(x):
     raise TypeError(f"exact rational coefficient required, got {type(x).__name__}")
 
 
-# Below this many coefficients the plain double loop beats the packed
-# big-integer product.
+# Below this many coefficients the plain double loop beats both packed
+# products.
 _PACK_THRESHOLD = 64
 
 # Packed operands of at least this many decimal digits (coefficients times
@@ -63,12 +54,7 @@ _PACK_THRESHOLD = 64
 _DECIMAL_THRESHOLD = 24576
 
 # Integers only, at any size: a product that would need rounding raises.
-_DECIMAL = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[InvalidOperation, Inexact, Rounded],
-)
+_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
 def _schoolbook_convolve(a, b, n):
@@ -273,10 +259,8 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.truncation, other.truncation)
             a, da = _clear_denominators(self._coeffs[: n + 1])
-            if other is self:
-                b, db = a, da
-            else:
-                b, db = _clear_denominators(other._coeffs[: n + 1])
+            # a squaring hands _convolve_int one list twice
+            b, db = (a, da) if other is self else _clear_denominators(other._coeffs[: n + 1])
             raw = _convolve_int(a, b, n)
             if da == 1 and db == 1:
                 return QSeries(raw)

@@ -1,6 +1,6 @@
 import pytest
 
-from tauforms import builtin_registry, make_context
+from tauforms import builtin_registry, make_context, qseries
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +16,17 @@ def ctx500():
 @pytest.fixture(scope="session")
 def ctx120():
     return make_context(120)
+
+
+@pytest.fixture
+def decimal_route_widths(monkeypatch):
+    """Slot widths of every product that takes the decimal route, in order."""
+    widths = []
+    real = qseries._packed_decimal
+
+    def spy(a, b, n, width):
+        widths.append(width)
+        return real(a, b, n, width)
+
+    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+    return widths

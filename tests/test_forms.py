@@ -19,7 +19,7 @@ from tauforms import (
     tau_cross_check,
     tau_range,
 )
-from tauforms import forms, qseries
+from tauforms import forms
 from tauforms.forms import EISENSTEIN_COEFFICIENT, InternalInconsistency
 
 
@@ -124,18 +124,10 @@ def test_delta_product_matches_euler_oracle():
     assert delta_product(2049) == delta_from_eisenstein(2049)
 
 
-def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch):
-    widths = []
-    real = qseries._packed_decimal
-
-    def spy(a, b, n, width):
-        widths.append(width)
-        return real(a, b, n, width)
-
-    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+def test_delta_routes_agree_above_the_decimal_crossover(decimal_route_widths):
     # past the caches, so both constructions multiply here
     product = forms.delta_product.__wrapped__(4096)
-    assert widths, "Delta at N=4096 should use the decimal route"
+    assert decimal_route_widths, "Delta at N=4096 should use the decimal route"
     assert product == forms.delta_from_eisenstein.__wrapped__(4096)
     assert product == delta_product(4096) == delta_from_eisenstein(4096)
     assert tau_cross_check(4096) == tau_range(4096, "product")

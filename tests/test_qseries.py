@@ -241,15 +241,7 @@ def test_squaring_matches_product_of_copies(side, data):
     assert f * f == f * QSeries(f.coefficients)
 
 
-def test_route_follows_packed_size(monkeypatch):
-    widths = []
-    real = qseries._packed_decimal
-
-    def spy(a, b, n, width):
-        widths.append(width)
-        return real(a, b, n, width)
-
-    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+def test_route_follows_packed_size(decimal_route_widths):
     top = 10 ** 30
 
     def width(length):  # digits of the bound length * max(a) * max(b)
@@ -260,9 +252,9 @@ def test_route_follows_packed_size(monkeypatch):
     )
     for length, taken in ((first - 1, False), (first, True)):
         a = [top] + [1] * (length - 1)
-        widths.clear()
+        decimal_route_widths.clear()
         assert _convolve_int(a, a, length - 1) == _schoolbook_convolve(a, a, length - 1)
-        assert widths == ([width(length)] if taken else []), length
+        assert decimal_route_widths == ([width(length)] if taken else []), length
 
 
 def test_packed_convolution_edge_cases():

@@ -9,9 +9,7 @@ import argparse
 import csv
 import json
 import sys
-import time
 from fractions import Fraction
-from statistics import median
 
 from . import __version__
 from .expr import EvalError, eval_expr, parse
@@ -250,24 +248,6 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for name in strategies:
-        if name not in TAU_STRATEGIES:
-            print(f"error: unknown strategy {name!r}", file=sys.stderr)
-            return EXIT_USAGE
-    print(f"tau-table benchmark, n <= {args.max_n}, {args.repeat} repeats")
-    for name in strategies:
-        timings = []
-        for _ in range(args.repeat):
-            start = time.perf_counter_ns()
-            tau_range(args.max_n, name)
-            timings.append(time.perf_counter_ns() - start)
-        per_value = median(timings) / args.max_n
-        print(f"{name:12s} median {per_value:12.1f} ns/value over {args.repeat} runs")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tauforms",
@@ -327,12 +307,6 @@ def build_parser():
     p.add_argument("--trunc", type=NON_NEGATIVE, default=DEFAULT_TRUNCATION)
     p.add_argument("--coeff", type=NON_NEGATIVE, default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="tau-table wall time per strategy")
-    p.add_argument("--strategies", default=",".join(TAU_STRATEGIES))
-    p.add_argument("--max-n", type=POSITIVE, default=512)
-    p.add_argument("--repeat", type=POSITIVE, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -358,13 +358,13 @@ def tau_range(limit, strategy="product"):
     raise ValueError(f"unknown tau strategy {strategy!r}")
 
 
-def tau_cross_check(limit, strategies=TAU_STRATEGIES):
+def tau_cross_check(limit):
     """Compute tau(1..limit) with every strategy and insist they agree.
 
     Disagreement is an internal-consistency failure, raised with the
     smallest offending n.  Returns the agreed table.
     """
-    tables = {name: tau_range(limit, name) for name in strategies}
+    tables = {name: tau_range(limit, name) for name in TAU_STRATEGIES}
     names = list(tables)
     reference = tables[names[0]]
     for n in range(1, limit + 1):

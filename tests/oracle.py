@@ -20,7 +20,7 @@ from math import comb
 
 
 def closed_value(term, n, ctx):
-    base = ctx.tau[n] if term.sigma == 0 else ctx.tables[term.sigma][n]
+    base = ctx.source(term.sigma)[n]  # key 0 is tau
     v = term.coefficient * base
     p = term.n_power
     if p > 0:
@@ -34,8 +34,8 @@ def closed_value(term, n, ctx):
 
 
 def convolution_value(term, n, ctx):
-    sa = ctx.tables[term.left]
-    sb = ctx.tables[term.right]
+    sa = ctx.source(term.left)
+    sb = ctx.source(term.right)
     acc = 0
     for m in range(1, n):
         acc += term.poly(m, n) * sa[m] * sb[n - m]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import tauforms
 from tauforms import NotInGradedSpace, decompose, eval_expr, parse, tau_range
-from tauforms.cli import main
+from tauforms.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -32,6 +33,16 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("tauforms ")}
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert documented == set(subparsers.choices)
 
 
 def test_tau_table_csv(tmp_path, capsys):
@@ -182,7 +193,7 @@ _USAGE_ERRORS = [
     (("tau", "--n", "0"), "minimum"),
     (("verify", "--identity", "eq1.1", "--max-n", "-5"), "minimum"),
     (("sigma", "--k", "-1", "--max-n", "4", "--out", "unused.csv"), "minimum"),
-    (("bench", "--max-n", "0"), "minimum"),
+    (("bench", "--max-n", "0"), "invalid choice"),
     (("eval", "--expr", "E4", "--trunc", "8", "--coeff", "9"), "outside known range 0..8"),
     (("eval", "--expr", "E4", "--coeff", "-1"), "minimum"),
     (("eval", "--expr", "E4", "--trunc", "-1"), "minimum"),
@@ -262,16 +273,6 @@ def test_strategy_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "tau", "--n", "2")
     assert code == 3
     assert "internal inconsistency" in err
-
-
-def test_bench_command(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--strategies", "vdp,niebur", "--max-n", "64", "--repeat", "1"
-    )
-    assert code == 0
-    assert "vdp" in out and "niebur" in out and "ns/value" in out
-    code, _, _ = run(capsys, "bench", "--strategies", "bogus", "--max-n", "8", "--repeat", "1")
-    assert code == 2
 
 
 def test_benchmark_tracer_wraps_the_library():

@@ -146,11 +146,6 @@ def test_congruence_modulus_factorisations(registry):
     assert registry.by_id["cor2.8.i"].modulus_factors == (8, 3, 5, 7)
 
 
-def test_sigma_exponents_covered(registry):
-    for record in registry.identities:
-        assert record.sigma_exponents() <= {1, 3, 5, 7, 9, 11}
-
-
 def test_evaluate_examples(registry, ctx120):
     # empty convolution, sigma_k(1) = 1: 65/756 + 691/756 = 1 = tau(1)
     assert evaluate(registry.by_id["thm2.3"], 1, ctx120) == 0
@@ -161,11 +156,10 @@ def test_evaluate_examples(registry, ctx120):
 
 def test_cor210_brute_force(registry, ctx120):
     record = registry.by_id["cor2.10"]
+    s1 = ctx120.source(1)
     for n in (5, 9, 16):
         brute = sum(
-            (2 * m ** 3 - 3 * m ** 2 * n + m * n ** 2)
-            * ctx120.sigma(1, m)
-            * ctx120.sigma(1, n - m)
+            (2 * m ** 3 - 3 * m ** 2 * n + m * n ** 2) * s1[m] * s1[n - m]
             for m in range(1, n)
         )
         assert brute == 0
@@ -272,9 +266,9 @@ def test_context_shares_convolutions(registry):
     assert ctx.source((3, 3, 1)) is ctx.source((3, 3, 1))
     for record in registry.identities:
         verify_range(record, 40, ctx)
+    s3 = ctx.source(3)
     assert ctx.source((3, 3, 1)) == [
-        sum(m * ctx.sigma(3, m) * ctx.sigma(3, n - m) for m in range(1, n))
-        for n in range(41)
+        sum(m * s3[m] * s3[n - m] for m in range(1, n)) for n in range(41)
     ]
 
 
@@ -362,6 +356,11 @@ def test_certify_reports_nonzero_coordinate(registry):
 def test_certify_flagged_entries_fail(registry):
     for key in ("thm2.7.i", "thm2.9.iv"):
         assert not certify(registry.by_id[key]).certified
+
+
+def test_certify_detail_names_the_graded_space_once(registry):
+    detail = certify(registry.by_id["thm2.7.i"]).detail
+    assert detail == "difference not in the weight-12 graded space: coefficient 7 is inconsistent"
 
 
 def test_certification_agrees_with_range(registry, ctx120):
@@ -555,13 +554,52 @@ def test_make_context_bounds():
     with pytest.raises(ValueError):
         make_context(0)
     ctx = make_context(8)
-    assert ctx.tau[:3] == (0, 1, -24)
+    assert ctx.source(0)[:3] == [0, 1, -24]
 
 
-def test_missing_sigma_table_is_a_clear_error():
-    record = parse_record("s13", "tau(n) = sigma13(n)")
-    with pytest.raises(KeyError, match="sigma_13"):
-        evaluate(record, 5, make_context(30))
+def test_sigma_exponent_past_eleven():
+    # E14 = E4*E10 read coefficient-wise needs a sigma_13 table
+    record = parse_record(
+        "e14-e4-e10",
+        "sigma13(n) = -10*sigma3(n) + 11*sigma9(n) + 2640*sum sigma3(m)*sigma9(n-m)",
+    )
+    ctx = make_context(500)
+    assert verify_range(record, 500, ctx).status == "verified"
+    assert certify(record).status == "certified"
+    assert certification_weight(record) == (14, 0)
+    for n in range(1, 61):
+        expected = side_value(record.lhs, n, ctx) - side_value(record.rhs, n, ctx)
+        assert evaluate(record, n, ctx) == expected == 0
+
+
+def test_tau_free_records_build_no_delta(registry, monkeypatch):
+    import tauforms.identities as identities
+
+    def no_delta(limit, strategy="product"):
+        raise AssertionError("a tau-free record asked for tau")
+
+    monkeypatch.setattr(identities, "tau_range", no_delta)
+    record = registry.by_id["thm2.9.iii"]
+    assert verify_range(record, 300).status == "verified"
+    assert certify(record).status == "certified"
+
+
+def test_context_builds_only_the_sigma_tables_read(registry, monkeypatch):
+    import tauforms.identities as identities
+
+    seen = []
+    sigma_table = identities.sigma_table
+
+    def spy(k, limit):
+        seen.append(k)
+        return sigma_table(k, limit)
+
+    monkeypatch.setattr(identities, "sigma_table", spy)
+    ctx = make_context(300)
+    for record in registry.congruences:
+        assert check_congruence(record, 300, ctx).status == "verified", record.id
+    # each table once, and no sigma_11: no congruence reads it
+    assert sorted(seen) == [1, 3, 5, 7, 9]
 
 
 def test_context_tau_comes_from_delta_at_every_limit(registry, monkeypatch):

@@ -101,7 +101,7 @@ def _int_at_least(low):
 
 POSITIVE = _int_at_least(1)
 NON_NEGATIVE = _int_at_least(0)
-THREADS_HELP = "accepted for compatibility and ignored: every check runs sequentially"
+THREADS_HELP = "deprecated and ignored (every check runs sequentially); will be removed"
 
 
 def cmd_tau(args):

@@ -27,10 +27,12 @@ tolerances anywhere.  Sides are evaluated as integer vectors after clearing
 denominators (L * n^d * side(n), L the lcm of the coefficient denominators),
 so pointwise checks are integer comparisons.
 
-Three independent checks are available per identity: pointwise residuals
-over a range of n, a series-level certification through the graded
-decomposition, and, for entries that fail, an exact refit of the constants
-that reports the stated value next to the empirically determined one.
+Three checks are available per identity: pointwise residuals over a range
+of n; certification, which checks that the same integer vectors agree
+through a q-order set by the identity's weight and decomposes only a
+failing difference over the graded generators, to name what is wrong; and,
+for entries that fail, an exact refit of the constants that reports the
+stated value next to the empirically determined one.
 """
 
 from dataclasses import dataclass, field
@@ -293,7 +295,9 @@ class Side:
         return out
 
     def value(self, n, ctx):
-        """side(n) as an exact Fraction."""
+        """side(n) as an exact Fraction, for n >= 1."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
         scale, power = self.denominator(), self.clearing_power()
         return Fraction(self.cleared(ctx, n, scale, power)[n], scale * n ** power)
 
@@ -790,47 +794,47 @@ def certification_weight(record):
     return w, d
 
 
-def certify(record, truncation=None):
-    """Series-level proof: both sides are built as q-series (multiplied
-    through by n^d to clear divisors) and the difference is decomposed over
-    the graded generators; certification succeeds iff every coordinate is 0.
+def certify(record):
+    """Series-level check: n^d * (lhs - rhs), with d the clearing power,
+    must vanish through q^T.
 
-    The linear system consumes coefficients 0..G+4 with G the generator
-    count of the certification weight.
+    This is verify_range to T on the same cleared integer vectors (whose
+    q^0 entries are 0), with T = max(64, G + 12) and G the generator count
+    of the certification weight.  The graded generators have full rank on
+    coefficients 0..G+4, the reported certification bound, so a difference
+    that vanishes through q^T decomposes to zero.  Only a failing
+    difference is built as a q-series and decomposed over the generators,
+    to name the coordinate or coefficient that is wrong.  T is not a
+    computed proof bound for the weight space.
     """
     weight, d = certification_weight(record)
     bound = generator_count(weight) + GUARD_ROWS
-    if truncation is None:
-        truncation = max(64, bound + 8)
-    elif truncation < bound:
-        raise ValueError(f"truncation {truncation} below certification bound {bound}")
-    diff = record.lhs.series(truncation, d) - record.rhs.series(truncation, d)
-    form = GradedForm(diff, weight, weight // 2)
-    try:
-        rec = decompose(form, weight, weight // 2)
-    except NotInGradedSpace as exc:
-        return VerificationReport(
-            record.id,
-            status="failed",
-            certified=False,
-            certification_bound=bound,
-            detail=f"difference {exc}",
-        )
-    offending = {label: str(c) for label, c in rec.coordinates if c != 0}
-    if offending:
-        return VerificationReport(
-            record.id,
-            status="failed",
-            certified=False,
-            certification_bound=bound,
-            detail=f"nonzero coordinates {offending}",
-        )
+    truncation = max(64, bound + 8)
+    certified = verify_range(record, truncation).status == "verified"
     return VerificationReport(
         record.id,
-        status="certified",
-        certified=True,
+        status="certified" if certified else "failed",
+        limit=truncation,
+        certified=certified,
         certification_bound=bound,
+        detail="" if certified else _failure_detail(record, truncation, weight, d),
     )
+
+
+def _failure_detail(record, truncation, weight, d):
+    """Why n^d * (lhs - rhs), which does not vanish through q^truncation,
+    is not zero in the weight's graded space."""
+    diff = record.lhs.series(truncation, d) - record.rhs.series(truncation, d)
+    try:
+        rec = decompose(GradedForm(diff, weight, weight // 2), weight, weight // 2)
+    except NotInGradedSpace as exc:
+        return f"difference {exc}"
+    offending = {label: str(c) for label, c in rec.coordinates if c != 0}
+    if not offending:
+        raise InternalInconsistency(
+            f"{record.id}: a difference that fails verify_range decomposes to 0"
+        )
+    return f"nonzero coordinates {offending}"
 
 
 def check_congruence(record, limit, ctx=None):

@@ -130,53 +130,35 @@ def _weight12_label(pivot):
 def modular_basis(k, truncation):
     """Echelonised basis of the weight-k modular forms, as monomials in E4, E6.
 
-    Pivots are normalised to 1 with zeros above and below, up to column
-    dim-1.  Dimension-one spaces keep their Eisenstein name as label; the
-    weight-12 cuspidal pivot is Delta.
+    Element j is the combination of the E4^a E6^b monomials whose first dim
+    coefficients are the j-th unit vector.  Dimension-one spaces keep their
+    Eisenstein name as label; the weight-12 cuspidal element is Delta.
     """
     dim = dim_modular(k)
     if dim == 0:
         return ()
     if k == 0:
         return (BasisElement("1", GradedForm(QSeries.one(truncation), 0, 0)),)
-    monomials = []
-    for a in range(k // 4, -1, -1):
-        rem = k - 4 * a
-        if rem % 6 == 0:
-            monomials.append((a, rem // 6))
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
-    rows = [list((e4 ** a * e6 ** b).coefficients) for a, b in monomials]
-    # exact reduced row echelon, first-nonzero pivoting
-    rank = 0
-    pivots = []
-    for col in range(truncation + 1):
-        if rank == len(rows):
-            break
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        if pv != 1:
-            rows[rank] = [Fraction(x) / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != dim or pivots != list(range(dim)):
-        raise InternalInconsistency(f"weight-{k} modular basis: pivots {pivots}, expected {dim}")
+    monomials = [
+        e4 ** a * e6 ** ((k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0
+    ]
+    rows = list(zip(*(m.coefficients[:dim] for m in monomials)))
     out = []
     for j in range(dim):
+        try:
+            x = solve_exact(rows, [int(i == j) for i in range(dim)])
+        except LinearSolveError as exc:
+            raise InternalInconsistency(f"weight-{k} modular basis: {exc}") from exc
+        series = sum((m.scale(c) for m, c in zip(monomials, x)), QSeries.zero(truncation))
         if dim == 1:
             label = f"E{k}"
         elif k == 12:
             label = _weight12_label(j)
         else:
             label = f"M{k}.{j}"
-        out.append(BasisElement(label, GradedForm(QSeries(rows[j]), k, 0)))
+        out.append(BasisElement(label, GradedForm(series, k, 0)))
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import os
@@ -260,6 +261,18 @@ def test_library_invariants_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert "audit ok" in proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so library invariants raise instead
+    package = Path(tauforms.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_strategy_disagreement_exit_code(capsys, monkeypatch):

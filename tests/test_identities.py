@@ -15,8 +15,10 @@ from tauforms import (
     ClosedTerm,
     ConvolutionTerm,
     IdentityRecord,
+    InternalInconsistency,
     PolyMN,
     Side,
+    VerificationReport,
     audit_all,
     certify,
     check_congruence,
@@ -33,6 +35,13 @@ from tauforms.identities import (
     IdentityStructureError,
     certification_weight,
     parse_record,
+)
+
+
+# E14 = E4*E10 read coefficient-wise: a weight-14 row outside the catalogue
+_E14_ROW = (
+    "e14-e4-e10",
+    "sigma13(n) = -10*sigma3(n) + 11*sigma9(n) + 2640*sum sigma3(m)*sigma9(n-m)",
 )
 
 
@@ -152,6 +161,15 @@ def test_evaluate_examples(registry, ctx120):
     # tau(2) = 4*sigma7(2) - 540*sigma3(1)^2 = -24, product oracle agrees
     assert tau(2) == -24
     assert evaluate(registry.by_id["thm2.1.i"], 2, ctx120) == 0
+
+
+def test_evaluate_rejects_n_below_one(registry, ctx120):
+    # the identities are stated for n >= 1, as verify_range's range is
+    for key, n in (("thm2.3", 0), ("eq1.1", 0), ("eq1.1", -1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate(registry.by_id[key], n, ctx120)
+        with pytest.raises(ValueError, match="at least 1"):
+            registry.by_id[key].rhs.value(n, ctx120)
 
 
 def test_cor210_brute_force(registry, ctx120):
@@ -361,6 +379,35 @@ def test_certify_flagged_entries_fail(registry):
 def test_certify_detail_names_the_graded_space_once(registry):
     detail = certify(registry.by_id["thm2.7.i"]).detail
     assert detail == "difference not in the weight-12 graded space: coefficient 7 is inconsistent"
+    detail = certify(registry.by_id["thm2.9.iv"]).detail
+    assert detail == "difference not in the weight-10 graded space: coefficient 5 is inconsistent"
+
+
+def test_certify_decomposes_only_a_failing_difference(registry, monkeypatch):
+    import tauforms.identities as identities
+
+    def refuse(*args):
+        raise AssertionError("certify built or decomposed a q-series")
+
+    monkeypatch.setattr(identities, "decompose", refuse)
+    monkeypatch.setattr(identities.Side, "series", refuse)
+    records = [r for r in registry.identities if r.status == EXPECTED_TRUE]
+    records.append(parse_record(*_E14_ROW))
+    for record in records:
+        report = certify(record)
+        assert report.certified and report.limit == 64, record.id
+    with pytest.raises(TypeError):
+        certify(records[0], truncation=64)
+
+
+def test_certify_rejects_a_failure_that_decomposes_to_zero(registry, monkeypatch):
+    import tauforms.identities as identities
+
+    record = registry.by_id["thm2.1.i"]
+    failed = VerificationReport(record.id, status="failed", limit=64)
+    monkeypatch.setattr(identities, "verify_range", lambda record, limit: failed)
+    with pytest.raises(InternalInconsistency, match="decomposes to 0"):
+        certify(record)
 
 
 def test_certification_agrees_with_range(registry, ctx120):
@@ -559,10 +606,7 @@ def test_make_context_bounds():
 
 def test_sigma_exponent_past_eleven():
     # E14 = E4*E10 read coefficient-wise needs a sigma_13 table
-    record = parse_record(
-        "e14-e4-e10",
-        "sigma13(n) = -10*sigma3(n) + 11*sigma9(n) + 2640*sum sigma3(m)*sigma9(n-m)",
-    )
+    record = parse_record(*_E14_ROW)
     ctx = make_context(500)
     assert verify_range(record, 500, ctx).status == "verified"
     assert certify(record).status == "certified"

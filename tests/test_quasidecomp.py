@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -44,6 +45,37 @@ def test_modular_basis_echelon_pivots():
         for i, el in enumerate(basis):
             for j in range(dim):
                 assert el.form.coefficient(j) == (1 if i == j else 0)
+
+
+_MODULAR_BASIS_SHA256 = {
+    0: "349ecc4fb0db5a07821fd6c92332f34d6a67830f2493984497e0841d3ce86047",
+    2: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    4: "0cb4b3d4a20dad3fd6b5ce778ffa272e47d735344ec6480f7774c990df86ff30",
+    6: "f8c594e68ce9df70ad2ad8815eb70b190483613b3e65684663a956feac7de972",
+    8: "6fe2647c611a15a9e6c30ae506811f752676ecf796c085f9c97588e6ade3790d",
+    10: "1468313aacddfa440008d510365348cb221933f6f87daee9190e209182bb0917",
+    12: "d4011d77cee7e91cccfe1873a8ec8412254d6ee4d9843cde8c1357a3190a87e9",
+    14: "cf9aca3211189a00540e5bbfc7949777e5e6ccd795d4844eb368274277169ff9",
+    16: "10365b58e3ddb875d5bd96a21ae09ae1d079cd5d2eb7f817a3e8a3f9c7a484ab",
+    18: "8279c28d0265050f1152b8ae3a3bbfe6e2b6c278fbe658bf230954a1123e29fe",
+    20: "b7f93fe3059b1087d9b930d406f34f0ffef2a2c6e4da9dc49d3dd2bcde1a4fc1",
+    22: "7ab2d01f4d10fead0400551dd326df8681fe0f9a7fce30d3b88ac4e07b363e5f",
+    24: "cb2392166459adfa9e61cb5be5ee669e28c4713303ba883b8af3a0935422f5d6",
+    26: "282ff4ca314d1ba32c7be1450ee264f6b0b5e899bb198863529892733882ebb3",
+}
+
+
+def test_modular_basis_digests():
+    # labels, grading and every coefficient to q^64, pinned across rewrites
+    # of the elimination that builds the basis
+    digests = {}
+    for k in _MODULAR_BASIS_SHA256:
+        h = hashlib.sha256()
+        for el in modular_basis(k, 64):
+            form = el.form
+            h.update(repr((el.label, form.weight, form.depth, form.series.coefficients)).encode())
+        digests[k] = h.hexdigest()
+    assert digests == _MODULAR_BASIS_SHA256
 
 
 def test_generator_count():

@@ -24,6 +24,7 @@ from .identities import (
     AUDIT_FLAGGED,
     audit_all,
     builtin_registry,
+    certification_limit,
     certify,
     check_congruence,
     make_context,
@@ -101,7 +102,6 @@ def _int_at_least(low):
 
 POSITIVE = _int_at_least(1)
 NON_NEGATIVE = _int_at_least(0)
-THREADS_HELP = "deprecated and ignored (every check runs sequentially); will be removed"
 
 
 def cmd_tau(args):
@@ -164,7 +164,8 @@ def cmd_verify(args):
 def cmd_certify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
-    reports = [certify(r) for r in records]
+    ctx = make_context(max(certification_limit(r) for r in records))
+    reports = [certify(r, ctx) for r in records]
     failures = 0
     for record, report in zip(records, reports):
         status = report.status
@@ -277,22 +278,18 @@ def build_parser():
     p.add_argument("--identity", default="all")
     p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="series-level certification")
     p.add_argument("--identity", default="all")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("audit", help="verify + certify everything, refit failures")
     p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("congruences", help="check every catalogued congruence")
     p.add_argument("--max-n", type=POSITIVE, default=DEFAULT_RANGE)
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_congruences)
 
     p = sub.add_parser("decompose", help="graded coordinates of an expression")

@@ -9,7 +9,7 @@ tau(n) by four independent strategies that are required to agree.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .qseries import QSeries, as_rational, _convolve_int
 
@@ -155,16 +155,35 @@ class SigmaTable:
 
 @lru_cache(maxsize=64)
 def sigma_table(k, limit):
-    """Sieve sigma_k(n) for n <= limit in O(N log N) additions."""
+    """Sieve sigma_k(n) for n <= limit multiplicatively.
+
+    With p the smallest prime factor of n and p^a || n,
+    sigma_k(n) = sigma_k(p^a) * sigma_k(n / p^a), and
+    sigma_k(p^a) = 1 + p^k * sigma_k(p^(a-1)); both factors are read off
+    smaller n, so each n costs one product.
+    """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if k < 0:
         raise ValueError("divisor-power exponent must be non-negative")
-    values = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        dk = d ** k
-        for n in range(d, limit + 1, d):
-            values[n] += dk
+    # smallest prime factors: p runs downwards, so the smallest prime factor
+    # writes last (a composite p's multiples are rewritten by its factors)
+    spf = list(range(limit + 1))
+    for p in range(isqrt(limit), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    values = [0, 1] + [0] * (limit - 1)
+    prime_part = [1] * (limit + 1)  # sigma_k(p^a)
+    rest = [1] * (limit + 1)  # n / p^a
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        if spf[m] == p:
+            prime_part[n] = s = prime_part[m] * p ** k + 1
+            rest[n] = r = rest[m]
+        else:
+            prime_part[n] = s = 1 + p ** k
+            rest[n] = r = m
+        values[n] = s * values[r]
     return SigmaTable(k, tuple(values))
 
 

@@ -794,13 +794,21 @@ def certification_weight(record):
     return w, d
 
 
-def certify(record):
+def certification_limit(record):
+    """T = max(64, G + 12), G the generator count of the record's
+    certification weight: how far certify checks it."""
+    weight, _ = certification_weight(record)
+    return max(64, generator_count(weight) + GUARD_ROWS + 8)
+
+
+def certify(record, ctx=None):
     """Series-level check: n^d * (lhs - rhs), with d the clearing power,
     must vanish through q^T.
 
-    This is verify_range to T on the same cleared integer vectors (whose
-    q^0 entries are 0), with T = max(64, G + 12) and G the generator count
-    of the certification weight.  The graded generators have full rank on
+    This is verify_range to T = certification_limit(record) on the same
+    cleared integer vectors (whose q^0 entries are 0), in ctx when given
+    (its limit must reach T), so that records certified together share
+    their convolutions.  The graded generators have full rank on
     coefficients 0..G+4, the reported certification bound, so a difference
     that vanishes through q^T decomposes to zero.  Only a failing
     difference is built as a q-series and decomposed over the generators,
@@ -809,8 +817,8 @@ def certify(record):
     """
     weight, d = certification_weight(record)
     bound = generator_count(weight) + GUARD_ROWS
-    truncation = max(64, bound + 8)
-    certified = verify_range(record, truncation).status == "verified"
+    truncation = certification_limit(record)
+    certified = verify_range(record, truncation, ctx).status == "verified"
     return VerificationReport(
         record.id,
         status="certified" if certified else "failed",
@@ -1105,10 +1113,11 @@ def audit_all(limit=500, ctx=None):
     registry = builtin_registry()
     if ctx is None:
         ctx = make_context(limit)
+    cert_ctx = make_context(max(certification_limit(r) for r in registry.identities))
     entries = []
     for record in registry.identities:
         rr = verify_range(record, limit, ctx)
-        cr = certify(record)
+        cr = certify(record, cert_ctx)
         passed = rr.status == "verified" and cr.certified
         if passed:
             status = "verified"

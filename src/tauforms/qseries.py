@@ -211,6 +211,18 @@ class QSeries:
     def coefficients(self):
         return self._coeffs
 
+    def truncate(self, truncation):
+        """The series cut after q^truncation, 0 <= truncation <= its own.
+
+        The coefficients are canonical already, so they are shared, not
+        validated again.
+        """
+        if not 0 <= truncation <= self.truncation:
+            raise ValueError(f"cannot cut a series known to q^{self.truncation} at q^{truncation}")
+        out = object.__new__(QSeries)
+        out._coeffs = self._coeffs[: truncation + 1]
+        return out
+
     def coefficient(self, n):
         """The exact coefficient of q^n; IndexError outside 0..truncation."""
         if not 0 <= n <= self.truncation:

@@ -5,18 +5,27 @@ A weight-k quasimodular form of depth <= k/2 decomposes uniquely over
     (+)_{i=0}^{k/2-1} D^i M_{k-2i}  (+)  Q * D^(k/2-1) E2,
 
 where each M_w carries an echelonised monomial basis in E4 and E6.  The
-decomposition is computed by exact Gaussian elimination, deliberately
-overdetermined: four guard rows beyond the generator count, plus a final
-check of every known coefficient, turn silent truncation bugs into loud
-inconsistencies.
+decomposition is deliberately overdetermined: four guard rows beyond the
+generator count, plus a final check of every known coefficient, turn
+silent truncation bugs into loud inconsistencies.
+
+The linear algebra runs on integers.  The system is solved by fraction-free
+elimination (each row cleared of denominators once, cf. E. H. Bareiss,
+Math. Comp. 22, 1968), and only the solution is built as Fractions.
+Combinations of generators -- the final check, `recompose`, the
+echelonised basis -- clear coordinates and columns to one common
+denominator and take one integer multiply-add pass per coordinate.
+
+Each weight's basis and generators are stored once, at the largest
+truncation requested so far; smaller requests are cut from that build.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd, lcm
 
 from .forms import GradedForm, InternalInconsistency, dim_modular, eisenstein
-from .qseries import QSeries, as_rational
+from .qseries import QSeries, _clear_denominators, as_rational
 
 __all__ = [
     "BasisElement",
@@ -80,12 +89,24 @@ class NotInGradedSpace(Exception):
         super().__init__(message)
 
 
+def _primitive(row):
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
 def solve_exact(rows, rhs):
     """Solve an overdetermined rational system A x = b exactly.
 
     rows is a sequence of equal-length coefficient rows with at least as
     many rows as columns.  Raises InconsistentSystem (with the first
     offending original row index) or RankDeficientSystem.
+
+    Each augmented row is cleared to integers once and eliminated
+    fraction-free: row_i becomes (p * row_i - a * row_r) / gcd, with p the
+    pivot of row_r and a the entry of row_i under it.  Rows are only ever
+    scaled by nonzero rationals, so zero patterns, pivots and the
+    inconsistent row are those of Gauss-Jordan elimination over Q; only the
+    solution, rhs_i / pivot_i, is built as Fractions.
     """
     nrows = len(rows)
     if nrows == 0:
@@ -93,40 +114,99 @@ def solve_exact(rows, rhs):
     ncols = len(rows[0])
     if nrows < ncols:
         raise ValueError(f"need at least {ncols} rows, got {nrows}")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = []
+    for i, row in enumerate(rows):
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, rhs[i])]
+        den = lcm(*(x.denominator for x in row))
+        aug.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     origin = list(range(nrows))
     rank = 0
     pivot_cols = []
     for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(rank, nrows) if aug[i][col]), None)
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
         origin[rank], origin[pivot] = origin[pivot], origin[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
+        prow = aug[rank]
+        pv = prow[col]
         for i in range(nrows):
-            if i != rank and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
+            a = aug[i][col]
+            if a and i != rank:
+                aug[i] = _primitive([pv * x - a * y for x, y in zip(aug[i], prow)])
         pivot_cols.append(col)
         rank += 1
     if rank < ncols:
         raise RankDeficientSystem(rank, ncols)
     for i in range(rank, nrows):
-        if aug[i][ncols] != 0:
+        if aug[i][ncols]:
             raise InconsistentSystem(origin[i])
     solution = [Fraction(0)] * ncols
     for i, col in enumerate(pivot_cols):
-        solution[col] = aug[i][ncols]
+        solution[col] = Fraction(aug[i][ncols], aug[i][col])
     return solution
+
+
+def _combine(coords, columns, length):
+    """(acc, den) with acc[i] / den = sum_j coords[j] * columns[j][i] for
+    i < length, all integers.
+
+    The coordinate and column denominators are cleared to one common
+    denominator, then each nonzero coordinate takes one integer
+    multiply-add pass.
+    """
+    terms = []
+    for c, column in zip(coords, columns):
+        if c != 0:
+            ints, d = _clear_denominators(column[:length])
+            terms.append((as_rational(c), ints, d))
+    den = lcm(*(c.denominator * d for c, _, d in terms))
+    acc = [0] * length
+    for c, ints, d in terms:
+        m = c.numerator * (den // (c.denominator * d))
+        acc = [a + m * v for a, v in zip(acc, ints)]
+    return acc, den
+
+
+def _combined_series(coords, columns, length):
+    acc, den = _combine(coords, columns, length)
+    if den != 1:
+        acc = [a // den if a % den == 0 else Fraction(a, den) for a in acc]
+    return QSeries(acc)
+
+
+def _require_truncation(k, truncation, last):
+    if truncation < last:
+        raise ValueError(
+            f"truncation {truncation} too small: weight {k} needs coefficients 0..{last}"
+        )
+
+
+# weight -> {"basis" | "generators": (truncation, build)}: each weight's
+# largest build so far.  Smaller truncations are cut from it, a larger one
+# replaces it, so a session asking for rising sizes holds one copy.
+_STORE = {}
+
+
+def _largest(k, kind, truncation, build):
+    """The weight-k build of this kind in the store, replaced first by
+    build(k, truncation) if it stops short of truncation."""
+    entry = _STORE.setdefault(k, {})
+    if kind not in entry or entry[kind][0] < truncation:
+        entry[kind] = (truncation, build(k, truncation))
+    return entry[kind][1]
+
+
+def _cut(element, truncation):
+    form = element.form
+    series = form.series.truncate(truncation)
+    return BasisElement(element.label, GradedForm(series, form.weight, form.depth))
 
 
 def _weight12_label(pivot):
     return "Delta" if pivot == 1 else f"M12.{pivot}"
 
 
-@lru_cache(maxsize=None)
 def modular_basis(k, truncation):
     """Echelonised basis of the weight-k modular forms, as monomials in E4, E6.
 
@@ -137,21 +217,30 @@ def modular_basis(k, truncation):
     dim = dim_modular(k)
     if dim == 0:
         return ()
+    _require_truncation(k, truncation, dim - 1)
+    basis = _largest(k, "basis", truncation, _echelon_basis)
+    return tuple(_cut(element, truncation) for element in basis)
+
+
+def _echelon_basis(k, truncation):
     if k == 0:
         return (BasisElement("1", GradedForm(QSeries.one(truncation), 0, 0)),)
+    dim = dim_modular(k)
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
     monomials = [
-        e4 ** a * e6 ** ((k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0
+        (e4 ** a * e6 ** ((k - 4 * a) // 6)).coefficients
+        for a in range(k // 4, -1, -1)
+        if (k - 4 * a) % 6 == 0
     ]
-    rows = list(zip(*(m.coefficients[:dim] for m in monomials)))
+    rows = list(zip(*(m[:dim] for m in monomials)))
     out = []
     for j in range(dim):
         try:
             x = solve_exact(rows, [int(i == j) for i in range(dim)])
         except LinearSolveError as exc:
             raise InternalInconsistency(f"weight-{k} modular basis: {exc}") from exc
-        series = sum((m.scale(c) for m, c in zip(monomials, x)), QSeries.zero(truncation))
+        series = _combined_series(x, monomials, truncation + 1)
         if dim == 1:
             label = f"E{k}"
         elif k == 12:
@@ -177,11 +266,17 @@ def _derivative_label(i, label):
     return f"D^{i}({label})"
 
 
-@lru_cache(maxsize=None)
 def graded_generators(k, truncation):
     """The full weight-k generator list: D^i of each M_{k-2i} basis, then E2."""
     if k < 2 or k % 2:
         raise ValueError(f"graded decomposition needs even weight >= 2, got {k}")
+    widest = max(dim_modular(k - 2 * i) for i in range(k // 2))
+    _require_truncation(k, truncation, max(widest - 1, 0))
+    gens = _largest(k, "generators", truncation, _derived_generators)
+    return tuple((depth, _cut(element, truncation)) for depth, element in gens)
+
+
+def _derived_generators(k, truncation):
     gens = []
     for i in range(k // 2):
         for element in modular_basis(k - 2 * i, truncation):
@@ -211,25 +306,24 @@ def decompose(f, k=None, s=None):
         s = f.depth
     count = generator_count(k)
     rows_needed = count + GUARD_ROWS  # highest coefficient index used
-    if f.truncation < rows_needed:
-        raise ValueError(
-            f"truncation {f.truncation} too small: weight {k} needs coefficients 0..{rows_needed}"
-        )
+    _require_truncation(k, f.truncation, rows_needed)
     gens = graded_generators(k, f.truncation)
     columns = [g.form.series.coefficients for _, g in gens]
-    rows = [[columns[j][i] for j in range(count)] for i in range(rows_needed + 1)]
-    rhs = [f.series.coefficient(i) for i in range(rows_needed + 1)]
+    rows = [[column[i] for column in columns] for i in range(rows_needed + 1)]
+    coeffs = f.series.coefficients
     try:
-        solution = solve_exact(rows, rhs)
+        solution = solve_exact(rows, coeffs[: rows_needed + 1])
     except InconsistentSystem as exc:
         raise NotInGradedSpace(
             f"not in the weight-{k} graded space: coefficient {exc.row} is inconsistent",
             index=exc.row,
         ) from exc
-    # the guard: the solved combination must reproduce *every* known coefficient
-    for i in range(f.truncation + 1):
-        combined = sum((c * columns[j][i] for j, c in enumerate(solution)), Fraction(0))
-        if combined != f.series.coefficient(i):
+    # the guard: the solved combination must reproduce *every* known
+    # coefficient; acc / den against target / tden, crosswise in integers
+    acc, den = _combine(solution, columns, f.truncation + 1)
+    target, tden = _clear_denominators(coeffs)
+    for i, (a, b) in enumerate(zip(acc, target)):
+        if a * tden != b * den:
             raise NotInGradedSpace(
                 f"not in the weight-{k} graded space: first mismatch at coefficient {i}",
                 index=i,
@@ -249,13 +343,14 @@ def recompose(record, truncation):
     needed = generator_count(record.weight) + GUARD_ROWS
     truncation = max(truncation, needed)
     table = {
-        element.label: element.form
+        element.label: element.form.series.coefficients
         for _, element in graded_generators(record.weight, truncation)
     }
-    total = QSeries.zero(truncation)
-    for label, c in record.coordinates:
+    columns = []
+    for label, _ in record.coordinates:
         if label not in table:
             raise LookupError(f"unknown basis label {label!r} in weight {record.weight}")
-        if c != 0:
-            total = total + table[label].series.scale(as_rational(c))
-    return GradedForm(total, record.weight, record.depth)
+        columns.append(table[label])
+    coords = [c for _, c in record.coordinates]
+    series = _combined_series(coords, columns, truncation + 1)
+    return GradedForm(series, record.weight, record.depth)

@@ -13,10 +13,17 @@ library builds it from Jacobi's identity and `QSeries` powers instead.
 
 The Rankin-Cohen bracket is summed straight from its binomial formula on
 plain coefficient lists, with `math.comb` and schoolbook products.
+
+Divisor sums come from the additive sieve (every d adds d^k to each of
+its multiples); the library sieves multiplicatively over smallest prime
+factors.  Linear systems are solved by Gauss-Jordan elimination on
+`Fraction` rows; the library eliminates fraction-free on integer rows.
 """
 
 from fractions import Fraction
 from math import comb
+
+from tauforms import InconsistentSystem, RankDeficientSystem
 
 
 def closed_value(term, n, ctx):
@@ -97,3 +104,51 @@ def rc_bracket_direct(f, k, g, l, v):
             for j in range(n - i):
                 out[i + j] += c * df[i] * dg[j]
     return out
+
+
+def sigma_additive(k, limit):
+    """[sigma_k(n) for n = 0..limit] (entry 0 is 0) in O(N log N) additions."""
+    values = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        dk = d ** k
+        for n in range(d, limit + 1, d):
+            values[n] += dk
+    return values
+
+
+def solve_fraction(rows, rhs):
+    """Gauss-Jordan on Fraction rows, pivoting on the first nonzero entry
+    at or below the current rank; the contract of `solve_exact`."""
+    nrows = len(rows)
+    if nrows == 0:
+        return []
+    ncols = len(rows[0])
+    if nrows < ncols:
+        raise ValueError(f"need at least {ncols} rows, got {nrows}")
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    origin = list(range(nrows))
+    rank = 0
+    pivot_cols = []
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        origin[rank], origin[pivot] = origin[pivot], origin[rank]
+        pv = aug[rank][col]
+        aug[rank] = [x / pv for x in aug[rank]]
+        for i in range(nrows):
+            if i != rank and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    if rank < ncols:
+        raise RankDeficientSystem(rank, ncols)
+    for i in range(rank, nrows):
+        if aug[i][ncols] != 0:
+            raise InconsistentSystem(origin[i])
+    solution = [Fraction(0)] * ncols
+    for i, col in enumerate(pivot_cols):
+        solution[col] = aug[i][ncols]
+    return solution

@@ -115,14 +115,6 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_threaded_matches_sequential(capsys):
-    # --threads is a documented no-op kept for existing command lines
-    base = ("verify", "--identity", "all", "--max-n", "40", "--format", "json")
-    code, plain, _ = run(capsys, *base)
-    assert code == 0
-    assert run(capsys, *base, "--threads", "4") == (0, plain, "")
-
-
 def test_certify_command(capsys):
     code, out, _ = run(capsys, "certify", "--identity", "thm2.1.i")
     assert code == 0
@@ -201,6 +193,7 @@ _USAGE_ERRORS = [
     (("decompose", "--expr", "E4", "--weight", "5"), "decompose in weight 5"),
     (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "3"), "truncation 3 too small"),
     (("decompose", "--expr", "E4", "--weight", "4", "--depth", "-1"), "minimum"),
+    (("verify", "--max-n", "40", "--threads", "4"), "unrecognized arguments: --threads 4"),
 ]
 
 

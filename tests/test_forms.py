@@ -3,7 +3,7 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from oracle import delta_euler
+from oracle import delta_euler, sigma_additive
 from tauforms import (
     GradedForm,
     QSeries,
@@ -57,6 +57,12 @@ def test_sigma_sieve_against_enumeration(k):
     table = sigma_table(k, 200)
     for n in range(1, 201):
         assert table[n] == divisor_sum(n, k)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 64, 97, 1000, 4096])
+def test_sigma_sieve_matches_additive_oracle(limit):
+    for k in range(14):
+        assert list(sigma_table(k, limit).values) == sigma_additive(k, limit)
 
 
 def test_sigma_examples():

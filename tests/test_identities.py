@@ -33,6 +33,7 @@ from tauforms.expr import ParseError
 from tauforms.identities import (
     CongruenceRecord,
     IdentityStructureError,
+    certification_limit,
     certification_weight,
     parse_record,
 )
@@ -405,9 +406,37 @@ def test_certify_rejects_a_failure_that_decomposes_to_zero(registry, monkeypatch
 
     record = registry.by_id["thm2.1.i"]
     failed = VerificationReport(record.id, status="failed", limit=64)
-    monkeypatch.setattr(identities, "verify_range", lambda record, limit: failed)
+    monkeypatch.setattr(identities, "verify_range", lambda record, limit, ctx: failed)
     with pytest.raises(InternalInconsistency, match="decomposes to 0"):
         certify(record)
+
+
+def test_certify_shares_one_context(registry, monkeypatch):
+    import tauforms.cli as cli
+    import tauforms.identities as identities
+
+    records = list(registry.identities) + [parse_record(*_E14_ROW)]
+    top = max(certification_limit(r) for r in records)
+    ctx = make_context(top)
+    for record in records:
+        assert certify(record, ctx) == certify(record), record.id
+    with pytest.raises(ValueError, match="beyond context limit"):
+        certify(records[0], make_context(top - 1))
+    # the certify command and the audit hand every record one context
+    seen = []
+
+    def spy(record, ctx=None):
+        seen.append(ctx)
+        return certify(record, ctx)
+
+    monkeypatch.setattr(cli, "certify", spy)
+    monkeypatch.setattr(identities, "certify", spy)
+    assert cli.main(["certify"]) == 0
+    identities.audit_all(40)
+    per_run = len(registry.identities)
+    for run in (seen[:per_run], seen[per_run:]):
+        assert len(run) == per_run and len({id(c) for c in run}) == 1
+        assert run[0].limit == 64
 
 
 def test_certification_agrees_with_range(registry, ctx120):

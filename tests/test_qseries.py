@@ -110,6 +110,17 @@ def test_shift():
         QSeries([1]).shift(-1)
 
 
+def test_truncate():
+    f = QSeries([1, Fraction(1, 2), -3, 4])
+    cut = f.truncate(2)
+    assert cut == QSeries([1, Fraction(1, 2), -3])
+    assert cut.coefficients == f.coefficients[:3]
+    assert f.truncate(3) == f and f.truncate(0) == QSeries.one(0)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            f.truncate(bad)
+
+
 def test_pow_zero_and_negative():
     f = QSeries([2, 1])
     assert f ** 0 == QSeries.one(1)

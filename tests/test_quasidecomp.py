@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import solve_fraction
 from tauforms import (
     DecompositionRecord,
     GradedForm,
     InconsistentSystem,
+    LinearSolveError,
     NotInGradedSpace,
     QSeries,
     RankDeficientSystem,
@@ -23,6 +27,7 @@ from tauforms import (
     sigma_series,
     solve_exact,
 )
+from tauforms import quasidecomp
 
 
 def test_modular_basis_dimensions_and_labels():
@@ -245,3 +250,139 @@ def test_random_combinations_roundtrip():
             total = total + el.form.series.scale(c)
         record = decompose(GradedForm(total, k, k // 2))
         assert [c for _, c in record.coordinates] == coeffs
+
+
+_RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _matrix(data, nrows, ncols):
+    return data.draw(
+        st.lists(
+            st.lists(_RATIONAL, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+        )
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_solve_exact_matches_fraction_oracle(data):
+    # consistent, inconsistent (one right-hand side entry moved off the
+    # column space) and rank-deficient (A = B C through a narrower B)
+    ncols = data.draw(st.integers(1, 5), label="ncols")
+    nrows = data.draw(st.integers(ncols, ncols + 4), label="nrows")
+    kind = data.draw(st.sampled_from(("consistent", "inconsistent", "deficient")), label="kind")
+    if kind == "deficient":
+        width = data.draw(st.integers(0, ncols - 1), label="rank bound")
+        b, c = _matrix(data, nrows, width), _matrix(data, width, ncols)
+        cols = list(zip(*c)) if width else [()] * ncols
+        rows = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in b]
+    else:
+        rows = _matrix(data, nrows, ncols)
+    x = data.draw(st.lists(_RATIONAL, min_size=ncols, max_size=ncols), label="x")
+    rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    if kind == "inconsistent":
+        rhs[data.draw(st.integers(0, nrows - 1))] += data.draw(_RATIONAL.filter(bool))
+    # mixed int and Fraction entries, as callers pass them
+    rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+    try:
+        expected = solve_fraction(rows, rhs)
+    except LinearSolveError as exc:
+        with pytest.raises(type(exc)) as info:
+            solve_exact(rows, rhs)
+        assert vars(info.value) == vars(exc)
+    else:
+        solution = solve_exact(rows, rhs)
+        assert solution == expected
+        assert all(type(v) is Fraction for v in solution)
+
+
+def _store_snapshot(truncations):
+    out = {}
+    for n in truncations:
+        for k in range(0, 28, 2):
+            out["basis", k, n] = modular_basis(k, n)
+        for k in range(2, 20, 2):
+            out["generators", k, n] = graded_generators(k, n)
+    return out
+
+
+def test_store_results_do_not_depend_on_request_order(monkeypatch):
+    truncations = (2, 17, 40, 64)
+    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    rising = _store_snapshot(truncations)  # every request rebuilds
+    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    falling = _store_snapshot(reversed(truncations))  # every request after the first is cut
+    assert rising == falling
+    for (_, _, n), elements in rising.items():
+        for element in elements:
+            form = element[1].form if isinstance(element, tuple) else element.form
+            assert form.truncation == n
+
+
+def test_store_holds_one_build_per_weight(monkeypatch):
+    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    for n in (24, 40, 64, 100):
+        form = e2_bracket_family(n)["f1"]
+        assert recompose(decompose(form), n).series == form.series
+    store = quasidecomp._STORE
+    assert sorted(store) == [4, 6, 8, 10, 12]
+    assert sorted(store[12]) == ["basis", "generators"]
+    for entry in store.values():
+        for kind, (n, build) in entry.items():
+            assert n == 100
+            forms = [el.form for el in build] if kind == "basis" else [el.form for _, el in build]
+            assert {form.truncation for form in forms} == {100}
+
+
+def test_too_small_truncation_raises_whatever_the_store_holds(monkeypatch):
+    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    too_small = (
+        lambda: modular_basis(24, 1),  # dim 3
+        lambda: modular_basis(0, -1),
+        lambda: graded_generators(14, 0),  # M12 has dim 2
+        lambda: decompose(GradedForm(QSeries.zero(10), 12, 6)),  # needs 0..11
+    )
+    messages = []
+    for _ in range(2):
+        for call in too_small:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        for k in (0, 12, 14, 24):
+            modular_basis(k, 120)
+            if k:
+                graded_generators(k, 120)
+    assert messages[:4] == messages[4:]
+    assert messages[2] == "truncation 0 too small: weight 14 needs coefficients 0..1"
+    assert messages[3] == "truncation 10 too small: weight 12 needs coefficients 0..11"
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 16])
+def test_guard_finds_a_perturbed_last_coefficient(k):
+    n = 48
+    rng = random.Random(k)
+    total = QSeries.zero(n)
+    for _, el in graded_generators(k, n):
+        total = total + el.form.series.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+    assert decompose(GradedForm(total, k, k // 2)).weight == k
+    coeffs = list(total.coefficients)
+    coeffs[n] += Fraction(1, 11)
+    with pytest.raises(NotInGradedSpace, match=f"first mismatch at coefficient {n}$") as info:
+        decompose(GradedForm(QSeries(coeffs), k, k // 2))
+    assert info.value.index == n
+
+
+@pytest.mark.parametrize("n", [9, 16, 41, 100])
+def test_recompose_inverts_decompose_for_rational_forms(n):
+    e2, e4, e6 = (eisenstein(k, n) for k in (2, 4, 6))
+    weight10 = (
+        (e4 * e6).scale(Fraction(3, 7))
+        + (e2 * e6.derive(1)).scale(Fraction(-5, 12))
+        + (e2 * e2 * e6).scale(Fraction(1, 9))
+    )
+    assert weight10.weight == 10
+    forms = [weight10]
+    if n >= 11:  # weight 12 needs coefficients 0..11
+        forms += [f.scale(Fraction(2, 13)) for f in e2_bracket_family(n).values()]
+    for form in forms:
+        assert recompose(decompose(form), n).series == form.series

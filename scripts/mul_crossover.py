@@ -1,13 +1,13 @@
-"""Time the two packed multiplication routes of `tauforms.qseries` by size.
+"""Time the two packings of `tauforms.qseries`' Kronecker kernel by size.
 
 For sigma_3, sigma_5 and sigma_11 coefficient vectors of 64..16384
-coefficients this times the binary route (CPython `int`) and the decimal
-route (libmpdec) on the same product, alternating between them, and keeps
-the fastest of several runs of each.  It times a product of two distinct
-vectors and a squaring (one vector passed twice).  The crossover it prints
-is the smallest packed operand size (coefficients times slot width, in
-decimal digits) at and above which the decimal route won every timing; it
-is what `qseries._DECIMAL_THRESHOLD` is set from.
+coefficients this times the hex route (CPython `int`) and the decimal
+route (libmpdec) of `_packed_sum` on the same product, alternating between
+them, and keeps the fastest of several runs of each.  It times a product
+of two distinct vectors and a squaring (one vector passed twice).  The
+crossover it prints is the smallest packed operand size (coefficients
+times slot width, in decimal digits) at and above which the decimal route
+won every timing; it is what `qseries._DECIMAL_THRESHOLD` is set from.
 
 Run from the repository root:
 
@@ -20,37 +20,40 @@ import sys
 import time
 
 from tauforms.forms import sigma_table
-from tauforms.qseries import _packed_decimal, _packed_int
+from tauforms.qseries import _packed_sum
 
 SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
          12288, 16384)
 EXPONENTS = (3, 5, 11)
 
 
-def best_of(route, a, b, n, arg, runs):
+def best_of(terms, n, base, width, runs):
     times = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        route(a, b, n, arg)
+        _packed_sum(terms, n, 0, base, width)
         times.append(time.perf_counter() - t0)
     return min(times)
 
 
 def measure(k, size):
+    """One row: both routes on sigma_k * sigma_k (two copies, then one
+    vector squared) at `size` coefficients, with the kernel's slot widths."""
     a = list(sigma_table(k, size - 1).values)
     b = list(a)
     n = size - 1
-    bound = size * max(a) ** 2
-    width = len(str(bound))
+    bound = size * max(a) ** 2  # the kernel's span for non-negative operands
+    hex_width, width = (bound.bit_length() + 3) // 4, len(str(bound))
     runs = 7 if size <= 2048 else 3
-    if _packed_int(a, b, n, bound) != _packed_decimal(a, b, n, width):
+    product, square = [(1, a, 0, b, 0)], [(1, a, 0, a, 0)]
+    if _packed_sum(product, n, 0, 16, hex_width) != _packed_sum(product, n, 0, 10, width):
         raise SystemExit(f"routes disagree on sigma_{k} at {size} coefficients")
     times = {}
-    for label, y in (("product", b), ("square", a)):
+    for label, terms in (("product", product), ("square", square)):
         t_int, t_dec = [], []
         for _ in range(2):  # alternate the routes, keep each one's best
-            t_int.append(best_of(_packed_int, a, y, n, bound, runs))
-            t_dec.append(best_of(_packed_decimal, a, y, n, width, runs))
+            t_int.append(best_of(terms, n, 16, hex_width, runs))
+            t_dec.append(best_of(terms, n, 10, width, runs))
         times[label] = (min(t_int), min(t_dec))
     return {
         "sigma": k,

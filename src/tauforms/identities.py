@@ -48,7 +48,7 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .qseries import QSeries, _convolve_int
+from .qseries import _convolve_int, _from_cleared
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -314,7 +314,7 @@ class Side:
         ctx = make_context(truncation)
         scale = self.denominator()
         values = self.cleared(ctx, truncation, scale, extra_power)
-        return QSeries(values).scale(Fraction(1, scale))
+        return _from_cleared(values, scale)
 
     @property
     def has_tau(self):

@@ -7,20 +7,29 @@ operand and never invent coefficients.
 
 Coefficients are always kept in canonical form: a `Fraction` with
 denominator 1 is stored as a plain int, and every `Fraction` is reduced
-(that is what `fractions.Fraction` guarantees).
+(that is what `fractions.Fraction` guarantees).  The public constructor
+validates its input; arithmetic results are canonical by construction,
+and only a `Fraction` that may have collapsed to denominator 1 is
+normalised.
 
-Products clear denominators and convolve integer vectors.  Short vectors
-use the schoolbook double loop.  Longer ones use Kronecker substitution:
-each vector becomes one big number with a fixed-width slot per
-coefficient, wide enough that no slot of the product overflows, so a
-single big-number product yields every coefficient at once.  Mid-size
-operands are packed in binary and multiplied by CPython's `int`
-(Karatsuba); large ones are packed in decimal digits and multiplied by
-libmpdec through `decimal`, which switches to a number-theoretic
-transform on huge operands.  Both routes are exact.
+Products clear denominators and convolve integer vectors through one
+kernel, `_convolve_sum`, which sums c * (a * b) over several integer
+pairs at once; a product is its one-term case, and a Rankin-Cohen bracket
+(`tauforms.brackets`) is one call.  Short vectors use the schoolbook
+double loop.  Longer ones use Kronecker substitution: each vector becomes
+one big number with a fixed-width slot per coefficient, so a single
+big-number product yields every coefficient at once.  Signed vectors are
+packed with an offset that is taken off again as a multiple of the packed
+all-ones vector, and the sum is read back shifted up by the least value a
+slot of it can take, so every slot is non-negative.  Mid-size operands are
+packed in hex text and multiplied by CPython's `int` (Karatsuba); large
+ones are packed in decimal text and multiplied by libmpdec through
+`decimal`, which switches to a number-theoretic transform on huge
+operands.  Both routes are exact.
 """
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -49,11 +58,12 @@ _PACK_THRESHOLD = 64
 
 # Packed operands of at least this many decimal digits (coefficients times
 # slot width, of the shorter operand) go through libmpdec; below it the
-# binary packing and CPython's Karatsuba are faster.  Taken from the
-# crossover sweep in BENCH_decimal_mul.json (scripts/mul_crossover.py).
+# hex packing and CPython's Karatsuba are faster.  Taken from the
+# crossover sweep in BENCH_decimal_mul.json (scripts/mul_crossover.py);
+# the sweeps of the hex packing in BENCH_fused_kernel.json bracket it.
 _DECIMAL_THRESHOLD = 24576
 
-# Integers only, at any size: a product that would need rounding raises.
+# Integers only, at any size: a result that would need rounding raises.
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
@@ -67,91 +77,146 @@ def _schoolbook_convolve(a, b, n):
     return out
 
 
-def _pack_bytes(c, stride):
-    buf = bytearray(len(c) * stride)
-    for i, v in enumerate(c):
-        if v:
-            buf[i * stride : i * stride + stride] = v.to_bytes(stride, "little")
-    return int.from_bytes(buf, "little")
+def _packed_sum(terms, n, offset, base, width):
+    """Kronecker substitution at x = base**width (base 16 or 10).
 
+    terms are (c, a, lo_a, b, lo_b) with lo_v = min(0, v).  Each distinct
+    vector v is packed once, as hex or decimal text of v - lo_v, and
+    lo_v times the packed all-ones vector is added back, giving
+    sum v_i x^i exactly.  Every slot of the sum, plus `offset`, must lie
+    in [0, x).
+    """
+    if base == 16:
+        fmt, parse = f"%0{width}x", lambda text: int(text, 16)
+        shift = lambda v, k: v << 4 * width * k  # v * x**k
+    else:
+        fmt, parse = f"%0{width}d", Decimal
+        shift = lambda v, k: v.scaleb(width * k)
+    ones = {}  # length -> the packed all-ones vector of that length
 
-def _packed_int(a, b, n, bound):
-    # Slots of whole bytes in a little-endian integer.
-    stride = bound.bit_length() // 8 + 1
-    x = _pack_bytes(a, stride)
-    y = x if b is a else _pack_bytes(b, stride)
-    cbuf = (x * y).to_bytes((len(a) + len(b)) * stride, "little")
+    def all_ones(length):
+        # doubling over the bits of length: R(2k) = R(k) + x**k R(k) and
+        # R(k + 1) = x R(k) + 1, far cheaper than parsing its text
+        if length not in ones:
+            r, k = parse("0"), 0
+            for bit in bin(length)[2:]:
+                r, k = r + shift(r, k), 2 * k
+                if bit == "1":
+                    r, k = shift(r, 1) + 1, k + 1
+            ones[length] = r
+        return ones[length]
+
+    packed = {}  # id of a vector -> its packed value
+
+    def pack(v, lo):
+        x = packed.get(id(v))
+        if x is None:
+            # most significant slot first; parsing the text is linear
+            x = parse((fmt * len(v)) % tuple(reversed([e - lo for e in v] if lo else v)))
+            if lo:
+                x += lo * all_ones(len(v))
+            packed[id(v)] = x
+        return x
+
+    slots = n + 1
+    total = None
+    with localcontext(_DECIMAL):
+        for c, a, lo_a, b, lo_b in terms:
+            # multiply the packed operands first: int and libmpdec both
+            # square faster when handed one object twice
+            product = pack(a, lo_a) * pack(b, lo_b)
+            if c != 1:
+                product *= c
+            total = product if total is None else total + product
+            slots = max(slots, len(a) + len(b) - 1)
+        # peak memory: drop each big number as soon as it is used
+        del product
+        packed.clear()
+        if offset:
+            lift = offset * all_ones(slots)
+            ones.clear()
+            total += lift
+            del lift
+        ones.clear()
+        text = (format(total, "x") if base == 16 else str(total)).zfill((n + 1) * width)
+    del total
+    end = len(text)
     return [
-        int.from_bytes(cbuf[k * stride : (k + 1) * stride], "little")
-        for k in range(n + 1)
+        int(text[i - width : i], base) - offset
+        for i in range(end, end - (n + 1) * width, -width)
     ]
 
 
-def _pack_decimal(c, width):
-    # Most significant slot first; Decimal(str) reads the digits in linear time.
-    return Decimal((f"%0{width}d" * len(c)) % tuple(reversed(c)))
+def _convolve_sum(terms, n):
+    """sum of c * (a * b) over (c, a, b) in terms, cut after index n, exactly.
 
+    a and b are integer sequences and c an integer.  Terms over the same
+    two operands are merged, since a * b = b * a.  Short results use the
+    schoolbook loop; longer ones one Kronecker substitution for the whole
+    sum, with slots as wide as the range its coefficients can span, in hex
+    below _DECIMAL_THRESHOLD packed digits and in decimal from there on.
+    A vector passed more than once (a squaring) is cut and packed once.
+    """
+    pairs = {}
+    for c, a, b in terms:
+        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+        pairs[key] = (pairs[key][0] + c, a, b) if key in pairs else (c, a, b)
+    terms = pairs.values()
+    if n < _PACK_THRESHOLD:
+        out = [0] * (n + 1)
+        for c, a, b in terms:
+            if c:
+                product = _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
+                out = [s + c * v for s, v in zip(out, product)]
+        return out
+    heads = {}  # id of a vector -> (its first n + 1 entries, min(0, them), max(0, them))
 
-def _packed_decimal(a, b, n, width):
-    # Slots of `width` decimal digits; a squaring packs its operand once.
-    x = _pack_decimal(a, width)
-    product = _DECIMAL.multiply(x, x if b is a else _pack_decimal(b, width))
-    del x  # peak memory: drop each big number once it is read
-    digits = str(product).zfill((n + 1) * width)
-    del product
-    end = len(digits)
-    return [int(digits[i - width : i]) for i in range(end, end - (n + 1) * width, -width)]
+    def cut(v):
+        if id(v) not in heads:
+            head = v[: n + 1]
+            lo, hi = min(head, default=0), max(head, default=0)
+            heads[id(v)] = (head, min(lo, 0), max(hi, 0))
+        return heads[id(v)]
 
-
-def _packed_convolve_nonneg(a, b, n):
-    # Kronecker substitution: every coefficient of the product is at most
-    # `bound`, so slots that hold `bound` never carry into each other.
-    amax = max(a)
-    bmax = amax if b is a else max(b)
-    if amax == 0 or bmax == 0:
+    # Every slot of the sum lies in [low, high]: a slot of c * (a * b) adds
+    # at most `length` products a_i * b_j, each between the least and the
+    # greatest product of the ends of the ranges of a and b (both ranges
+    # hold 0).  Reading adds `offset` = -low, so every slot is in [0, span].
+    live = []
+    low = high = short = 0
+    for c, a, b in terms:
+        (a, lo_a, hi_a), (b, lo_b, hi_b) = cut(a), cut(b)
+        ends = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
+        if c and any(ends):
+            live.append((c, a, lo_a, b, lo_b))
+            length = min(len(a), len(b))
+            least, most = c * length * min(ends), c * length * max(ends)
+            low, high = low + min(least, most), high + max(least, most)
+            short = max(short, length)
+    if not live:
         return [0] * (n + 1)
-    short = min(len(a), len(b))
-    bound = short * amax * bmax
-    try:
-        width = len(str(bound))
-    except ValueError:  # wider than sys.get_int_max_str_digits(): stay binary
-        return _packed_int(a, b, n, bound)
-    if short * width >= _DECIMAL_THRESHOLD:
-        return _packed_decimal(a, b, n, width)
-    return _packed_int(a, b, n, bound)
+    offset = -low
+    # The packed operands' slots, v - min(0, v), fit in [0, span] as well.
+    span = high + offset
+    bits = span.bit_length()
+    digits = bits * 30103 // 100000 + 1  # 10**digits > 2**bits > span
+    if 10 ** (digits - 1) > span:  # the estimate can be one digit over
+        digits -= 1
+    limit = sys.get_int_max_str_digits()
+    # A slot wider than the int/str conversion limit cannot be written or
+    # read as decimal text, so such sums stay in hex.
+    if short * digits >= _DECIMAL_THRESHOLD and (not limit or digits <= limit):
+        return _packed_sum(live, n, offset, 10, digits)
+    return _packed_sum(live, n, offset, 16, (bits + 3) // 4)
 
 
 def _convolve_int(a, b, n):
     """Truncated convolution of two integer sequences, exactly.
 
-    Schoolbook for short inputs; for longer ones the sequences are packed
-    into big numbers (shifted to be non-negative first, with the linear
-    correction terms restored afterwards).  Passing the same object twice
-    is a squaring, which packs its operand once.
+    The one-term case of `_convolve_sum`; passing the same object twice is
+    a squaring, which packs its operand once.
     """
-    square = a is b
-    a = list(a[: n + 1])
-    b = a if square else list(b[: n + 1])
-    if n + 1 <= _PACK_THRESHOLD:
-        return _schoolbook_convolve(a, b, n)
-    mina = min(a)
-    minb = mina if square else min(b)
-    if mina >= 0 and minb >= 0:
-        return _packed_convolve_nonneg(a, b, n)
-    a += [0] * (n + 1 - len(a))
-    b += [0] * (n + 1 - len(b))
-    ca = -mina if mina < 0 else 0
-    cb = -minb if minb < 0 else 0
-    a2 = [x + ca for x in a]
-    b2 = a2 if square else [x + cb for x in b]
-    raw = _packed_convolve_nonneg(a2, b2, n)
-    out = []
-    sa = sb = 0
-    for k in range(n + 1):
-        sa += a2[k]
-        sb += b2[k]
-        out.append(raw[k] - cb * sa - ca * sb + ca * cb * (k + 1))
-    return out
+    return _convolve_sum([(1, a, b)], n)
 
 
 def _clear_denominators(coeffs):
@@ -162,7 +227,29 @@ def _clear_denominators(coeffs):
             den = den * d // gcd(den, d)
     if den == 1:
         return list(coeffs), 1
-    return [int(c * den) for c in coeffs], den
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_canonical(coeffs):
+    """A QSeries over coefficients that are canonical already."""
+    out = object.__new__(QSeries)
+    out._coeffs = tuple(coeffs)
+    return out
+
+
+def _from_results(values):
+    """A QSeries over int/Fraction arithmetic results: a Fraction sum or
+    product may have collapsed to denominator 1, nothing else changes."""
+    return _from_canonical(
+        [v if type(v) is int or v.denominator != 1 else v.numerator for v in values]
+    )
+
+
+def _from_cleared(ints, den):
+    """The QSeries with coefficients ints[i] / den, for an integer den > 0."""
+    if den == 1:
+        return _from_canonical(ints)
+    return _from_canonical([v // den if v % den == 0 else Fraction(v, den) for v in ints])
 
 
 class QSeries:
@@ -219,9 +306,7 @@ class QSeries:
         """
         if not 0 <= truncation <= self.truncation:
             raise ValueError(f"cannot cut a series known to q^{self.truncation} at q^{truncation}")
-        out = object.__new__(QSeries)
-        out._coeffs = self._coeffs[: truncation + 1]
-        return out
+        return _from_canonical(self._coeffs[: truncation + 1])
 
     def coefficient(self, n):
         """The exact coefficient of q^n; IndexError outside 0..truncation."""
@@ -244,28 +329,25 @@ class QSeries:
         return hash(self._coeffs)
 
     def __neg__(self):
-        return QSeries([-c for c in self._coeffs])
+        return _from_canonical([-c for c in self._coeffs])
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        a, b = self._coeffs, other._coeffs
-        return QSeries([a[i] + b[i] for i in range(n + 1)])
+        # zip stops at the shorter operand, which is the truncation rule
+        return _from_results([x + y for x, y in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        a, b = self._coeffs, other._coeffs
-        return QSeries([a[i] - b[i] for i in range(n + 1)])
+        return _from_results([x - y for x, y in zip(self._coeffs, other._coeffs)])
 
     def scale(self, c):
         """Multiply every coefficient by the exact rational c."""
         c = as_rational(c)
         if c == 0:
             return QSeries.zero(self.truncation)
-        return QSeries([c * x for x in self._coeffs])
+        return _from_results([c * x for x in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -273,11 +355,7 @@ class QSeries:
             a, da = _clear_denominators(self._coeffs[: n + 1])
             # a squaring hands _convolve_int one list twice
             b, db = (a, da) if other is self else _clear_denominators(other._coeffs[: n + 1])
-            raw = _convolve_int(a, b, n)
-            if da == 1 and db == 1:
-                return QSeries(raw)
-            d = da * db
-            return QSeries([Fraction(c, d) for c in raw])
+            return _from_cleared(_convolve_int(a, b, n), da * db)
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented
@@ -315,14 +393,14 @@ class QSeries:
             raise ValueError("cannot integrate, only derive")
         if times == 0:
             return self
-        return QSeries([(i ** times) * c for i, c in enumerate(self._coeffs)])
+        return _from_results([(i ** times) * c for i, c in enumerate(self._coeffs)])
 
     def shift(self, k=1):
         """Multiply by q^k, keeping the truncation (top coefficients drop off)."""
         if k < 0:
             raise ValueError("negative shifts would create a Laurent tail")
         n = self.truncation
-        return QSeries(([0] * k + list(self._coeffs))[: n + 1])
+        return _from_canonical(([0] * k + list(self._coeffs))[: n + 1])
 
     def to_text(self, max_terms=None):
         """Render as '1 - 24*q + 252*q^2 - ...' for display purposes."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .forms import GradedForm, InternalInconsistency, dim_modular, eisenstein
-from .qseries import QSeries, _clear_denominators, as_rational
+from .qseries import QSeries, _clear_denominators, _from_cleared, as_rational
 
 __all__ = [
     "BasisElement",
@@ -169,10 +169,7 @@ def _combine(coords, columns, length):
 
 
 def _combined_series(coords, columns, length):
-    acc, den = _combine(coords, columns, length)
-    if den != 1:
-        acc = [a // den if a % den == 0 else Fraction(a, den) for a in acc]
-    return QSeries(acc)
+    return _from_cleared(*_combine(coords, columns, length))
 
 
 def _require_truncation(k, truncation, last):

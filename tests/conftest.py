@@ -22,11 +22,12 @@ def ctx120():
 def decimal_route_widths(monkeypatch):
     """Slot widths of every product that takes the decimal route, in order."""
     widths = []
-    real = qseries._packed_decimal
+    real = qseries._packed_sum
 
-    def spy(a, b, n, width):
-        widths.append(width)
-        return real(a, b, n, width)
+    def spy(terms, n, offset, base, width):
+        if base == 10:
+            widths.append(width)
+        return real(terms, n, offset, base, width)
 
-    monkeypatch.setattr(qseries, "_packed_decimal", spy)
+    monkeypatch.setattr(qseries, "_packed_sum", spy)
     return widths

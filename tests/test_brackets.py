@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import tauforms.brackets as brackets
 from oracle import rc_bracket_direct
 from tauforms import (
     BracketSpec,
+    GradedForm,
+    QSeries,
     binomial,
     delta_product,
     e2_bracket_family,
@@ -137,3 +140,59 @@ def test_quasi_bracket_depth_validation():
     e2 = eisenstein(2, n)
     with pytest.raises(ValueError):
         quasi_bracket(1, e2, e2, left=(2, 2))  # depth 2 > 2/2
+
+
+@pytest.mark.parametrize("n", [40, 90])  # schoolbook and packed kernel paths
+def test_quasi_bracket_matches_binomial_formula(n):
+    # The oracle's modular binomials C(v+k-1, v-r) C(v+l-1, r) become the
+    # quasimodular C(k-s+v-1, v-r) C(l-t+v-1, r) when handed k-s and l-t.
+    e2 = eisenstein(2, n)
+    de2, d2e2 = e2.derive(1), e2.derive(2)
+    e4, e6, e12 = (eisenstein(k, n) for k in (4, 6, 12))
+    delta = delta_product(n)
+    constant = GradedForm(QSeries.one(n), 4, 0)  # D^r of it vanishes for r >= 1
+    zero = GradedForm(QSeries.zero(n), 6, 0)
+    pairs = [
+        (e2, e2),
+        (de2, e2),
+        (d2e2, de2),
+        (e4, de2),
+        (e12, e6),  # E12 has Fraction coefficients
+        (e12, d2e2),
+        (delta, e12),
+        (e4, e4),
+        (constant, e6),
+        (e4, zero),
+    ]
+    for order in range(5):
+        for f, g in pairs:
+            f_list, g_list = list(f.series.coefficients), list(g.series.coefficients)
+            expected = rc_bracket_direct(
+                f_list, f.weight - f.depth, g_list, g.weight - g.depth, order
+            )
+            bracket = quasi_bracket(order, f, g)
+            assert list(bracket.series.coefficients) == expected, (order, f.weight, g.weight)
+            assert bracket.weight == f.weight + g.weight + 2 * order
+            assert bracket.depth == f.depth + g.depth
+        # gradings passed in override the operands' own
+        e4_list = list(e4.series.coefficients)
+        expected = rc_bracket_direct(e4_list, 3, e4_list, 2, order)
+        overridden = quasi_bracket(order, e4, e4, left=(4, 1), right=(4, 2))
+        assert list(overridden.series.coefficients) == expected
+
+
+def test_a_bracket_is_one_kernel_call(monkeypatch):
+    # every term's product is summed by one _convolve_sum call; no series
+    # product, scaling or sum is built on the way
+    n = 80
+    e4, e6 = eisenstein(4, n), eisenstein(6, n)
+    expected = [rc_bracket(e4, e6, order).series for order in range(5)]
+    calls = []
+    real = brackets._convolve_sum
+    monkeypatch.setattr(
+        brackets, "_convolve_sum", lambda terms, m: calls.append(len(terms)) or real(terms, m)
+    )
+    for name in ("__mul__", "__add__", "scale"):
+        monkeypatch.setattr(QSeries, name, lambda *args, name=name: pytest.fail(name))
+    assert [quasi_bracket(order, e4, e6).series for order in range(5)] == expected
+    assert calls == [1, 2, 3, 4, 5]

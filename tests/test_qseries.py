@@ -1,19 +1,22 @@
+import importlib.util
 import itertools
 import sys
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tauforms import QSeries, delta_product, eisenstein
+from tauforms import GradedForm, QSeries, delta_product, eisenstein, quasi_bracket
 from tauforms import qseries
 from tauforms.qseries import (
     _DECIMAL_THRESHOLD,
     _PACK_THRESHOLD,
     _convolve_int,
+    _convolve_sum,
     _schoolbook_convolve,
     as_rational,
 )
@@ -168,6 +171,37 @@ def test_results_are_canonical(f, g):
                 assert c.denominator != 1  # denominator-1 values normalise to int
 
 
+# halves make sums, scalings, derivatives and products collapse to ints
+halves = st.builds(
+    QSeries, st.lists(st.integers(-9, 9).map(lambda k: Fraction(k, 2)), min_size=1, max_size=80)
+)
+
+
+def _assert_canonical(s):
+    for c in s.coefficients:
+        assert type(c) is int or (
+            type(c) is Fraction and c.denominator > 1 and gcd(c.numerator, c.denominator) == 1
+        ), c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(series, halves),
+    st.one_of(series, halves),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.integers(0, 3),
+)
+def test_every_arithmetic_result_is_canonical(f, g, c, k):
+    results = [f + g, f - g, -f, f.scale(c), f.derive(k), f.shift(k), f * g, f ** 2, f ** 3]
+    results += [
+        quasi_bracket(order, GradedForm(f, 4, 1), GradedForm(g, 6, 0)).series
+        for order in range(4)
+    ]
+    results.append(quasi_bracket(2, GradedForm(f, 4, 0), GradedForm(f, 4, 0)).series)
+    for result in results:
+        _assert_canonical(result)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=-(10 ** 9), max_value=10 ** 9), min_size=1, max_size=90),
@@ -189,7 +223,7 @@ def _lengths_around_crossover(digits):
     """Operand lengths on both sides of the decimal route's crossover.
 
     Coefficients of `digits` digits give slots of about 2*digits + 4
-    digits (shifting signed inputs doubles them), so the crossover falls
+    digits (a signed sum spans twice its bound), so the crossover falls
     near _DECIMAL_THRESHOLD / (2*digits + 4) coefficients.
     """
     cross = _DECIMAL_THRESHOLD // (2 * digits + 4)
@@ -313,3 +347,91 @@ def test_pow_multiplies_only_the_powers_it_needs(monkeypatch):
 def test_as_rational_normalises():
     assert as_rational(Fraction(4, 2)) == 2
     assert type(as_rational(Fraction(4, 2))) is int
+
+
+def _summed_schoolbook(terms, n):
+    out = [0] * (n + 1)
+    for c, a, b in terms:
+        for k, v in enumerate(_schoolbook_convolve(a[: n + 1], b[: n + 1], n)):
+            out[k] += c * v
+    return out
+
+
+@st.composite
+def _kernel_sums(draw, lengths, values):
+    """(terms, n): one to four terms whose operands may repeat, so that a
+    term can be a squaring or share an operand with another term."""
+    vector = st.one_of(
+        st.lists(values, min_size=1, max_size=lengths),
+        st.lists(st.just(0), min_size=1, max_size=lengths),
+    )
+    vectors = draw(st.lists(vector, min_size=1, max_size=3))
+    pick = st.sampled_from(vectors)
+    terms = draw(st.lists(st.tuples(st.integers(-6, 6), pick, pick), min_size=1, max_size=4))
+    n = draw(st.integers(0, lengths + 8))
+    return terms, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _kernel_sums(
+        2 * _PACK_THRESHOLD + 20,
+        st.one_of(st.just(0), st.integers(-(10 ** 12), 10 ** 12), st.integers(0, 9)),
+    )
+)
+def test_kernel_matches_summed_schoolbook(case):
+    # signed, zero, unequal-length, one-term and squaring inputs; zero
+    # multipliers; n on both sides of _PACK_THRESHOLD and past the operands
+    terms, n = case
+    assert _convolve_sum(terms, n) == _summed_schoolbook(terms, n)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["hex-route", "decimal-route"])
+@settings(
+    max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_kernel_sums_on_both_sides_of_the_decimal_crossover(side, data, decimal_route_widths):
+    digits = 40
+    rnd = data.draw(st.randoms(use_true_random=False))
+    length = data.draw(_lengths_around_crossover(digits)[side])
+    # full-size ends fix the slot width, and so the route
+    top = 10 ** digits
+    x = [-top, top] + _random_ints(rnd, length - 2, digits)
+    y = [top] + _random_ints(rnd, length - 1, digits, signed=data.draw(st.booleans()))
+    terms = [(3, x, y), (-2, y, y), (5, x, x), (1, y, x)]
+    decimal_route_widths.clear()
+    assert _convolve_sum(terms, length - 1) == _summed_schoolbook(terms, length - 1)
+    assert bool(decimal_route_widths) == bool(side)
+
+
+def test_kernel_never_writes_a_slot_past_the_str_limit(decimal_route_widths):
+    # Slot widths come from bit lengths: under the smallest conversion limit
+    # a sum whose slots fit it takes the decimal route, a wider one (even
+    # of coefficients wider than the limit) stays in hex, and none converts
+    # a number past the limit to text.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for digits, decimal in ((300, True), (330, False), (700, False)):
+            x = [(-1) ** i * (10 ** digits - i) for i in range(100)]
+            y = [10 ** digits + 7 * i for i in range(90)]
+            terms = [(1, x, y), (-4, y, y)]
+            decimal_route_widths.clear()
+            assert _convolve_sum(terms, 99) == _summed_schoolbook(terms, 99)
+            assert bool(decimal_route_widths) == decimal, digits
+            assert all(w <= 640 for w in decimal_route_widths)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_mul_crossover_script_measures_both_routes():
+    # scripts/mul_crossover.py times the kernel's two packings by name;
+    # one small row keeps it in step with the kernel
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mul_crossover.py"
+    spec = importlib.util.spec_from_file_location("mul_crossover", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    row = script.measure(3, 64)
+    assert row["coefficients"] == 64 and row["packed_digits"] == 64 * row["slot_digits"]
+    assert all(row[key] > 0 for key in ("int_s", "decimal_s", "int_square_s", "decimal_square_s"))

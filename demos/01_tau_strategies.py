@@ -27,8 +27,8 @@ for a, b in ((2, 3), (3, 4), (4, 5), (5, 7)):
     print(f"  tau({a})*tau({b}) = tau({a * b}) = {values[a * b]}")
 
 print()
-print("the bulk table reuses one divisor sieve per exponent;")
-print("tau(1..10^4) via the van der Pol convolution:")
+print("the bulk table sieves sigma3 once and takes the van der Pol sum")
+print("as one squaring of m*sigma3(m); tau(1..10^4) that way:")
 bulk = tau_range(10 ** 4, "vdp")
 print(f"  tau(9999)  = {bulk[9999]}")
 print(f"  tau(10000) = {bulk[10000]}")

@@ -137,7 +137,7 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error({"integer"})
@@ -154,7 +154,7 @@ class _Parser:
 
     def starts_factor(self):
         ch = self.peek()
-        return bool(ch) and (ch.isdigit() or ch.isalpha() or ch in "([")
+        return bool(ch) and (ch.isdecimal() or ch.isalpha() or ch in "([")
 
     def parse_expr(self):
         negate = self.accept("-")
@@ -181,7 +181,7 @@ class _Parser:
 
     def parse_factor(self):
         ch = self.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.integer()
             if self.accept("/"):
                 den = self.integer()

@@ -342,8 +342,17 @@ TAU_STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 def tau_range(limit, strategy="product"):
     """tau(1..limit) in bulk; returns a list indexed by n with [0] = 0.
 
-    The convolution strategies reuse one sigma sieve per exponent and a
-    single exact convolution for the whole range.
+    The convolution strategies sieve sigma once per exponent and take
+    every convolution sum as a squaring (one vector passed twice to the
+    exact kernel, so it is packed once):
+
+    vdp     sum m(n-m) sigma3(m) sigma3(n-m) is (u * u)[n], u(m) = m sigma3(m)
+    niebur  with P_e(n) = sum m^e (n-m)^e sigma(m) sigma(n-m), the square of
+            m^e sigma for e = 0, 1, 2: the sum is unchanged by m <-> n-m, and
+            averaging the Niebur weight over that swap gives
+            sum (35m^4 - 52m^3 n + 18m^2 n^2) sigma sigma
+              = n^4 P_0/2 - 10n^2 P_1 + 35 P_2,
+            so tau(n) = n^4 sigma(n) - 12n^4 P_0 + 240n^2 P_1 - 840 P_2
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -354,24 +363,17 @@ def tau_range(limit, strategy="product"):
         coeffs = delta_from_eisenstein(limit).series.coefficients
         return [int(c) for c in coeffs]
     if strategy == "vdp":
-        s3 = sigma_table(3, limit).values
         s7 = sigma_table(7, limit).values
-        u1 = [mm * v for mm, v in enumerate(s3)]
-        u2 = [mm * mm * v for mm, v in enumerate(s3)]
-        c1 = _convolve_int(u1, s3, limit)
-        c2 = _convolve_int(u2, s3, limit)
-        return [0] + [
-            n * n * s7[n] - 540 * (n * c1[n] - c2[n]) for n in range(1, limit + 1)
-        ]
+        u = [mm * v for mm, v in enumerate(sigma_table(3, limit).values)]
+        c = _convolve_int(u, u, limit)
+        return [0] + [n * n * s7[n] - 540 * c[n] for n in range(1, limit + 1)]
     if strategy == "niebur":
         s1 = sigma_table(1, limit).values
-        pows = [
-            _convolve_int([mm ** e * v for mm, v in enumerate(s1)], s1, limit)
-            for e in (2, 3, 4)
-        ]
-        a2, a3, a4 = pows
+        u1 = [mm * v for mm, v in enumerate(s1)]
+        u2 = [mm * v for mm, v in enumerate(u1)]
+        p0, p1, p2 = (_convolve_int(u, u, limit) for u in (s1, u1, u2))
         return [0] + [
-            n ** 4 * s1[n] - 24 * (35 * a4[n] - 52 * n * a3[n] + 18 * n * n * a2[n])
+            n ** 4 * (s1[n] - 12 * p0[n]) + 240 * n * n * p1[n] - 840 * p2[n]
             for n in range(1, limit + 1)
         ]
     raise ValueError(f"unknown tau strategy {strategy!r}")

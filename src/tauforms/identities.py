@@ -471,10 +471,10 @@ class _AnchorParser(_Parser):
 
     def term(self, sign):
         coefficient, power, affine = Fraction(sign), 0, None
-        if self.peek().isdigit():
+        if self.peek().isdecimal():
             coefficient *= self.integer()
             if self.accept("/"):
-                if self.peek().isdigit():
+                if self.peek().isdecimal():
                     coefficient /= self.integer()
                 else:
                     power -= self.n_power()
@@ -514,7 +514,7 @@ class _AnchorParser(_Parser):
     def sigma(self, argument):
         """The exponent k of sigma[k] followed by argument; sigma is sigma_1."""
         self.expect("sigma")
-        k = self.integer() if self.peek().isdigit() else 1
+        k = self.integer() if self.peek().isdecimal() else 1
         if k == 0:
             self.error({"positive sigma exponent"})
         self.expect(argument)
@@ -551,14 +551,14 @@ class _AnchorParser(_Parser):
             mark = self.pos
             self.accept("*")
             ch = self.peek()
-            if not (ch.isdigit() or ch in ("m", "n", "(")):
+            if not (ch.isdecimal() or ch in ("m", "n", "(")):
                 self.pos = mark
                 return poly
             poly = poly * self.poly_factor()
 
     def poly_factor(self):
         ch = self.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             base = PolyMN.const(self.integer())
         elif ch in ("m", "n"):
             self.pos += 1

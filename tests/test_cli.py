@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tauforms
-from tauforms import NotInGradedSpace, decompose, eval_expr, parse, tau_range
+from tauforms import TAU_STRATEGIES, NotInGradedSpace, decompose, eval_expr, parse, tau_range
 from tauforms.cli import build_parser, main
 
 
@@ -58,6 +58,19 @@ def test_tau_table_csv(tmp_path, capsys):
     assert len(rows) == 13
     expected = tau_range(12)
     assert [int(r[1]) for r in rows[1:]] == expected[1:]
+
+
+def test_tau_table_strategies_write_identical_csv(tmp_path, capsys):
+    files = {}
+    for strategy in TAU_STRATEGIES:
+        out_path = tmp_path / f"{strategy}.csv"
+        argv = ["tau-table", "--max-n", "300", "--strategy", strategy, "--format", "csv"]
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        files[strategy] = out_path.read_bytes()
+    assert len(files["product"].splitlines()) == 301
+    for strategy in TAU_STRATEGIES:
+        assert files[strategy] == files["product"], strategy
 
 
 def test_tau_table_json(tmp_path, capsys):
@@ -177,6 +190,13 @@ def test_eval_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--expr", "D^(E4)", "--trunc", "8")
     assert code == 2
     assert "offset 2" in err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2460"])  # superscript two, circled one
+def test_eval_non_decimal_digit_is_a_syntax_error(capsys, digit):
+    code, _, err = run(capsys, "eval", "--expr", f"E4 + {digit}", "--trunc", "4")
+    assert code == 2
+    assert "syntax error at offset 5: expected" in err
 
 
 _USAGE_ERRORS = [

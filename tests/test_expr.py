@@ -61,6 +61,19 @@ def test_parse_error_offsets():
     assert info.value.offset == 5
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2460"])  # superscript two, circled one
+def test_non_decimal_digits_are_parse_errors(digit):
+    # str.isdigit() holds for these, but int() reads decimal digits only
+    with pytest.raises(ParseError) as info:
+        parse(f"E4 + {digit}")
+    assert info.value.offset == 5
+    assert "rational" in info.value.expected
+    with pytest.raises(ParseError) as info:
+        parse(f"D^{digit}(E4)")
+    assert info.value.offset == 2
+    assert "integer" in info.value.expected
+
+
 def test_print_parse_roundtrip():
     samples = [
         "E8 - E4*E4",

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import delta_euler, sigma_additive
 from tauforms import (
@@ -19,8 +21,9 @@ from tauforms import (
     tau_cross_check,
     tau_range,
 )
-from tauforms import forms
+from tauforms import forms, qseries
 from tauforms.forms import EISENSTEIN_COEFFICIENT, InternalInconsistency
+from tauforms.qseries import _PACK_THRESHOLD, _convolve_int
 
 
 def bernoulli_oracle(limit):
@@ -180,6 +183,57 @@ def test_tau_strategies_agree():
     for strategy in ("eisenstein", "vdp", "niebur"):
         assert tau_range(300, strategy) == reference
     assert tau_cross_check(64) == tau_range(64, "product")
+
+
+@pytest.mark.parametrize("limit", [1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("strategy", ["vdp", "niebur"])
+def test_bulk_convolution_routes_match_the_literal_formulas(strategy, limit):
+    # limits on both sides of _PACK_THRESHOLD: schoolbook and packed squarings
+    table = tau_range(limit, strategy)
+    assert table == [0] + [tau(n, strategy) for n in range(1, limit + 1)]
+    assert table == delta_euler(limit)
+
+
+# signed vectors with v[0] = 0, convolved below and above _PACK_THRESHOLD
+_vanishing_at_zero = st.lists(
+    st.integers(-(10 ** 12), 10 ** 12), min_size=1, max_size=2 * _PACK_THRESHOLD
+).map(lambda tail: [0] + tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vanishing_at_zero)
+@example([0] + [(-1) ** m * m ** 3 for m in range(1, _PACK_THRESHOLD + 2)])
+def test_niebur_symmetrisation_as_three_squarings(v):
+    # sum (35m^4 - 52m^3 n + 18m^2 n^2) v(m) v(n-m) = n^4 P0/2 - 10n^2 P1 + 35 P2
+    # with P_e = (m^e v) * (m^e v), the identity tau_range's niebur route uses
+    n_max = len(v) - 1
+    u1 = [m * x for m, x in enumerate(v)]
+    u2 = [m * x for m, x in enumerate(u1)]
+    p0, p1, p2 = (_convolve_int(u, u, n_max) for u in (v, u1, u2))
+    for n in range(1, n_max + 1):
+        literal = sum(
+            (35 * m ** 4 - 52 * m ** 3 * n + 18 * m ** 2 * n * n) * v[m] * v[n - m]
+            for m in range(1, n)
+        )
+        assert literal == Fraction(n ** 4 * p0[n], 2) - 10 * n * n * p1[n] + 35 * p2[n], n
+
+
+@pytest.mark.parametrize("strategy, squarings", [("vdp", 1), ("niebur", 3)])
+def test_convolution_routes_are_squarings(monkeypatch, strategy, squarings):
+    # each convolution sum is one kernel call of one term over one object
+    limit = 100
+    expected = tau_range(limit, "product")
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, n: calls.append(list(terms)) or real(terms, n)
+    )
+    assert tau_range(limit, strategy) == expected
+    assert len(calls) == squarings
+    for terms in calls:
+        assert len(terms) == 1
+        _, a, b = terms[0]
+        assert a is b
 
 
 def test_tau_single_matches_bulk():

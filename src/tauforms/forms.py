@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .qseries import QSeries, as_rational, _convolve_int
+from .qseries import QSeries, _coefficient_int, _convolve_int
 
 __all__ = [
     "GradedForm",
@@ -231,15 +231,19 @@ def delta_product(truncation):
     gives the cube of the product with O(sqrt N) nonzero coefficients, and
     Delta = q * cube^8 takes three squarings.
     """
-    n = truncation
-    if n < 1:
+    if truncation < 1:
         raise ValueError("truncation must be at least 1")
+    return GradedForm((QSeries(_jacobi_cube(truncation)) ** 8).shift(1), 12, 0)
+
+
+def _jacobi_cube(n):
+    """prod(1 - q^m)^3 through q^n, by Jacobi's identity."""
     cube = [0] * (n + 1)
     k = 0
     while (t := k * (k + 1) // 2) <= n:
         cube[t] = (-1) ** k * (2 * k + 1)
         k += 1
-    return GradedForm((QSeries(cube) ** 8).shift(1), 12, 0)
+    return cube
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +255,18 @@ def delta_from_eisenstein(truncation):
     """
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
-    coeffs = []
-    for i, c in enumerate((e4 ** 3 - e6 ** 2).coefficients):
-        quotient, remainder = divmod(c, 1728)
-        if remainder:
-            raise InternalInconsistency(
-                f"E4^3 - E6^2 has q^{i} coefficient {c}, not divisible by 1728"
-            )
-        coeffs.append(quotient)
+    coeffs = [_over_1728(c, i) for i, c in enumerate((e4 ** 3 - e6 ** 2).coefficients)]
     return GradedForm(QSeries(coeffs), 12, 0)
+
+
+def _over_1728(c, i):
+    """c / 1728 for c the q^i coefficient of E4^3 - E6^2, which it divides."""
+    quotient, remainder = divmod(c, 1728)
+    if remainder:
+        raise InternalInconsistency(
+            f"E4^3 - E6^2 has q^{i} coefficient {c}, not divisible by 1728"
+        )
+    return quotient
 
 
 def dim_modular(k):
@@ -317,13 +324,32 @@ def tau(n, strategy="product"):
     eisenstein  coefficient of q^n in (E4^3 - E6^2)/1728
     vdp         n^2*sigma7(n) - 540 * sum m(n-m) sigma3(m) sigma3(n-m)
     niebur      n^4*sigma(n) - 24 * sum (35m^4 - 52m^3 n + 18m^2 n^2) sigma(m) sigma(n-m)
+
+    The first two compute one coefficient, not a table: the q^n
+    coefficient of a * b is the dot product of a[m] and b[n-m], so only
+    the factors are built, through q^n.  product squares Jacobi's cube
+    twice to c4 = prod(1-q^m)^12 through q^(n-1) and takes the q^(n-1)
+    coefficient of c4 * c4.  eisenstein takes the q^n coefficient of
+    E4 * E4^2 - E6 * E6, with E4^2 one squaring, and divides it by 1728;
+    a remainder raises InternalInconsistency.  vdp and niebur are the
+    literal per-n sums.
     """
     if n < 1:
         raise ValueError("tau(n) is defined for n >= 1")
     if strategy == "product":
-        value = delta_product(_ceil_pow2(n)).coefficient(n)
+        cube = _jacobi_cube(n - 1)
+        c2 = _convolve_int(cube, cube, n - 1)
+        c4 = _convolve_int(c2, c2, n - 1)
+        value = _coefficient_int(c4, c4, n - 1)
     elif strategy == "eisenstein":
-        value = delta_from_eisenstein(_ceil_pow2(n)).coefficient(n)
+        # sieved at the size the vdp route sieves at, so sigma3 is shared
+        limit = _ceil_pow2(n)
+        e4, e6 = (
+            [1] + [ck * v for v in sigma_table(k - 1, limit).values[1 : n + 1]]
+            for k, ck in ((4, EISENSTEIN_COEFFICIENT[4]), (6, EISENSTEIN_COEFFICIENT[6]))
+        )
+        c = _coefficient_int(e4, _convolve_int(e4, e4, n), n) - _coefficient_int(e6, e6, n)
+        value = _over_1728(c, n)
     elif strategy == "vdp":
         limit = _ceil_pow2(n)
         value = _tau_vdp(n, sigma_table(3, limit).values, sigma_table(7, limit).values)
@@ -331,9 +357,6 @@ def tau(n, strategy="product"):
         value = _tau_niebur(n, sigma_table(1, _ceil_pow2(n)).values)
     else:
         raise ValueError(f"unknown tau strategy {strategy!r}")
-    value = as_rational(value)
-    if not isinstance(value, int):
-        raise InternalInconsistency(f"tau({n}) by {strategy} is not an integer: {value}")
     return value
 
 TAU_STRATEGIES = ("product", "eisenstein", "vdp", "niebur")

@@ -399,7 +399,9 @@ class EvalContext:
         if values is None:
             if isinstance(key, tuple):
                 left, right, alpha = key
-                u = [m ** alpha * v for m, v in enumerate(self.source(left))]
+                u = self.source(left)
+                if alpha:
+                    u = [m ** alpha * v for m, v in enumerate(u)]
                 values = _convolve_int(u, self.source(right), self.limit)
             elif key == 0:
                 values = tau_range(self.limit, "product")
@@ -752,8 +754,8 @@ def verify_range(record, limit, ctx=None):
     if ctx is None:
         ctx = make_context(limit)
     lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
-    n = next((n for n in range(1, limit + 1) if lhs[n] != rhs[n]), None)
-    if n is not None:
+    if lhs != rhs:  # every source is 0 at n = 0, so they differ at some n >= 1
+        n = next(n for n in range(1, limit + 1) if lhs[n] != rhs[n])
         den = scale * n ** power
         return VerificationReport(
             record.id,
@@ -854,7 +856,15 @@ def check_congruence(record, limit, ctx=None):
     g = record.gcd_condition
     mod = record.modulus
     lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
-    for n in range(1, limit + 1):
+    start = 1
+    if scale == 1 and power == 0:
+        # the cleared vectors are the sides themselves: the loop below only
+        # has to report the first failure, found here in one pass
+        start = next(
+            (n for n in range(1, limit + 1) if (lhs[n] - rhs[n]) % mod and gcd(n, g) == 1),
+            limit + 1,
+        )
+    for n in range(start, limit + 1):
         if g != 1 and gcd(n, g) != 1:
             continue
         den = scale * n ** power

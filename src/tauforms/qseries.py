@@ -33,6 +33,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rou
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from operator import mul
 
 __all__ = ["Rational", "QSeries", "as_rational"]
 
@@ -217,6 +218,14 @@ def _convolve_int(a, b, n):
     a squaring, which packs its operand once.
     """
     return _convolve_sum([(1, a, b)], n)
+
+
+def _coefficient_int(a, b, n):
+    """The q^n coefficient of a * b for integer sequences, exactly: the dot
+    product of a[m] and b[n - m] over m = 0..n, with entries past either
+    end taken as 0, as in `_convolve_int`."""
+    lo = max(0, n + 1 - len(b))
+    return sum(map(mul, a[lo : n + 1], reversed(b[: n + 1 - lo])))
 
 
 def _clear_denominators(coeffs):

@@ -21,7 +21,7 @@ factors.  Linear systems are solved by Gauss-Jordan elimination on
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from tauforms import InconsistentSystem, RankDeficientSystem
 
@@ -67,6 +67,21 @@ def first_failure(record, limit, ctx):
         lhs = side_value(record.lhs, n, ctx)
         rhs = side_value(record.rhs, n, ctx)
         if lhs != rhs:
+            return n, lhs, rhs
+    return None
+
+
+def congruence_failure(record, limit, ctx):
+    """(n, lhs(n), rhs(n)) at the first n <= limit with gcd(n, g) = 1 where
+    the sides, both integers, are not congruent modulo the record's modulus."""
+    for n in range(1, limit + 1):
+        if gcd(n, record.gcd_condition) != 1:
+            continue
+        lhs = side_value(record.lhs, n, ctx)
+        rhs = side_value(record.rhs, n, ctx)
+        if lhs.denominator != 1 or rhs.denominator != 1:
+            raise ValueError(f"{record.id}: non-integral side at n={n}")
+        if (lhs - rhs) % record.modulus:
             return n, lhs, rhs
     return None
 

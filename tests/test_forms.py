@@ -236,6 +236,44 @@ def test_convolution_routes_are_squarings(monkeypatch, strategy, squarings):
         assert a is b
 
 
+@pytest.mark.parametrize("strategy", ["product", "eisenstein"])
+def test_tau_single_coefficient_routes(strategy):
+    # below, at and past _PACK_THRESHOLD and around the powers of two that
+    # the tables are sized to
+    euler = delta_euler(300)
+    assert [tau(n, strategy) for n in range(1, 301)] == euler[1:]
+    table = tau_range(4096, "product")
+    for n in (63, 64, 65, 2047, 2048, 2049, 3000, 4096):
+        assert tau(n, strategy) == table[n], n
+
+
+def test_tau_single_coefficient_routes_cache_no_table():
+    cached = (forms.delta_product, forms.delta_from_eisenstein, forms.eisenstein)
+    for f in cached:
+        f.cache_clear()
+    for strategy in ("product", "eisenstein"):
+        tau(3000, strategy)
+    assert [f.cache_info().currsize for f in cached] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_tau_eisenstein_rejects_a_remainder(monkeypatch, n):
+    real = forms.sigma_table
+
+    def bent(k, limit):
+        table = real(k, limit)
+        if k != 5:
+            return table
+        values = list(table.values)
+        values[n] += 1
+        return forms.SigmaTable(k, tuple(values))
+
+    monkeypatch.setattr(forms, "sigma_table", bent)
+    # E6 - 504 q^n moves the q^n coefficient of E4^3 - E6^2 by 1008
+    with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
+        tau(n, "eisenstein")
+
+
 def test_tau_single_matches_bulk():
     bulk = tau_range(40, "niebur")
     for n in (1, 7, 29, 40):

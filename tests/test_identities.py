@@ -3,12 +3,13 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import convolution_value, first_failure, side_value
+from oracle import congruence_failure, convolution_value, first_failure, side_value
 from tauforms import (
     AUDIT_FLAGGED,
     EXPECTED_TRUE,
@@ -29,6 +30,7 @@ from tauforms import (
     tau,
     verify_range,
 )
+from tauforms import qseries
 from tauforms.expr import ParseError
 from tauforms.identities import (
     CongruenceRecord,
@@ -274,10 +276,28 @@ def test_first_failure_matches_oracle(lhs, parts, extra, ctx120):
 
 
 def test_flagged_first_failures_pinned(registry, ctx120):
-    report = verify_range(registry.by_id["thm2.7.i"], 120, ctx120)
-    assert report.first_failure == (2, Fraction(-24), Fraction(58729, 864))
-    report = verify_range(registry.by_id["thm2.9.iv"], 120, ctx120)
-    assert report.first_failure == (2, Fraction(1), Fraction(13, 10))
+    for limit in (120, 2):  # at 2 the failure is the last n checked
+        report = verify_range(registry.by_id["thm2.7.i"], limit, ctx120)
+        assert report.first_failure == (2, Fraction(-24), Fraction(58729, 864))
+        report = verify_range(registry.by_id["thm2.9.iv"], limit, ctx120)
+        assert report.first_failure == (2, Fraction(1), Fraction(13, 10))
+
+
+def test_context_convolution_without_weight_is_a_squaring(monkeypatch):
+    # (3, 3, 0) hands the kernel the sigma3 table itself, twice
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, n: calls.append(list(terms)) or real(terms, n)
+    )
+    ctx = make_context(100)
+    values = ctx.source((3, 3, 0))
+    [[(_, a, b)]] = calls
+    assert a is b is ctx.source(3)
+    term = ConvolutionTerm(1, 0, PolyMN.const(1), 3, 3)
+    assert [convolution_value(term, n, ctx) for n in (1, 2, 65, 100)] == [
+        values[n] for n in (1, 2, 65, 100)
+    ]
 
 
 def test_context_shares_convolutions(registry):
@@ -482,6 +502,41 @@ def test_congruence_gcd_condition_skips(registry, ctx120):
     report = check_congruence(unrestricted, 120, ctx120)
     assert report.status == "failed" and report.first_failure[0] == 2
     assert check_congruence(base, 120, ctx120).status == "verified"
+
+
+@pytest.mark.parametrize(
+    "anchor, scale, n",
+    [
+        # a wrong constant: n^2*sigma(n) stated 13 times over
+        ("2*tau(n) == 13*n^2*sigma(n) + n^2*sigma5(n) mod 24", 1, 1),
+        # cor2.8.viii at a modulus it does not reach
+        ("2*tau(n) == n^2*sigma(n) + n^2*sigma5(n) mod 192 = 64*3", 1, 5),
+        # cor2.12.i at twice its modulus: n = 2, 3, 4 fail but are skipped
+        ("(6n-5)*sigma(n) == sigma3(n) mod 48 = 16*3, gcd(n,6)=1", 1, 5),
+        # scale 2 takes the dividing loop, failing and holding
+        ("2*tau(n) == 1/2*n^2*sigma(n) + 1/2*n^2*sigma(n) + n^2*sigma5(n) mod 192", 2, 5),
+        ("tau(n) == 1/2*sigma11(n) + 1/2*sigma11(n) mod 691", 2, None),
+    ],
+)
+def test_congruence_reports_match_the_oracle(anchor, scale, n, ctx120):
+    record = parse_record("probe", anchor)
+    assert lcm(record.lhs.denominator(), record.rhs.denominator()) == scale
+    report = check_congruence(record, 120, ctx120)
+    expected = congruence_failure(record, 120, ctx120)
+    assert report.first_failure == expected
+    assert report.status == ("verified" if expected is None else "failed")
+    assert (expected and expected[0]) == n
+
+
+def test_catalogue_congruences_at_a_wider_modulus_match_the_oracle(registry, ctx120):
+    # every catalogue row has scale 1 and power 0; at seven times its
+    # modulus each fails somewhere or holds, as the oracle says
+    for record in registry.congruences:
+        wider = replace(
+            record, modulus=7 * record.modulus, modulus_factors=record.modulus_factors + (7,)
+        )
+        report = check_congruence(wider, 120, ctx120)
+        assert report.first_failure == congruence_failure(wider, 120, ctx120), record.id
 
 
 def test_all_congruences_hold(registry, ctx500):

@@ -15,6 +15,7 @@ from tauforms import qseries
 from tauforms.qseries import (
     _DECIMAL_THRESHOLD,
     _PACK_THRESHOLD,
+    _coefficient_int,
     _convolve_int,
     _convolve_sum,
     _schoolbook_convolve,
@@ -210,6 +211,20 @@ def test_every_arithmetic_result_is_canonical(f, g, c, k):
 def test_packed_convolution_matches_schoolbook(a, b):
     n = min(len(a), len(b)) - 1 + 4
     assert _convolve_int(a, b, n) == _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
+
+
+_signed_vector = st.lists(
+    st.integers(min_value=-(10 ** 12), max_value=10 ** 12), min_size=1, max_size=2 * _PACK_THRESHOLD
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_signed_vector, _signed_vector, st.integers(0, 4 * _PACK_THRESHOLD + 4), st.booleans())
+def test_single_coefficient_matches_the_kernel(a, b, n, square):
+    # unequal lengths, n on both sides of _PACK_THRESHOLD and past the operands
+    if square:
+        b = a
+    assert _coefficient_int(a, b, n) == _convolve_int(a, b, n)[n]
 
 
 def test_packed_convolution_large_prefix():

@@ -1,8 +1,10 @@
 """Command-line interface: verification, certification, audit, tables.
 
 Exit codes: 0 success; 1 verification or certification failure that is not
-pre-declared audit-flagged; 2 usage or expression parse error; 3 internal
-inconsistency (tau strategies disagree, or an exact invariant failed).
+pre-declared audit-flagged; 2 usage or expression parse error (an --out
+file that cannot be written and a result too long to print count as usage
+errors); 3 internal inconsistency (tau strategies disagree, or an exact
+invariant failed).
 """
 
 import argparse
@@ -109,32 +111,44 @@ def cmd_tau(args):
     return EXIT_OK
 
 
+def _write(path, dump, newline=None):
+    """dump(fh) into the file at path; a path that cannot be written is a
+    usage error."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            dump(fh)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_csv(path, rows):
+    def dump(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["n", "value"])
+        writer.writerows(rows)
+
+    _write(path, dump, newline="")
+
+
 def cmd_tau_table(args):
     values = tau_range(args.max_n, args.strategy)
     rows = [(n, values[n]) for n in range(1, args.max_n + 1)]
     if args.format == "csv":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value"])
-            writer.writerows(rows)
+        _write_csv(args.out, rows)
     else:
         payload = {
             "tool-version": __version__,
             "strategy": args.strategy,
             "values": [[n, v] for n, v in rows],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write(args.out, lambda fh: json.dump(payload, fh, indent=2))
     print(f"wrote tau(1..{args.max_n}) to {args.out}")
     return EXIT_OK
 
 
 def cmd_sigma(args):
     table = sigma_table(args.k, args.max_n)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "value"])
-        writer.writerows((n, table[n]) for n in range(1, args.max_n + 1))
+    _write_csv(args.out, ((n, table[n]) for n in range(1, args.max_n + 1)))
     print(f"wrote sigma_{args.k}(1..{args.max_n}) to {args.out}")
     return EXIT_OK
 
@@ -240,12 +254,15 @@ def cmd_eval(args):
         if args.coeff is not None:
             print(_rat(form.coefficient(args.coeff)))
             return EXIT_OK
+        # a coefficient past the int/str digit limit raises ValueError here,
+        # before anything is printed
+        text = form.series.to_text(max_terms=12)
     except (EvalError, ValueError, IndexError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     weight = "inhomogeneous" if form.weight is None else form.weight
     print(f"weight: {weight}, depth bound: {form.depth}")
-    print(form.series.to_text(max_terms=12))
+    print(text)
     return EXIT_OK
 
 

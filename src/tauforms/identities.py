@@ -38,7 +38,9 @@ stated value next to the empirically determined one.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import islice, repeat
+from math import comb, gcd, lcm
+from operator import add, mul
 
 from .expr import _Parser
 from .forms import (
@@ -276,23 +278,33 @@ class Side:
                 yield (t.left, t.right, alpha), beta + power - t.n_divisor, t.coefficient * c
 
     def cleared(self, ctx, limit, scale, power):
-        """[scale * n^power * side(n) for n = 0..limit], all exact integers."""
+        """[scale * n^power * side(n) for n = 0..limit], all exact integers.
+
+        By Horner's rule in n: from the highest power of n down, the vector
+        so far is multiplied by n and each term k * source with that power
+        is added, so no n^e is formed and at most two vectors are alive.
+        """
         if limit > ctx.limit:
             raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
-        out = [0] * (limit + 1)
+        by_power = {}
         for source, e, c in self.terms(power):
             if e < 0:
                 raise IdentityStructureError(f"residual n-power {e} after clearing divisors")
             k = Fraction(c) * scale
             if k.denominator != 1:
                 raise IdentityStructureError(f"scale {scale} does not clear coefficient {c}")
-            k = k.numerator
-            values = ctx.source(source)
-            if e:
-                out = [o + k * n ** e * v for n, (o, v) in enumerate(zip(out, values))]
-            else:
-                out = [o + k * v for o, v in zip(out, values)]
-        return out
+            by_power.setdefault(e, []).append((k.numerator, ctx.source(source)))
+        out = None
+        for e in range(max(by_power, default=0), -1, -1):
+            terms = by_power.get(e, ())
+            if out is not None:
+                out = map(mul, out, range(limit + 1))
+                if not terms:
+                    out = list(out)
+            for k, values in terms:
+                term = values if k == 1 else map(mul, repeat(k), values)
+                out = list(islice(term, limit + 1) if out is None else map(add, out, term))
+        return [0] * (limit + 1) if out is None else out
 
     def value(self, n, ctx):
         """side(n) as an exact Fraction, for n >= 1."""
@@ -379,36 +391,81 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """tau, the sigma tables and the convolutions built from them, for exact
-    evaluation up to `limit`; each is built on first use and shared by every
-    identity evaluated here."""
+    """tau, the sigma tables and the convolutions and squarings built from
+    them, for exact evaluation up to `limit`; each is built on first use and
+    shared by every identity evaluated here."""
 
     limit: int
     _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def source(self, key):
         """tau (key 0), sigma_k (key k > 0) or the convolution
-        sum_{m<n} m^alpha sigma_left(m) sigma_right(n-m) (key (left, right,
-        alpha)) as a sequence indexed by n = 0..limit.
+        S(n) = sum_{m<n} m^alpha sigma_left(m) sigma_right(n-m) (key (left,
+        right, alpha)) as a sequence indexed by n = 0..limit.
 
         tau is read off Delta's product expansion at every limit, so the
         catalogue's tau formulas (van der Pol, Niebur) are never checked
         against themselves.
+
+        With left == right == l the sum is unchanged by m <-> n-m, so
+        2 S = sum (m^alpha + (n-m)^alpha) sigma_l(m) sigma_l(n-m), and by
+        Waring's formula a^alpha + b^alpha = sum_i w_i (a+b)^(alpha-2i) (ab)^i,
+        w_i = (-1)^i alpha/(alpha-i) C(alpha-i, i), it is built from the
+        squarings P_i = (m^i sigma_l) * (m^i sigma_l), i <= alpha/2:
+        S(n) = sum_i w_i n^(alpha-2i) P_i(n) / 2 (S = P_0 when alpha is 0).
+        An odd sum raises InternalInconsistency.
         """
         values = self._sources.get(key)
         if values is None:
-            if isinstance(key, tuple):
+            if not isinstance(key, tuple):
+                values = (
+                    tau_range(self.limit, "product")
+                    if key == 0
+                    else sigma_table(key, self.limit).values
+                )
+            elif key[0] != key[1]:
                 left, right, alpha = key
                 u = self.source(left)
                 if alpha:
                     u = [m ** alpha * v for m, v in enumerate(u)]
                 values = _convolve_int(u, self.source(right), self.limit)
-            elif key == 0:
-                values = tau_range(self.limit, "product")
             else:
-                values = sigma_table(key, self.limit).values
+                values = self._symmetrised(*key[1:])
             self._sources[key] = values
         return values
+
+    def _square(self, j, i):
+        """P_i = (m^i sigma_j) * (m^i sigma_j), memoised as ("square", j, i)."""
+        key = ("square", j, i)
+        values = self._sources.get(key)
+        if values is None:
+            u = self.source(j)
+            if i:
+                u = [m ** i * v for m, v in enumerate(u)]
+            values = self._sources[key] = _convolve_int(u, u, self.limit)
+        return values
+
+    def _symmetrised(self, j, alpha):
+        """sum_{m<n} m^alpha sigma_j(m) sigma_j(n-m) from the squarings P_i,
+        by Horner in n^2 over i = 0..alpha//2."""
+        if alpha == 0:
+            return self._square(j, 0)
+        ns = range(self.limit + 1)
+        squares = list(map(mul, ns, ns))
+        twice = [0] * (self.limit + 1)
+        for i in range(alpha // 2 + 1):
+            w = (-1) ** i * alpha * comb(alpha - i, i) // (alpha - i)
+            term = map(mul, repeat(w), self._square(j, i))
+            twice = list(map(add, map(mul, twice, squares), term))
+        if alpha % 2:
+            twice = list(map(mul, twice, ns))
+        halves = [v >> 1 for v in twice]
+        if list(map(add, halves, halves)) != twice:
+            n = next(n for n, v in enumerate(twice) if v % 2)
+            raise InternalInconsistency(
+                f"sum m^{alpha} sigma{j}(m) sigma{j}(n-m) symmetrised to an odd value at n={n}"
+            )
+        return halves
 
 
 def make_context(limit):

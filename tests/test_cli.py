@@ -214,6 +214,13 @@ _USAGE_ERRORS = [
     (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "3"), "truncation 3 too small"),
     (("decompose", "--expr", "E4", "--weight", "4", "--depth", "-1"), "minimum"),
     (("verify", "--max-n", "40", "--threads", "4"), "unrecognized arguments: --threads 4"),
+    (("tau-table", "--max-n", "5", "--out", "/nonexistent/dir/x.csv"), "cannot write"),
+    (("tau-table", "--max-n", "5", "--out", "."), "Is a directory"),
+    (("tau-table", "--max-n", "5", "--out", ".", "--format", "json"), "Is a directory"),
+    (("sigma", "--k", "3", "--max-n", "5", "--out", "/nonexistent/dir/x.csv"), "cannot write"),
+    (("sigma", "--k", "3", "--max-n", "5", "--out", "."), "Is a directory"),
+    # its q^4 coefficient, 240*73*4^100000, has more digits than str() allows
+    (("eval", "--expr", "D^100000(E4)", "--trunc", "4"), "integer string conversion"),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import congruence_failure, convolution_value, first_failure, side_value
@@ -309,6 +309,99 @@ def test_context_shares_convolutions(registry):
     assert ctx.source((3, 3, 1)) == [
         sum(m * s3[m] * s3[n - m] for m in range(1, n)) for n in range(41)
     ]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 63, 64, 65, 300])
+def test_equal_sigma_sources_match_the_product(limit):
+    # (j, j, alpha) is built from squarings; the product it replaces is
+    # (m^alpha sigma_j) * sigma_j
+    ctx = make_context(limit)
+    for j in (1, 3, 5, 7):
+        s = ctx.source(j)
+        for alpha in range(5):
+            u = [m ** alpha * v for m, v in enumerate(s)]
+            assert ctx.source((j, j, alpha)) == qseries._convolve_int(u, s, limit), (j, alpha)
+
+
+@pytest.mark.parametrize("key", [(1, 1, 1), (1, 1, 3), (5, 5, 1)])
+def test_odd_symmetrised_sum_is_an_internal_inconsistency(key, monkeypatch):
+    # the first squaring, P_0, off by one at n = 65 makes the doubled sum
+    # odd there: P_0 enters it with the odd weight 65^alpha
+    import tauforms.identities as identities
+
+    real = identities._convolve_int
+    calls = []
+
+    def first_off_by_one(a, b, n):
+        out = real(a, b, n)
+        if not calls:
+            out[65] += 1
+        calls.append(n)
+        return out
+
+    monkeypatch.setattr(identities, "_convolve_int", first_off_by_one)
+    with pytest.raises(InternalInconsistency, match="odd value at n=65"):
+        make_context(100).source(key)
+
+
+_powered_closed = st.builds(
+    ClosedTerm,
+    _rationals,
+    st.integers(-2, 4),
+    st.sampled_from((0,) + _SIGMAS),
+    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.builds(
+        Side,
+        st.lists(_powered_closed, max_size=4).map(tuple),
+        st.lists(_conv_terms, max_size=2).map(tuple),
+    ),
+    extra=st.integers(0, 1),
+    multiple=st.integers(1, 3),
+    limit=st.integers(1, 120),
+)
+@example(side=Side(), extra=0, multiple=1, limit=120)
+@example(side=Side(), extra=1, multiple=2, limit=1)
+def test_cleared_is_the_direct_sum(side, extra, multiple, limit, ctx120):
+    scale, power = side.denominator() * multiple, side.clearing_power() + extra
+    expected = [0] * (limit + 1)
+    for source, e, c in side.terms(power):
+        values = ctx120.source(source)
+        for n in range(limit + 1):
+            expected[n] += Fraction(c) * scale * n ** e * values[n]
+    assert side.cleared(ctx120, limit, scale, power) == expected
+
+
+def test_verify_all_builds_equal_sigma_sources_from_seven_squarings(monkeypatch, capsys):
+    from tauforms.cli import main
+
+    limit = 200
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, n: calls.append(list(terms)) or real(terms, n)
+    )
+    assert main(["verify", "--identity", "all", "--max-n", str(limit)]) == 0
+    capsys.readouterr()
+    ctx = make_context(limit)
+    moments = {
+        tuple(m ** i * v for m, v in enumerate(ctx.source(j))): (j, i)
+        for j in (1, 3, 5, 7, 9, 11)
+        for i in range(5)
+    }
+    equal_sigma = []
+    for terms in calls:
+        [(_, a, b)] = terms
+        left, right = moments.get(tuple(a)), moments.get(tuple(b))
+        if left and right and left[0] == right[0]:
+            assert a is b and left == right
+            equal_sigma.append(left)
+    # (1,1,1..4), (3,3,0..3) and (5,5,1..2) from the squarings of m^i sigma_j
+    assert sorted(equal_sigma) == [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (5, 0), (5, 1)]
 
 
 def _perturb_conv(record, delta=1):

@@ -417,20 +417,18 @@ class EvalContext:
         """
         values = self._sources.get(key)
         if values is None:
-            if not isinstance(key, tuple):
-                values = (
-                    tau_range(self.limit, "product")
-                    if key == 0
-                    else sigma_table(key, self.limit).values
-                )
-            elif key[0] != key[1]:
+            if isinstance(key, tuple) and key[0] == key[1]:
+                values = self._symmetrised(*key[1:])
+            elif isinstance(key, tuple):
                 left, right, alpha = key
                 u = self.source(left)
                 if alpha:
                     u = [m ** alpha * v for m, v in enumerate(u)]
                 values = _convolve_int(u, self.source(right), self.limit)
+            elif key == 0:
+                values = tau_range(self.limit, "product")
             else:
-                values = self._symmetrised(*key[1:])
+                values = sigma_table(key, self.limit).values
             self._sources[key] = values
         return values
 

@@ -1,13 +1,19 @@
-"""Time the two packings of `tauforms.qseries`' Kronecker kernel by size.
+"""Time the routes of `tauforms.qseries`' product kernel by size.
 
-For sigma_3, sigma_5 and sigma_11 coefficient vectors of 64..16384
-coefficients this times the hex route (CPython `int`) and the decimal
-route (libmpdec) of `_packed_sum` on the same product, alternating between
-them, and keeps the fastest of several runs of each.  It times a product
-of two distinct vectors and a squaring (one vector passed twice).  The
-crossover it prints is the smallest packed operand size (coefficients
-times slot width, in decimal digits) at and above which the decimal route
-won every timing; it is what `qseries._DECIMAL_THRESHOLD` is set from.
+Both sweeps run on sigma_3, sigma_5 and sigma_11 coefficient vectors and
+time a product of two distinct vectors and a squaring (one vector passed
+twice).  They alternate between the routes they compare and keep the
+fastest of several runs of each.
+
+- Packed routes, 64..16384 coefficients: the byte route (CPython `int`)
+  and the decimal route (libmpdec) of `_packed_sum` on the same product.
+  The crossover is the smallest packed operand size (coefficients times
+  slot width, in decimal digits) at and above which the decimal route won
+  every timing; it is what `qseries._DECIMAL_THRESHOLD` is set from.
+- Cutoff, truncations n = 8..64: the whole kernel `_convolve_sum` with its
+  schoolbook loop and with its packed route.  The crossover is the
+  smallest n at and above which the packed route won every timing; it is
+  what `qseries._PACK_THRESHOLD` is set from.
 
 Run from the repository root:
 
@@ -19,77 +25,133 @@ import platform
 import sys
 import time
 
+from tauforms import qseries
 from tauforms.forms import sigma_table
-from tauforms.qseries import _packed_sum
+from tauforms.qseries import _convolve_sum, _packed_sum
 
 SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
          12288, 16384)
+CUTOFF_SIZES = tuple(range(8, 65, 4))
 EXPONENTS = (3, 5, 11)
 
 
-def best_of(terms, n, base, width, runs):
+def best_of(call, runs):
     times = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        _packed_sum(terms, n, 0, base, width)
+        call()
         times.append(time.perf_counter() - t0)
     return min(times)
 
 
+def alternate(first, second, runs):
+    """Best times of two calls, timed in turn twice."""
+    t_first, t_second = [], []
+    for _ in range(2):
+        t_first.append(best_of(first, runs))
+        t_second.append(best_of(second, runs))
+    return min(t_first), min(t_second)
+
+
 def measure(k, size):
-    """One row: both routes on sigma_k * sigma_k (two copies, then one
-    vector squared) at `size` coefficients, with the kernel's slot widths."""
+    """One row: both packed routes on sigma_k * sigma_k (two copies, then
+    one vector squared) at `size` coefficients, with the kernel's slot
+    widths."""
     a = list(sigma_table(k, size - 1).values)
     b = list(a)
     n = size - 1
     bound = size * max(a) ** 2  # the kernel's span for non-negative operands
-    hex_width, width = (bound.bit_length() + 3) // 4, len(str(bound))
+    byte_width, width = (bound.bit_length() + 7) // 8, len(str(bound))
     runs = 7 if size <= 2048 else 3
     product, square = [(1, a, 0, b, 0)], [(1, a, 0, a, 0)]
-    if _packed_sum(product, n, 0, 16, hex_width) != _packed_sum(product, n, 0, 10, width):
+    if _packed_sum(product, n, 0, 256, byte_width) != _packed_sum(product, n, 0, 10, width):
         raise SystemExit(f"routes disagree on sigma_{k} at {size} coefficients")
-    times = {}
-    for label, terms in (("product", product), ("square", square)):
-        t_int, t_dec = [], []
-        for _ in range(2):  # alternate the routes, keep each one's best
-            t_int.append(best_of(terms, n, 16, hex_width, runs))
-            t_dec.append(best_of(terms, n, 10, width, runs))
-        times[label] = (min(t_int), min(t_dec))
+    times = {
+        label: alternate(
+            lambda: _packed_sum(terms, n, 0, 256, byte_width),
+            lambda: _packed_sum(terms, n, 0, 10, width),
+            runs,
+        )
+        for label, terms in (("product", product), ("square", square))
+    }
     return {
         "sigma": k,
         "coefficients": size,
         "slot_digits": width,
         "packed_digits": size * width,
-        "int_s": round(times["product"][0], 6),
+        "binary_s": round(times["product"][0], 6),
         "decimal_s": round(times["product"][1], 6),
-        "int_square_s": round(times["square"][0], 6),
+        "binary_square_s": round(times["square"][0], 6),
         "decimal_square_s": round(times["square"][1], 6),
     }
 
 
-def crossover(rows):
-    """Smallest packed size from which on the decimal route always won."""
-    rows = sorted(rows, key=lambda r: r["packed_digits"])
-    best = None
-    for r in reversed(rows):
-        if r["decimal_s"] >= r["int_s"] or r["decimal_square_s"] >= r["int_square_s"]:
-            break
-        best = r["packed_digits"]
-    return best
+def kernel(terms, n, threshold):
+    """`_convolve_sum(terms, n)` with `_PACK_THRESHOLD` set to threshold."""
+    saved = qseries._PACK_THRESHOLD
+    qseries._PACK_THRESHOLD = threshold
+    try:
+        return _convolve_sum(terms, n)
+    finally:
+        qseries._PACK_THRESHOLD = saved
+
+
+def measure_cutoff(k, n):
+    """One row: the kernel's schoolbook loop and its packed route on
+    sigma_k * sigma_k (two copies, then one vector squared) through q^n."""
+    a = list(sigma_table(k, n).values)
+    b = list(a)
+    product, square = [(1, a, b)], [(1, a, a)]
+    if kernel(product, n, n + 1) != kernel(product, n, 0):
+        raise SystemExit(f"routes disagree on sigma_{k} through q^{n}")
+    times = {
+        label: alternate(
+            lambda: kernel(terms, n, n + 1), lambda: kernel(terms, n, 0), 200
+        )
+        for label, terms in (("product", product), ("square", square))
+    }
+    return {
+        "sigma": k,
+        "n": n,
+        "schoolbook_s": round(times["product"][0], 7),
+        "packed_s": round(times["product"][1], 7),
+        "schoolbook_square_s": round(times["square"][0], 7),
+        "packed_square_s": round(times["square"][1], 7),
+    }
+
+
+def crossover(rows, key, slow, fast):
+    """Smallest rows[key] from which on the `fast` route won every timing,
+    of the product and of the squaring, at every row."""
+    lost = [
+        r[key]
+        for r in rows
+        if r[f"{fast}_s"] >= r[f"{slow}_s"] or r[f"{fast}_square_s"] >= r[f"{slow}_square_s"]
+    ]
+    won = [r[key] for r in rows if not lost or r[key] > max(lost)]
+    return min(won, default=None)
+
+
+def sweep(measure_row, sizes):
+    rows = []
+    for size in sizes:
+        for k in EXPONENTS:
+            row = measure_row(k, size)
+            rows.append(row)
+            print(json.dumps(row), file=sys.stderr)
+    return rows
 
 
 def main():
-    rows = []
-    for size in SIZES:
-        for k in EXPONENTS:
-            row = measure(k, size)
-            rows.append(row)
-            print(json.dumps(row), file=sys.stderr)
+    cutoff = sweep(measure_cutoff, CUTOFF_SIZES)
+    rows = sweep(measure, SIZES)
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cutoff_rows": cutoff,
+        "crossover_pack_n": crossover(cutoff, "n", "schoolbook", "packed"),
         "rows": rows,
-        "crossover_packed_digits": crossover(rows),
+        "crossover_packed_digits": crossover(rows, "packed_digits", "binary", "decimal"),
     }
     json.dump(report, sys.stdout, indent=1)
     print()

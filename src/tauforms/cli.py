@@ -3,12 +3,13 @@
 Exit codes: 0 success; 1 verification or certification failure that is not
 pre-declared audit-flagged; 2 usage or expression parse error (an --out
 file that cannot be written and a result too long to print count as usage
-errors); 3 internal inconsistency (tau strategies disagree, or an exact
-invariant failed).
+errors, and a table too long to print writes no file); 3 internal
+inconsistency (tau strategies disagree, or an exact invariant failed).
 """
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -111,23 +112,31 @@ def cmd_tau(args):
     return EXIT_OK
 
 
-def _write(path, dump, newline=None):
-    """dump(fh) into the file at path; a path that cannot be written is a
-    usage error."""
+def _write(path, render):
+    """Write the text render() builds to the file at path.  The text is
+    built before the file is opened, so a value too long to print (the
+    int/str digit limit) leaves no file; that and a path that cannot be
+    written are usage errors."""
     try:
-        with open(path, "w", newline=newline) as fh:
-            dump(fh)
+        text = render()
+    except ValueError as exc:
+        raise SystemExit(f"cannot write {path}: {exc}") from None
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path, rows):
-    def dump(fh):
-        writer = csv.writer(fh)
+    def render():
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
         writer.writerow(["n", "value"])
         writer.writerows(rows)
+        return out.getvalue()
 
-    _write(path, dump, newline="")
+    _write(path, render)
 
 
 def cmd_tau_table(args):
@@ -141,7 +150,7 @@ def cmd_tau_table(args):
             "strategy": args.strategy,
             "values": [[n, v] for n, v in rows],
         }
-        _write(args.out, lambda fh: json.dump(payload, fh, indent=2))
+        _write(args.out, lambda: json.dumps(payload, indent=2))
     print(f"wrote tau(1..{args.max_n}) to {args.out}")
     return EXIT_OK
 

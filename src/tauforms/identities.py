@@ -1178,7 +1178,10 @@ def audit_all(limit=500, ctx=None):
     registry = builtin_registry()
     if ctx is None:
         ctx = make_context(limit)
-    cert_ctx = make_context(max(certification_limit(r) for r in registry.identities))
+    # certify reads the same sources to T, so it shares ctx unless ctx
+    # stops short of T
+    reach = max(certification_limit(r) for r in registry.identities)
+    cert_ctx = ctx if ctx.limit >= reach else make_context(reach)
     entries = []
     for record in registry.identities:
         rr = verify_range(record, limit, ctx)

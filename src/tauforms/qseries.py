@@ -22,18 +22,22 @@ big-number product yields every coefficient at once.  Signed vectors are
 packed with an offset that is taken off again as a multiple of the packed
 all-ones vector, and the sum is read back shifted up by the least value a
 slot of it can take, so every slot is non-negative.  Mid-size operands are
-packed in hex text and multiplied by CPython's `int` (Karatsuba); large
-ones are packed in decimal text and multiplied by libmpdec through
-`decimal`, which switches to a number-theoretic transform on huge
-operands.  Both routes are exact.
+packed as bytes, each vector in one pass of `int.to_bytes` and one
+`int.from_bytes`, multiplied by CPython's `int` (Karatsuba) and read back
+with `struct.iter_unpack`, so no number is turned into text; large ones
+are packed in decimal text and multiplied by libmpdec through `decimal`,
+which switches to a number-theoretic transform on huge operands.  Both
+routes are exact.
 """
 
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 from numbers import Rational
-from operator import mul
+from operator import mul, sub
+from struct import iter_unpack
 
 __all__ = ["Rational", "QSeries", "as_rational"]
 
@@ -53,16 +57,19 @@ def as_rational(x):
     raise TypeError(f"exact rational coefficient required, got {type(x).__name__}")
 
 
-# Below this many coefficients the plain double loop beats both packed
-# products.
-_PACK_THRESHOLD = 64
+# Products cut after q^n with n below this use the schoolbook loop.  In
+# both sweeps of scripts/mul_crossover.py in BENCH_binary_pack.json the
+# byte route won every product and squaring of sigma_3, sigma_5 and
+# sigma_11 vectors from n = 20 on (1.1x and 1.4x faster at n = 20, 1.4-4x
+# and 2-5x at n = 32..64), and lost at n = 16.
+_PACK_THRESHOLD = 20
 
 # Packed operands of at least this many decimal digits (coefficients times
 # slot width, of the shorter operand) go through libmpdec; below it the
-# hex packing and CPython's Karatsuba are faster.  Taken from the
-# crossover sweep in BENCH_decimal_mul.json (scripts/mul_crossover.py);
-# the sweeps of the hex packing in BENCH_fused_kernel.json bracket it.
-_DECIMAL_THRESHOLD = 24576
+# byte packing and CPython's Karatsuba are faster.  Both sweeps in
+# BENCH_binary_pack.json (scripts/mul_crossover.py) put the crossover
+# here; at 24576 digits the byte route still beat libmpdec by about 7%.
+_DECIMAL_THRESHOLD = 32256
 
 # Integers only, at any size: a result that would need rounding raises.
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
@@ -79,27 +86,36 @@ def _schoolbook_convolve(a, b, n):
 
 
 def _packed_sum(terms, n, offset, base, width):
-    """Kronecker substitution at x = base**width (base 16 or 10).
+    """Kronecker substitution at x = base**width (base 256 or 10).
 
     terms are (c, a, lo_a, b, lo_b) with lo_v = min(0, v).  Each distinct
-    vector v is packed once, as hex or decimal text of v - lo_v, and
-    lo_v times the packed all-ones vector is added back, giving
-    sum v_i x^i exactly.  Every slot of the sum, plus `offset`, must lie
-    in [0, x).
+    vector v is packed once, most significant slot first, as the bytes or
+    the decimal text of v - lo_v, and lo_v times the packed all-ones
+    vector is added back, giving sum v_i x^i exactly.  Every slot of the
+    sum, plus `offset`, must lie in [0, x).  The byte route turns no
+    number into text, and `int.to_bytes` raises OverflowError on a slot
+    that does not fit its width.
     """
-    if base == 16:
-        fmt, parse = f"%0{width}x", lambda text: int(text, 16)
-        shift = lambda v, k: v << 4 * width * k  # v * x**k
+    if base == 256:
+        zero, shift = 0, lambda v, k: v << 8 * width * k  # v * x**k
+
+        def parse(vals, length):
+            slots = map(int.to_bytes, vals, repeat(width), repeat("big"))
+            return int.from_bytes(b"".join(slots), "big")
+
     else:
-        fmt, parse = f"%0{width}d", Decimal
-        shift = lambda v, k: v.scaleb(width * k)
+        zero, shift, fmt = Decimal(0), lambda v, k: v.scaleb(width * k), f"%0{width}d"
+
+        def parse(vals, length):
+            return Decimal((fmt * length) % tuple(vals))
+
     ones = {}  # length -> the packed all-ones vector of that length
 
     def all_ones(length):
         # doubling over the bits of length: R(2k) = R(k) + x**k R(k) and
         # R(k + 1) = x R(k) + 1, far cheaper than parsing its text
         if length not in ones:
-            r, k = parse("0"), 0
+            r, k = zero, 0
             for bit in bin(length)[2:]:
                 r, k = r + shift(r, k), 2 * k
                 if bit == "1":
@@ -112,8 +128,7 @@ def _packed_sum(terms, n, offset, base, width):
     def pack(v, lo):
         x = packed.get(id(v))
         if x is None:
-            # most significant slot first; parsing the text is linear
-            x = parse((fmt * len(v)) % tuple(reversed([e - lo for e in v] if lo else v)))
+            x = parse(map(sub, reversed(v), repeat(lo)) if lo else reversed(v), len(v))
             if lo:
                 x += lo * all_ones(len(v))
             packed[id(v)] = x
@@ -139,13 +154,19 @@ def _packed_sum(terms, n, offset, base, width):
             total += lift
             del lift
         ones.clear()
-        text = (format(total, "x") if base == 16 else str(total)).zfill((n + 1) * width)
+        size = (n + 1) * width  # the last n + 1 slots are the result
+        if base == 10:
+            text = str(total).zfill(size)
+        else:  # every slot is in [0, x), so total fills `slots` slots
+            tail = memoryview(total.to_bytes(slots * width, "big"))[-size:]
     del total
-    end = len(text)
-    return [
-        int(text[i - width : i], base) - offset
-        for i in range(end, end - (n + 1) * width, -width)
-    ]
+    if base == 10:
+        end = len(text)
+        return [int(text[i - width : i]) - offset for i in range(end, end - size, -width)]
+    out = map(int.from_bytes, chain.from_iterable(iter_unpack(f"{width}s", tail)), repeat("big"))
+    out = list(map(sub, out, repeat(offset)) if offset else out)
+    out.reverse()  # slot 0 came last
+    return out
 
 
 def _convolve_sum(terms, n):
@@ -154,8 +175,9 @@ def _convolve_sum(terms, n):
     a and b are integer sequences and c an integer.  Terms over the same
     two operands are merged, since a * b = b * a.  Short results use the
     schoolbook loop; longer ones one Kronecker substitution for the whole
-    sum, with slots as wide as the range its coefficients can span, in hex
-    below _DECIMAL_THRESHOLD packed digits and in decimal from there on.
+    sum, with slots as wide as the range its coefficients can span, in
+    bytes below _DECIMAL_THRESHOLD packed digits and in decimal from there
+    on.
     A vector passed more than once (a squaring) is cut and packed once.
     """
     pairs = {}
@@ -205,10 +227,10 @@ def _convolve_sum(terms, n):
         digits -= 1
     limit = sys.get_int_max_str_digits()
     # A slot wider than the int/str conversion limit cannot be written or
-    # read as decimal text, so such sums stay in hex.
+    # read as decimal text, so such sums stay binary.
     if short * digits >= _DECIMAL_THRESHOLD and (not limit or digits <= limit):
         return _packed_sum(live, n, offset, 10, digits)
-    return _packed_sum(live, n, offset, 16, (bits + 3) // 4)
+    return _packed_sum(live, n, offset, 256, (bits + 7) // 8)
 
 
 def _convolve_int(a, b, n):

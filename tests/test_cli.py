@@ -221,6 +221,10 @@ _USAGE_ERRORS = [
     (("sigma", "--k", "3", "--max-n", "5", "--out", "."), "Is a directory"),
     # its q^4 coefficient, 240*73*4^100000, has more digits than str() allows
     (("eval", "--expr", "D^100000(E4)", "--trunc", "4"), "integer string conversion"),
+    # sigma_3000(30) has about 4430 digits; the table's text is built before
+    # the file is opened, so the directory that does not exist is never tried
+    (("sigma", "--k", "3000", "--max-n", "30", "--out", "/nonexistent/dir/s.csv"),
+     "integer string conversion"),
 ]
 
 
@@ -265,6 +269,29 @@ def test_eval_decompose_exit_codes(capsys, command, expr, trunc, coeff, weight, 
         form = eval_expr(parse(expr), 64 if trunc is None else trunc)
         with pytest.raises(NotInGradedSpace):
             decompose(form, weight, depth)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--k", "3000", "--max-n", "30"),
+        ("tau-table", "--max-n", "3"),
+        ("tau-table", "--max-n", "3", "--format", "json"),
+    ],
+    ids=["sigma", "tau-table-csv", "tau-table-json"],
+)
+def test_a_table_too_long_to_print_writes_no_file(capsys, monkeypatch, tmp_path, argv):
+    # a tau table gets a value past the int/str digit limit by substitution
+    monkeypatch.setattr(tauforms.cli, "tau_range", lambda n, strategy: [0] + [10 ** 5000] * n)
+    fresh, kept = tmp_path / "fresh.out", tmp_path / "kept.out"
+    kept.write_text("kept\n")
+    for path in (fresh, kept):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "integer string conversion" in err and "Traceback" not in err
+    assert not fresh.exists()
+    assert kept.read_text() == "kept\n"
 
 
 def test_library_invariants_survive_optimize_flag():

@@ -185,7 +185,9 @@ def test_tau_strategies_agree():
     assert tau_cross_check(64) == tau_range(64, "product")
 
 
-@pytest.mark.parametrize("limit", [1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize(
+    "limit", sorted({1, 2, 63, 64, 65, 300} | {_PACK_THRESHOLD + d for d in (-1, 0, 1)})
+)
 @pytest.mark.parametrize("strategy", ["vdp", "niebur"])
 def test_bulk_convolution_routes_match_the_literal_formulas(strategy, limit):
     # limits on both sides of _PACK_THRESHOLD: schoolbook and packed squarings
@@ -196,7 +198,7 @@ def test_bulk_convolution_routes_match_the_literal_formulas(strategy, limit):
 
 # signed vectors with v[0] = 0, convolved below and above _PACK_THRESHOLD
 _vanishing_at_zero = st.lists(
-    st.integers(-(10 ** 12), 10 ** 12), min_size=1, max_size=2 * _PACK_THRESHOLD
+    st.integers(-(10 ** 12), 10 ** 12), min_size=1, max_size=2 * max(_PACK_THRESHOLD, 64)
 ).map(lambda tail: [0] + tail)
 
 

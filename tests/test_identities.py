@@ -550,6 +550,13 @@ def test_certify_shares_one_context(registry, monkeypatch):
     for run in (seen[:per_run], seen[per_run:]):
         assert len(run) == per_run and len({id(c) for c in run}) == 1
         assert run[0].limit == 64
+    # an audit whose own context reaches T certifies in it, with the same reports
+    seen.clear()
+    ctx = make_context(top)
+    report = identities.audit_all(top, ctx)
+    assert len(seen) == per_run and all(c is ctx for c in seen)
+    for entry, record in zip(report.entries, registry.identities):
+        assert entry.certify_report == certify(record), record.id
 
 
 def test_certification_agrees_with_range(registry, ctx120):

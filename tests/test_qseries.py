@@ -213,13 +213,17 @@ def test_packed_convolution_matches_schoolbook(a, b):
     assert _convolve_int(a, b, n) == _schoolbook_convolve(a[: n + 1], b[: n + 1], n)
 
 
+# Sizes drawn past the packed route's cutoff: at least _PACK_THRESHOLD,
+# and never below the 64 the tests were first written for.
+_PACKED = max(_PACK_THRESHOLD, 64)
+
 _signed_vector = st.lists(
-    st.integers(min_value=-(10 ** 12), max_value=10 ** 12), min_size=1, max_size=2 * _PACK_THRESHOLD
+    st.integers(min_value=-(10 ** 12), max_value=10 ** 12), min_size=1, max_size=2 * _PACKED
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(_signed_vector, _signed_vector, st.integers(0, 4 * _PACK_THRESHOLD + 4), st.booleans())
+@given(_signed_vector, _signed_vector, st.integers(0, 4 * _PACKED + 4), st.booleans())
 def test_single_coefficient_matches_the_kernel(a, b, n, square):
     # unequal lengths, n on both sides of _PACK_THRESHOLD and past the operands
     if square:
@@ -336,8 +340,8 @@ def test_coefficients_wider_than_the_str_limit_stay_binary():
     # A slot wider than sys.get_int_max_str_digits() cannot be written or
     # read as decimal text, so such products keep the binary packing.
     digits = (sys.get_int_max_str_digits() or 4300) // 2 + 10
-    a = [(-1) ** i * 10 ** digits + i for i in range(_PACK_THRESHOLD + 6)]
-    b = [10 ** digits - 7 * i for i in range(_PACK_THRESHOLD + 2)]
+    a = [(-1) ** i * 10 ** digits + i for i in range(_PACKED + 6)]
+    b = [10 ** digits - 7 * i for i in range(_PACKED + 2)]
     n = len(a) - 1
     assert _convolve_int(a, b, n) == _schoolbook_convolve(a, b, n)
     assert _convolve_int(b, b, n) == _schoolbook_convolve(b, b, n)
@@ -390,7 +394,7 @@ def _kernel_sums(draw, lengths, values):
 @settings(max_examples=120, deadline=None)
 @given(
     _kernel_sums(
-        2 * _PACK_THRESHOLD + 20,
+        2 * _PACKED + 20,
         st.one_of(st.just(0), st.integers(-(10 ** 12), 10 ** 12), st.integers(0, 9)),
     )
 )
@@ -401,7 +405,7 @@ def test_kernel_matches_summed_schoolbook(case):
     assert _convolve_sum(terms, n) == _summed_schoolbook(terms, n)
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["hex-route", "decimal-route"])
+@pytest.mark.parametrize("side", [0, 1], ids=["binary-route", "decimal-route"])
 @settings(
     max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -423,8 +427,8 @@ def test_kernel_sums_on_both_sides_of_the_decimal_crossover(side, data, decimal_
 def test_kernel_never_writes_a_slot_past_the_str_limit(decimal_route_widths):
     # Slot widths come from bit lengths: under the smallest conversion limit
     # a sum whose slots fit it takes the decimal route, a wider one (even
-    # of coefficients wider than the limit) stays in hex, and none converts
-    # a number past the limit to text.
+    # of coefficients wider than the limit) takes the byte route, and none
+    # converts a number past the limit to text.
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -440,13 +444,90 @@ def test_kernel_never_writes_a_slot_past_the_str_limit(decimal_route_widths):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.fixture
+def byte_route_widths(monkeypatch):
+    """Slot widths, in bytes, of every sum that takes the byte route."""
+    widths = []
+    real = qseries._packed_sum
+
+    def spy(terms, n, offset, base, width):
+        if base == 256:
+            widths.append(width)
+        return real(terms, n, offset, base, width)
+
+    monkeypatch.setattr(qseries, "_packed_sum", spy)
+    return widths
+
+
+_LONG = _PACK_THRESHOLD + 6  # coefficients past the schoolbook cutoff
+
+
+@pytest.mark.parametrize(
+    "terms, width",
+    [
+        # every slot at 256**w - 1 after the offset: 255 * 1 and 257 * 255
+        ([(1, [255], [1] * _LONG)], 1),
+        ([(1, [257], [255] * _LONG)], 2),
+        # every slot at 0 after the offset: -255 * 1 + 255
+        ([(1, [-255], [1] * _LONG)], 1),
+        ([(1, [-257], [255] * _LONG)], 2),
+    ],
+)
+def test_byte_route_slots_at_both_ends(byte_route_widths, terms, width):
+    n = _LONG - 1
+    assert _convolve_sum(terms, n) == _summed_schoolbook(terms, n)
+    assert byte_route_widths == [width]
+
+
+_NEGATIVE = [-(10 ** 12) - 7 * i for i in range(_LONG)]
+_MIXED = [(-1) ** i * (10 ** 9 + i) for i in range(_LONG + 3)]
+
+
+@pytest.mark.parametrize(
+    "terms, n",
+    [
+        # all-negative operands: squared, times each other, times a mixed one
+        ([(1, _NEGATIVE, _NEGATIVE)], _LONG - 1),
+        ([(1, _NEGATIVE, [-1] * _LONG)], _LONG - 1),
+        ([(3, _NEGATIVE, _MIXED)], _LONG - 1),
+        # length-1 operands, squared and against a long one
+        ([(1, [-5], [-5])], _LONG),
+        ([(2, [-5], _MIXED), (1, _NEGATIVE, [7])], _LONG),
+        # n past both operands
+        ([(1, _MIXED, _NEGATIVE)], 3 * _LONG),
+        ([(1, _MIXED[:5], _MIXED[:9])], _LONG + 20),
+        # zero multipliers, given and merged, next to a live term
+        ([(0, _MIXED, _NEGATIVE), (2, _MIXED, _MIXED), (0, _NEGATIVE, _NEGATIVE)], _LONG),
+        ([(1, _MIXED, _NEGATIVE), (-1, _NEGATIVE, _MIXED), (1, [3], [4])], _LONG),
+    ],
+)
+def test_byte_route_edge_cases(byte_route_widths, terms, n):
+    assert _convolve_sum(terms, n) == _summed_schoolbook(terms, n)
+    assert len(byte_route_widths) == 1
+
+
+def test_byte_route_skips_only_zero_sums(byte_route_widths):
+    for terms in ([(0, _MIXED, _NEGATIVE)], [(1, _MIXED, _NEGATIVE), (-1, _NEGATIVE, _MIXED)]):
+        assert _convolve_sum(terms, _LONG) == [0] * (_LONG + 1)
+    assert byte_route_widths == []
+
+
 def test_mul_crossover_script_measures_both_routes():
-    # scripts/mul_crossover.py times the kernel's two packings by name;
-    # one small row keeps it in step with the kernel
+    # scripts/mul_crossover.py times the kernel's two packings and its
+    # schoolbook cutoff by name; one small row of each keeps it in step
+    # with the kernel
     path = Path(__file__).resolve().parents[1] / "scripts" / "mul_crossover.py"
     spec = importlib.util.spec_from_file_location("mul_crossover", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     row = script.measure(3, 64)
     assert row["coefficients"] == 64 and row["packed_digits"] == 64 * row["slot_digits"]
-    assert all(row[key] > 0 for key in ("int_s", "decimal_s", "int_square_s", "decimal_square_s"))
+    keys = ("binary_s", "decimal_s", "binary_square_s", "decimal_square_s")
+    assert all(row[key] > 0 for key in keys)
+    # the cutoff sweep times the kernel's own routes and puts the constant back
+    row = script.measure_cutoff(3, 8)
+    assert row["n"] == 8
+    keys = ("schoolbook_s", "packed_s", "schoolbook_square_s", "packed_square_s")
+    assert all(row[key] > 0 for key in keys)
+    assert qseries._PACK_THRESHOLD == _PACK_THRESHOLD
+    assert script.crossover([row], "n", "schoolbook", "packed") in (8, None)

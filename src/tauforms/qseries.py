@@ -99,15 +99,16 @@ def _packed_sum(terms, n, offset, base, width):
     if base == 256:
         zero, shift = 0, lambda v, k: v << 8 * width * k  # v * x**k
 
-        def parse(vals, length):
+        def parse(vals):
             slots = map(int.to_bytes, vals, repeat(width), repeat("big"))
             return int.from_bytes(b"".join(slots), "big")
 
     else:
         zero, shift, fmt = Decimal(0), lambda v, k: v.scaleb(width * k), f"%0{width}d"
 
-        def parse(vals, length):
-            return Decimal((fmt * length) % tuple(vals))
+        def parse(vals):
+            vals = tuple(vals)
+            return Decimal((fmt * len(vals)) % vals)
 
     ones = {}  # length -> the packed all-ones vector of that length
 
@@ -128,7 +129,7 @@ def _packed_sum(terms, n, offset, base, width):
     def pack(v, lo):
         x = packed.get(id(v))
         if x is None:
-            x = parse(map(sub, reversed(v), repeat(lo)) if lo else reversed(v), len(v))
+            x = parse(map(sub, reversed(v), repeat(lo)) if lo else reversed(v))
             if lo:
                 x += lo * all_ones(len(v))
             packed[id(v)] = x

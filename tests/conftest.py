@@ -18,16 +18,26 @@ def ctx120():
     return make_context(120)
 
 
-@pytest.fixture
-def decimal_route_widths(monkeypatch):
-    """Slot widths of every product that takes the decimal route, in order."""
+def _route_widths(monkeypatch, base):
     widths = []
     real = qseries._packed_sum
 
-    def spy(terms, n, offset, base, width):
-        if base == 10:
+    def spy(terms, n, offset, route, width):
+        if route == base:
             widths.append(width)
-        return real(terms, n, offset, base, width)
+        return real(terms, n, offset, route, width)
 
     monkeypatch.setattr(qseries, "_packed_sum", spy)
     return widths
+
+
+@pytest.fixture
+def decimal_route_widths(monkeypatch):
+    """Slot widths of every product that takes the decimal route, in order."""
+    return _route_widths(monkeypatch, 10)
+
+
+@pytest.fixture
+def byte_route_widths(monkeypatch):
+    """Slot widths, in bytes, of every product that takes the byte route."""
+    return _route_widths(monkeypatch, 256)

@@ -444,21 +444,6 @@ def test_kernel_never_writes_a_slot_past_the_str_limit(decimal_route_widths):
         sys.set_int_max_str_digits(old)
 
 
-@pytest.fixture
-def byte_route_widths(monkeypatch):
-    """Slot widths, in bytes, of every sum that takes the byte route."""
-    widths = []
-    real = qseries._packed_sum
-
-    def spy(terms, n, offset, base, width):
-        if base == 256:
-            widths.append(width)
-        return real(terms, n, offset, base, width)
-
-    monkeypatch.setattr(qseries, "_packed_sum", spy)
-    return widths
-
-
 _LONG = _PACK_THRESHOLD + 6  # coefficients past the schoolbook cutoff
 
 

@@ -37,6 +37,9 @@ from .quasidecomp import NotInGradedSpace, decompose
 
 DEFAULT_TRUNCATION = 64
 DEFAULT_RANGE = 500
+# No integer option may exceed this: it is above every size the tests, demos
+# and benchmark use (16384), and it stops sizes whose tables exhaust memory.
+MAX_SIZE = 1 << 17
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -88,8 +91,8 @@ def _select_identities(registry, key):
     return [record]
 
 
-def _int_at_least(low):
-    """argparse type for an integer option that must be >= low."""
+def _bounded_int(low):
+    """argparse type for an integer option in low..MAX_SIZE."""
 
     def parse_int(text):
         try:
@@ -98,13 +101,15 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        if value > MAX_SIZE:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {MAX_SIZE}")
         return value
 
     return parse_int
 
 
-POSITIVE = _int_at_least(1)
-NON_NEGATIVE = _int_at_least(0)
+POSITIVE = _bounded_int(1)
+NON_NEGATIVE = _bounded_int(0)
 
 
 def cmd_tau(args):

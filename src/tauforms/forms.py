@@ -1,9 +1,11 @@
 """Named modular and quasimodular forms, divisor sums and the tau function.
 
 Everything is constructed from scratch: Bernoulli numbers by recurrence,
-divisor-power sums by sieving, Eisenstein series from their defining
-expansions, the discriminant form from Jacobi's identity for eta^3, and
-tau(n) by four independent strategies that are required to agree.
+divisor-power sums by sieving, Eisenstein series of every even weight from
+their defining expansions, the discriminant form from Jacobi's identity for
+eta^3, and tau(n) by four independent strategies that are required to agree.
+Every named form is held once in `_STORE`, at the largest size asked for;
+smaller requests are cut from it, so rising sizes keep one copy of each.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .qseries import QSeries, _coefficient_int, _convolve_int
+from .qseries import QSeries, _coefficient_int, _convolve_int, as_rational
 
 __all__ = [
     "GradedForm",
@@ -28,7 +30,6 @@ __all__ = [
     "TauStrategyDisagreement",
     "InternalInconsistency",
     "dim_modular",
-    "EISENSTEIN_COEFFICIENT",
     "TAU_STRATEGIES",
 ]
 
@@ -60,6 +61,9 @@ class GradedForm:
     @property
     def truncation(self):
         return self.series.truncation
+
+    def truncate(self, truncation):
+        return GradedForm(self.series.truncate(truncation), self.weight, self.depth)
 
     def coefficient(self, n):
         return self.series.coefficient(n)
@@ -136,6 +140,19 @@ def bernoulli(m):
     return -acc / (m + 1)
 
 
+# ("E" | "sigma" | "basis" | "generators", k) or ("Delta", route) -> (size, build)
+_STORE = {}
+
+
+def _largest(key, size, build):
+    """The stored build for key, replaced first by build(size) if it stops
+    short of size."""
+    entry = _STORE.get(key)
+    if entry is None or entry[0] < size:
+        entry = _STORE[key] = (size, build(size))
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class SigmaTable:
     """sigma_k(1) .. sigma_k(N): sums of k-th powers of divisors."""
@@ -153,8 +170,17 @@ class SigmaTable:
         return self.values[n]
 
 
-@lru_cache(maxsize=64)
 def sigma_table(k, limit):
+    """sigma_k(n) for n <= limit, cut from the stored sieve."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    if k < 0:
+        raise ValueError("divisor-power exponent must be non-negative")
+    values = _largest(("sigma", k), limit, lambda size: _sigma_sieve(k, size))
+    return SigmaTable(k, values[: limit + 1])
+
+
+def _sigma_sieve(k, limit):
     """Sieve sigma_k(n) for n <= limit multiplicatively.
 
     With p the smallest prime factor of n and p^a || n,
@@ -162,10 +188,6 @@ def sigma_table(k, limit):
     sigma_k(p^a) = 1 + p^k * sigma_k(p^(a-1)); both factors are read off
     smaller n, so each n costs one product.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    if k < 0:
-        raise ValueError("divisor-power exponent must be non-negative")
     # smallest prime factors: p runs downwards, so the smallest prime factor
     # writes last (a composite p's multiples are rewritten by its factors)
     spf = list(range(limit + 1))
@@ -184,7 +206,7 @@ def sigma_table(k, limit):
             prime_part[n] = s = 1 + p ** k
             rest[n] = r = m
         values[n] = s * values[r]
-    return SigmaTable(k, tuple(values))
+    return tuple(values)
 
 
 def sigma_series(k, truncation):
@@ -192,38 +214,29 @@ def sigma_series(k, truncation):
     return QSeries(sigma_table(k, max(truncation, 1)).values[: truncation + 1])
 
 
-# Leading coefficients of the normalised Eisenstein expansions
-# E_k = 1 + c_k * sum sigma_{k-1}(n) q^n.
-EISENSTEIN_COEFFICIENT = {
-    2: -24,
-    4: 240,
-    6: -504,
-    8: 480,
-    10: -264,
-    12: Fraction(65520, 691),
-}
+def _eisenstein_coefficient(k):
+    """-2k/B_k, the q^1 coefficient of E_k = 1 + c_k sum sigma_{k-1}(n) q^n
+    (-24 at k = 2, 65520/691 at k = 12)."""
+    return as_rational(-2 * k / bernoulli(k))
 
 
-@lru_cache(maxsize=None)
 def eisenstein(k, truncation):
-    """Normalised Eisenstein series E_k as a GradedForm.
+    """Normalised Eisenstein series E_k, for every even k >= 2, as a GradedForm.
 
-    E_2 is quasimodular (depth 1); the others are modular.  Only the
-    weights with tabulated leading coefficients are supported.
+    E_2 is quasimodular (depth 1); the others are modular.
     """
-    if k not in EISENSTEIN_COEFFICIENT:
-        raise ValueError(f"unsupported Eisenstein weight {k}; choose from 2,4,6,8,10,12")
-    c = EISENSTEIN_COEFFICIENT[k]
-    if k >= 4:
-        # The tabulated constants are the -2k/B_k normalisation; anything
-        # else would break every product relation downstream.
-        if Fraction(-2 * k) / bernoulli(k) != c:
-            raise InternalInconsistency(f"E{k}: tabulated coefficient {c} is not -2k/B_k")
+    if k < 2 or k % 2:
+        raise ValueError(f"unsupported Eisenstein weight {k}; E_k needs an even k >= 2")
+    form = _largest(("E", k), truncation, lambda size: _eisenstein(k, size))
+    return form.truncate(truncation)
+
+
+def _eisenstein(k, truncation):
+    c = _eisenstein_coefficient(k)
     series = QSeries.one(truncation) + sigma_series(k - 1, truncation).scale(c)
     return GradedForm(series, k, 1 if k == 2 else 0)
 
 
-@lru_cache(maxsize=None)
 def delta_product(truncation):
     """The weight-12 cusp form q * prod_{n>=1} (1 - q^n)^24.
 
@@ -233,6 +246,10 @@ def delta_product(truncation):
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
+    return _largest(("Delta", "product"), truncation, _delta_product).truncate(truncation)
+
+
+def _delta_product(truncation):
     return GradedForm((QSeries(_jacobi_cube(truncation)) ** 8).shift(1), 12, 0)
 
 
@@ -246,13 +263,17 @@ def _jacobi_cube(n):
     return cube
 
 
-@lru_cache(maxsize=None)
 def delta_from_eisenstein(truncation):
     """The same cusp form via (E4^3 - E6^2) / 1728.
 
     The division is exact in integers; a remainder would contradict the
     Eisenstein expansions and raises InternalInconsistency.
     """
+    form = _largest(("Delta", "eisenstein"), truncation, _delta_from_eisenstein)
+    return form.truncate(truncation)
+
+
+def _delta_from_eisenstein(truncation):
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
     coeffs = [_over_1728(c, i) for i, c in enumerate((e4 ** 3 - e6 ** 2).coefficients)]
@@ -296,13 +317,6 @@ class TauStrategyDisagreement(InternalInconsistency):
         super().__init__(f"tau strategies disagree at n={n}: {detail}")
 
 
-def _ceil_pow2(n, floor=64):
-    m = floor
-    while m < n:
-        m *= 2
-    return m
-
-
 def _tau_vdp(n, s3, s7):
     acc = 0
     for mm in range(1, n):
@@ -342,19 +356,16 @@ def tau(n, strategy="product"):
         c4 = _convolve_int(c2, c2, n - 1)
         value = _coefficient_int(c4, c4, n - 1)
     elif strategy == "eisenstein":
-        # sieved at the size the vdp route sieves at, so sigma3 is shared
-        limit = _ceil_pow2(n)
         e4, e6 = (
-            [1] + [ck * v for v in sigma_table(k - 1, limit).values[1 : n + 1]]
-            for k, ck in ((4, EISENSTEIN_COEFFICIENT[4]), (6, EISENSTEIN_COEFFICIENT[6]))
+            [1] + [c * v for v in sigma_table(k - 1, n).values[1:]]
+            for k, c in ((4, _eisenstein_coefficient(4)), (6, _eisenstein_coefficient(6)))
         )
         c = _coefficient_int(e4, _convolve_int(e4, e4, n), n) - _coefficient_int(e6, e6, n)
         value = _over_1728(c, n)
     elif strategy == "vdp":
-        limit = _ceil_pow2(n)
-        value = _tau_vdp(n, sigma_table(3, limit).values, sigma_table(7, limit).values)
+        value = _tau_vdp(n, sigma_table(3, n).values, sigma_table(7, n).values)
     elif strategy == "niebur":
-        value = _tau_niebur(n, sigma_table(1, _ceil_pow2(n)).values)
+        value = _tau_niebur(n, sigma_table(1, n).values)
     else:
         raise ValueError(f"unknown tau strategy {strategy!r}")
     return value

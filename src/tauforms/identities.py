@@ -1083,12 +1083,12 @@ class AuditReport:
 
 
 def _normalization_finding():
-    from .forms import EISENSTEIN_COEFFICIENT, bernoulli
+    from .forms import bernoulli, eisenstein
 
     samples = []
     for k in (4, 6, 8, 10, 12):
         display = Fraction(-4 * k) / bernoulli(k)
-        listed = Fraction(EISENSTEIN_COEFFICIENT[k])
+        listed = eisenstein(k, 1).coefficient(1)
         if display != 2 * listed:
             raise InternalInconsistency(f"E{k}: -4k/B_k = {display}, expansion uses {listed}")
         samples.append(f"k={k}: -4k/B_k gives {display}, expansions use {listed}")

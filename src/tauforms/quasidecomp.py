@@ -16,15 +16,15 @@ Combinations of generators -- the final check, `recompose`, the
 echelonised basis -- clear coordinates and columns to one common
 denominator and take one integer multiply-add pass per coordinate.
 
-Each weight's basis and generators are stored once, at the largest
-truncation requested so far; smaller requests are cut from that build.
+Each weight's basis and generators are kept in the store of named forms
+(`tauforms.forms`), cut from the largest build requested so far.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .forms import GradedForm, InternalInconsistency, dim_modular, eisenstein
+from .forms import GradedForm, InternalInconsistency, _largest, dim_modular, eisenstein
 from .qseries import QSeries, _clear_denominators, _from_cleared, as_rational
 
 __all__ = [
@@ -179,25 +179,8 @@ def _require_truncation(k, truncation, last):
         )
 
 
-# weight -> {"basis" | "generators": (truncation, build)}: each weight's
-# largest build so far.  Smaller truncations are cut from it, a larger one
-# replaces it, so a session asking for rising sizes holds one copy.
-_STORE = {}
-
-
-def _largest(k, kind, truncation, build):
-    """The weight-k build of this kind in the store, replaced first by
-    build(k, truncation) if it stops short of truncation."""
-    entry = _STORE.setdefault(k, {})
-    if kind not in entry or entry[kind][0] < truncation:
-        entry[kind] = (truncation, build(k, truncation))
-    return entry[kind][1]
-
-
 def _cut(element, truncation):
-    form = element.form
-    series = form.series.truncate(truncation)
-    return BasisElement(element.label, GradedForm(series, form.weight, form.depth))
+    return BasisElement(element.label, element.form.truncate(truncation))
 
 
 def _weight12_label(pivot):
@@ -215,7 +198,7 @@ def modular_basis(k, truncation):
     if dim == 0:
         return ()
     _require_truncation(k, truncation, dim - 1)
-    basis = _largest(k, "basis", truncation, _echelon_basis)
+    basis = _largest(("basis", k), truncation, lambda size: _echelon_basis(k, size))
     return tuple(_cut(element, truncation) for element in basis)
 
 
@@ -269,7 +252,7 @@ def graded_generators(k, truncation):
         raise ValueError(f"graded decomposition needs even weight >= 2, got {k}")
     widest = max(dim_modular(k - 2 * i) for i in range(k // 2))
     _require_truncation(k, truncation, max(widest - 1, 0))
-    gens = _largest(k, "generators", truncation, _derived_generators)
+    gens = _largest(("generators", k), truncation, lambda size: _derived_generators(k, size))
     return tuple((depth, _cut(element, truncation)) for depth, element in gens)
 
 

@@ -225,6 +225,16 @@ _USAGE_ERRORS = [
     # the file is opened, so the directory that does not exist is never tried
     (("sigma", "--k", "3000", "--max-n", "30", "--out", "/nonexistent/dir/s.csv"),
      "integer string conversion"),
+    # sizes past MAX_SIZE are refused before anything is built
+    (("tau", "--n", str(10 ** 12)), "above the maximum 131072"),
+    (("tau", "--n", "131073", "--strategy", "vdp"), "above the maximum 131072"),
+    (("tau-table", "--max-n", "131073", "--out", "unused.csv"), "above the maximum"),
+    (("sigma", "--k", "1", "--max-n", str(10 ** 9), "--out", "unused.csv"), "above the maximum"),
+    (("verify", "--max-n", "131073"), "above the maximum"),
+    (("congruences", "--max-n", "131073"), "above the maximum"),
+    (("audit", "--max-n", "131073"), "above the maximum"),
+    (("eval", "--expr", "E4", "--trunc", "131073"), "above the maximum"),
+    (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "131073"), "above the maximum"),
 ]
 
 
@@ -320,6 +330,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_only_bernoulli_and_the_registry_use_lru_cache():
+    # every named form goes through the one store in tauforms.forms
+    package = Path(tauforms.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    ]
+    assert found == ["forms.py:bernoulli", "identities.py:builtin_registry"]
 
 
 def test_strategy_disagreement_exit_code(capsys, monkeypatch):

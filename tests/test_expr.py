@@ -12,6 +12,7 @@ from tauforms import (
     parse,
     print_expr,
 )
+from tauforms import brackets, qseries
 from tauforms.expr import Atom, Bracket, Deriv, Lit, Mul, Phi, Sub
 
 
@@ -136,3 +137,33 @@ def test_eval_bracket_type_errors():
 def test_phi_depth_validation():
     with pytest.raises(EvalError):
         eval_expr(parse("Phi(1; E2, 2, 2; E2, 2, 1)"), 8)
+
+
+@pytest.mark.parametrize("text", ["E4*E4", "[E4, E4]_2"])
+def test_equal_operands_are_shared_by_value(monkeypatch, text):
+    # E4 is stored past n, so each atom is a cut of its own: equal
+    # coefficients in two objects, which the kernel still gets as one vector
+    n = 40
+    eisenstein(4, 2 * n)
+    left, right = eisenstein(4, n).series, eisenstein(4, n).series
+    assert left == right and left.coefficients is not right.coefficients
+    calls = []
+    for module in (qseries, brackets):
+        real = module._convolve_sum
+
+        def spy(terms, m, real=real):
+            calls.append(list(terms))
+            return real(terms, m)
+
+        monkeypatch.setattr(module, "_convolve_sum", spy)
+    result = eval_expr(parse(text), n).series
+    [terms] = calls
+    if text == "E4*E4":
+        [(_, a, b)] = terms
+        assert a is b
+        assert result == eisenstein(8, n).series
+    else:
+        # D^0, D^1 and D^2 of one vector: (v0, v2), (v1, v1) and (v2, v0)
+        (_, v0, v2), (_, v1, w1), (_, w2, w0) = terms
+        assert v0 is w0 and v1 is w1 and v2 is w2
+        assert result == delta_product(n).series.scale(4800)

@@ -22,7 +22,7 @@ from tauforms import (
     tau_range,
 )
 from tauforms import forms, qseries
-from tauforms.forms import EISENSTEIN_COEFFICIENT, InternalInconsistency
+from tauforms.forms import InternalInconsistency
 from tauforms.qseries import _PACK_THRESHOLD, _convolve_int
 
 
@@ -93,8 +93,12 @@ def test_sigma_table_bounds():
         sigma_table(1, 0)
 
 
+# the q^1 coefficients -2k/B_k of E2 .. E12, as tabulated in the literature
+_LEADING = {2: -24, 4: 240, 6: -504, 8: 480, 10: -264, 12: Fraction(65520, 691)}
+
+
 def test_eisenstein_leading_coefficients():
-    for k, c in EISENSTEIN_COEFFICIENT.items():
+    for k, c in _LEADING.items():
         form = eisenstein(k, 6)
         assert form.coefficient(0) == 1
         assert form.coefficient(1) == c
@@ -105,10 +109,21 @@ def test_eisenstein_leading_coefficients():
 
 
 def test_eisenstein_unsupported_weight():
-    with pytest.raises(ValueError):
-        eisenstein(14, 8)
-    with pytest.raises(ValueError):
-        eisenstein(3, 8)
+    for k in (3, 13, 1, 0, -2):
+        with pytest.raises(ValueError, match=f"unsupported Eisenstein weight {k}"):
+            eisenstein(k, 8)
+
+
+def test_eisenstein_at_every_even_weight():
+    n = 40
+    e4, e10 = eisenstein(4, n).series, eisenstein(10, n).series
+    assert eisenstein(8, n).series == e4 * e4
+    # E14 is the first weight past E2 .. E12: dim M14 = 1, so E14 = E4 E10
+    assert eisenstein(14, n).series == e4 * e10
+    e16 = eisenstein(16, n)
+    assert e16.coefficient(1) == Fraction(16320, 3617) == -32 / bernoulli(16)
+    assert e16.weight == 16 and e16.depth == 0
+    assert e16.coefficient(7) == Fraction(16320, 3617) * divisor_sum(7, 15)
 
 
 def test_delta_product_leading_terms():
@@ -133,12 +148,12 @@ def test_delta_product_matches_euler_oracle():
     assert delta_product(2049) == delta_from_eisenstein(2049)
 
 
-def test_delta_routes_agree_above_the_decimal_crossover(decimal_route_widths):
-    # past the caches, so both constructions multiply here
-    product = forms.delta_product.__wrapped__(4096)
+def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch, decimal_route_widths):
+    # an empty store, so both constructions multiply here
+    monkeypatch.setattr(forms, "_STORE", {})
+    product = delta_product(4096)
     assert decimal_route_widths, "Delta at N=4096 should use the decimal route"
-    assert product == forms.delta_from_eisenstein.__wrapped__(4096)
-    assert product == delta_product(4096) == delta_from_eisenstein(4096)
+    assert product == delta_from_eisenstein(4096)
     assert tau_cross_check(4096) == tau_range(4096, "product")
 
 
@@ -152,9 +167,10 @@ def test_delta_from_eisenstein_rejects_a_remainder(monkeypatch):
         return GradedForm(form.series + QSeries([0, 0, 0, 1], truncation), 6)
 
     monkeypatch.setattr(forms, "eisenstein", bent)
+    monkeypatch.setattr(forms, "_STORE", {})
     # (E6 + q^3)^2 moves the q^3 coefficient of E4^3 - E6^2 by -2
     with pytest.raises(InternalInconsistency, match=r"q\^3 coefficient"):
-        forms.delta_from_eisenstein.__wrapped__(8)
+        delta_from_eisenstein(8)
 
 
 def test_delta_equals_eisenstein_combination():
@@ -249,13 +265,12 @@ def test_tau_single_coefficient_routes(strategy):
         assert tau(n, strategy) == table[n], n
 
 
-def test_tau_single_coefficient_routes_cache_no_table():
-    cached = (forms.delta_product, forms.delta_from_eisenstein, forms.eisenstein)
-    for f in cached:
-        f.cache_clear()
+def test_tau_single_coefficient_routes_cache_no_table(monkeypatch):
+    monkeypatch.setattr(forms, "_STORE", {})
     for strategy in ("product", "eisenstein"):
         tau(3000, strategy)
-    assert [f.cache_info().currsize for f in cached] == [0, 0, 0]
+    # no Delta and no E_k: only the two sigma sieves E4 and E6 are read from
+    assert sorted(forms._STORE) == [("sigma", 3), ("sigma", 5)]
 
 
 @pytest.mark.parametrize("n", [3, 100])

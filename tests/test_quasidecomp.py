@@ -15,7 +15,9 @@ from tauforms import (
     NotInGradedSpace,
     QSeries,
     RankDeficientSystem,
+    SigmaTable,
     decompose,
+    delta_from_eisenstein,
     delta_product,
     e2_bracket_family,
     eisenstein,
@@ -25,9 +27,10 @@ from tauforms import (
     quasi_bracket,
     recompose,
     sigma_series,
+    sigma_table,
     solve_exact,
 )
-from tauforms import quasidecomp
+from tauforms import forms
 
 
 def test_modular_basis_dimensions_and_labels():
@@ -296,46 +299,61 @@ def test_solve_exact_matches_fraction_oracle(data):
         assert all(type(v) is Fraction for v in solution)
 
 
-def _store_snapshot(truncations):
-    out = {}
-    for n in truncations:
-        for k in range(0, 28, 2):
-            out["basis", k, n] = modular_basis(k, n)
-        for k in range(2, 20, 2):
-            out["generators", k, n] = graded_generators(k, n)
+def _named_forms(n):
+    """Every kind of named form in the store, at truncation (or limit) n."""
+    out = {
+        ("Delta", "product"): delta_product(n),
+        ("Delta", "eisenstein"): delta_from_eisenstein(n),
+    }
+    for k in range(2, 18, 2):
+        out["E", k] = eisenstein(k, n)
+        out["sigma", k - 1] = sigma_table(k - 1, n)
+    for k in range(0, 28, 2):
+        out["basis", k] = modular_basis(k, n)
+    for k in range(2, 20, 2):
+        out["generators", k] = graded_generators(k, n)
     return out
+
+
+def _sizes(value):
+    """The truncations (sigma limits) in a named form, a sigma table or
+    sieve, or a tuple of basis elements or of (depth, element) generators."""
+    if isinstance(value, GradedForm):
+        return {value.truncation}
+    if isinstance(value, SigmaTable):
+        return {value.limit}
+    if value and type(value[0]) is int:  # a stored sieve, values[0] = 0
+        return {len(value) - 1}
+    return {(el[1] if isinstance(el, tuple) else el).form.truncation for el in value}
 
 
 def test_store_results_do_not_depend_on_request_order(monkeypatch):
     truncations = (2, 17, 40, 64)
-    monkeypatch.setattr(quasidecomp, "_STORE", {})
-    rising = _store_snapshot(truncations)  # every request rebuilds
-    monkeypatch.setattr(quasidecomp, "_STORE", {})
-    falling = _store_snapshot(reversed(truncations))  # every request after the first is cut
+    monkeypatch.setattr(forms, "_STORE", {})
+    rising = {n: _named_forms(n) for n in truncations}  # every request rebuilds
+    monkeypatch.setattr(forms, "_STORE", {})
+    falling = {n: _named_forms(n) for n in reversed(truncations)}  # the later ones are cut
     assert rising == falling
-    for (_, _, n), elements in rising.items():
-        for element in elements:
-            form = element[1].form if isinstance(element, tuple) else element.form
-            assert form.truncation == n
+    for n, named in rising.items():
+        for key, value in named.items():
+            assert _sizes(value) <= {n}, key
 
 
 def test_store_holds_one_build_per_weight(monkeypatch):
-    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    monkeypatch.setattr(forms, "_STORE", {})
     for n in (24, 40, 64, 100):
         form = e2_bracket_family(n)["f1"]
         assert recompose(decompose(form), n).series == form.series
-    store = quasidecomp._STORE
-    assert sorted(store) == [4, 6, 8, 10, 12]
-    assert sorted(store[12]) == ["basis", "generators"]
-    for entry in store.values():
-        for kind, (n, build) in entry.items():
-            assert n == 100
-            forms = [el.form for el in build] if kind == "basis" else [el.form for _, el in build]
-            assert {form.truncation for form in forms} == {100}
+        named = _named_forms(n)
+    # one entry per key, at the largest size asked for; M_2 = 0 is not stored
+    store = forms._STORE
+    assert set(store) == set(named) - {("basis", 2)}
+    for key, (n, build) in store.items():
+        assert n == 100 and _sizes(build) == {100}, key
 
 
 def test_too_small_truncation_raises_whatever_the_store_holds(monkeypatch):
-    monkeypatch.setattr(quasidecomp, "_STORE", {})
+    monkeypatch.setattr(forms, "_STORE", {})
     too_small = (
         lambda: modular_basis(24, 1),  # dim 3
         lambda: modular_basis(0, -1),

@@ -107,9 +107,12 @@ def quasi_bracket(order, f, g, left=None, right=None):
     # With f = F/df and g = G/dg over integer vectors F and G, the bracket
     # is sum_r c_r D^r F * D^(order-r) G / (df dg): one kernel call.
     F, df = _clear_denominators(f.series.coefficients[: n + 1])
-    G, dg = _clear_denominators(g.series.coefficients[: n + 1])
     dF = _derivatives(F, order)
-    dG = dF if G == F else _derivatives(G, order)  # equal operands are derived once
+    if g.series == f.series:  # equal operands are derived once
+        dG, dg = dF, df
+    else:
+        G, dg = _clear_denominators(g.series.coefficients[: n + 1])
+        dG = _derivatives(G, order)
     terms = []
     for r in range(order + 1):
         c = binomial(k - s + order - 1, order - r) * binomial(l - t + order - 1, r)

@@ -37,8 +37,8 @@ from .quasidecomp import NotInGradedSpace, decompose
 
 DEFAULT_TRUNCATION = 64
 DEFAULT_RANGE = 500
-# No integer option may exceed this: it is above every size the tests, demos
-# and benchmark use (16384), and it stops sizes whose tables exhaust memory.
+# No integer option may exceed this: it is above every size the tests, demos and
+# benchmark use (16384), and it stops --n, --max-n and --trunc tables exhausting memory.
 MAX_SIZE = 1 << 17
 
 EXIT_OK = 0
@@ -325,7 +325,7 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="graded coordinates of an expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=NON_NEGATIVE, required=True)
     p.add_argument("--depth", type=NON_NEGATIVE, default=None)
     p.add_argument("--trunc", type=NON_NEGATIVE, default=DEFAULT_TRUNCATION)
     p.set_defaults(func=cmd_decompose)

@@ -385,9 +385,9 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.truncation, other.truncation)
             a, da = _clear_denominators(self._coeffs[: n + 1])
-            b, db = _clear_denominators(other._coeffs[: n + 1])
-            # equal vectors, whatever their objects, go in as one list: a squaring
-            return _from_cleared(_convolve_int(a, a if b == a else b, n), da * db)
+            # equal coefficients, whatever their objects, hand _convolve_int one list twice
+            b, db = (a, da) if other == self else _clear_denominators(other._coeffs[: n + 1])
+            return _from_cleared(_convolve_int(a, b, n), da * db)
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented

@@ -235,6 +235,9 @@ _USAGE_ERRORS = [
     (("audit", "--max-n", "131073"), "above the maximum"),
     (("eval", "--expr", "E4", "--trunc", "131073"), "above the maximum"),
     (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "131073"), "above the maximum"),
+    # a weight past it would spin in generator_count for an expression of no weight
+    (("decompose", "--expr", "0", "--weight", str(10 ** 12)), "above the maximum"),
+    (("decompose", "--expr", "E4", "--weight", "-2"), "minimum"),
 ]
 
 

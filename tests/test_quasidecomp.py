@@ -344,8 +344,24 @@ def test_store_holds_one_build_per_weight(monkeypatch):
     for n in (24, 40, 64, 100):
         form = e2_bracket_family(n)["f1"]
         assert recompose(decompose(form), n).series == form.series
+    # decompose reads the bases of weights 4..12 and the weight-12
+    # generators; those builds and the family read E2, E4, E6 and their sieves
+    store = forms._STORE
+    assert set(store) == (
+        {("basis", k) for k in (4, 6, 8, 10, 12)}
+        | {("generators", 12)}
+        | {("E", k) for k in (2, 4, 6)}
+        | {("sigma", k) for k in (1, 3, 5)}
+    )
+    for key, (n, build) in store.items():
+        assert n == 100 and _sizes(build) == {100}, key
+
+
+def test_rising_session_leaves_one_entry_per_key_at_the_largest_size(monkeypatch):
+    monkeypatch.setattr(forms, "_STORE", {})
+    for n in (24, 40, 64, 100):
         named = _named_forms(n)
-    # one entry per key, at the largest size asked for; M_2 = 0 is not stored
+    # M_2 = 0 is not stored
     store = forms._STORE
     assert set(store) == set(named) - {("basis", 2)}
     for key, (n, build) in store.items():

@@ -10,16 +10,16 @@ C(k-s+n-1, n-r) C(l-t+n-1, r), producing weight k+l+2n with depth bound
 s+t.  Binomials C(a, b) vanish outside 0 <= b <= a, keeping both formulas
 literal for every r.
 
-A bracket clears its operands' denominators once and hands all v+1
-products to the q-series kernel in one call, which sums them in packed
-form and unpacks once.
+A bracket is one `qseries._product_sum` over its v+1 binomial terms: the
+operands are cleared of denominators once and every product is summed in
+one kernel call, as a series product is.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from .forms import GradedForm, eisenstein
-from .qseries import _clear_denominators, _convolve_sum, _from_cleared
+from .qseries import _product_sum
 
 __all__ = [
     "BracketSpec",
@@ -103,30 +103,13 @@ def quasi_bracket(order, f, g, left=None, right=None):
     k, s = left if left is not None else (f.weight, f.depth)
     l, t = right if right is not None else (g.weight, g.depth)
     spec = BracketSpec(order, k, s, l, t)
-    n = min(f.truncation, g.truncation)
-    # With f = F/df and g = G/dg over integer vectors F and G, the bracket
-    # is sum_r c_r D^r F * D^(order-r) G / (df dg): one kernel call.
-    F, df = _clear_denominators(f.series.coefficients[: n + 1])
-    dF = _derivatives(F, order)
-    if g.series == f.series:  # equal operands are derived once
-        dG, dg = dF, df
-    else:
-        G, dg = _clear_denominators(g.series.coefficients[: n + 1])
-        dG = _derivatives(G, order)
-    terms = []
-    for r in range(order + 1):
-        c = binomial(k - s + order - 1, order - r) * binomial(l - t + order - 1, r)
-        terms.append((-c if r % 2 else c, dF[r], dG[order - r]))
-    total = _from_cleared(_convolve_sum(terms, n), df * dg)
-    return GradedForm(total, spec.result_weight, spec.result_depth)
-
-
-def _derivatives(coeffs, order):
-    """[D^0 v, D^1 v, ..., D^order v] for an integer vector v."""
-    out = [coeffs]
-    for _ in range(order):
-        out.append([i * c for i, c in enumerate(out[-1])])
-    return out
+    a, b = k - s + order - 1, l - t + order - 1
+    terms = [
+        ((-1) ** r * binomial(a, order - r) * binomial(b, r), r, order - r)
+        for r in range(order + 1)
+    ]
+    series = _product_sum(f.series, g.series, terms)
+    return GradedForm(series, spec.result_weight, spec.result_depth)
 
 
 def is_cuspidal(h):

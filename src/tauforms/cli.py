@@ -59,19 +59,23 @@ def _report_json(truncation, results):
     }
 
 
+def _shown_status(record, report):
+    """The report's status; an audit-flagged record's failure is shown as such."""
+    if report.status == "failed" and record.status == AUDIT_FLAGGED:
+        return AUDIT_FLAGGED
+    return report.status
+
+
 def _result_entry(record, report):
     first = None
     if report.first_failure is not None:
         n, lhs, rhs = report.first_failure
         first = {"n": n, "lhs": _rat(lhs), "rhs": _rat(rhs)}
-    status = report.status
-    if status == "failed" and getattr(record, "status", None) == AUDIT_FLAGGED:
-        status = "audit-flagged"
     return {
         "id": record.id,
         "anchor": record.anchor,
         "range": [1, report.limit] if report.limit else None,
-        "status": status,
+        "status": _shown_status(record, report),
         "first_failure": first,
     }
 
@@ -161,6 +165,10 @@ def cmd_tau_table(args):
 
 
 def cmd_sigma(args):
+    limit = sys.get_int_max_str_digits()
+    if limit and args.max_n ** args.k >= 10 ** limit:
+        # sigma_k(max_n) >= max_n^k is too long to print: refuse before sieving
+        _write(args.out, lambda: str(args.max_n ** args.k))
     table = sigma_table(args.k, args.max_n)
     _write_csv(args.out, ((n, table[n]) for n in range(1, args.max_n + 1)))
     print(f"wrote sigma_{args.k}(1..{args.max_n}) to {args.out}")
@@ -196,11 +204,8 @@ def cmd_certify(args):
     reports = [certify(r, ctx) for r in records]
     failures = 0
     for record, report in zip(records, reports):
-        status = report.status
-        if status == "failed" and record.status == AUDIT_FLAGGED:
-            status = "audit-flagged"
-        elif status == "failed":
-            failures += 1
+        status = _shown_status(record, report)
+        failures += status == "failed"
         line = f"{record.id}: {status} (bound {report.certification_bound})"
         if report.detail:
             line += f" - {report.detail}"
@@ -355,9 +360,6 @@ def main(argv=None):
             print(f"error: {exc.code}", file=sys.stderr)
             return EXIT_USAGE
         return int(exc.code) if exc.code is not None else EXIT_OK
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
     NotInGradedSpace,
+    _combine,
     decompose,
     generator_count,
     solve_exact,
@@ -321,9 +322,8 @@ class Side:
             Fraction(values[n], scale * n ** power) for n in range(1, limit + 1)
         ]
 
-    def series(self, truncation, extra_power):
+    def series(self, ctx, truncation, extra_power):
         """sum n^extra_power * side(n) q^n, truncated after q^truncation."""
-        ctx = make_context(truncation)
         scale = self.denominator()
         values = self.cleared(ctx, truncation, scale, extra_power)
         return _from_cleared(values, scale)
@@ -870,11 +870,14 @@ def certify(record, ctx=None):
     that vanishes through q^T decomposes to zero.  Only a failing
     difference is built as a q-series and decomposed over the generators,
     to name the coordinate or coefficient that is wrong.  T is not a
-    computed proof bound for the weight space.
+    computed proof bound for the weight space.  Without ctx, one context
+    to T serves the check and the diagnosis.
     """
     weight, d = certification_weight(record)
     bound = generator_count(weight) + GUARD_ROWS
     truncation = certification_limit(record)
+    if ctx is None:
+        ctx = make_context(truncation)
     certified = verify_range(record, truncation, ctx).status == "verified"
     return VerificationReport(
         record.id,
@@ -882,14 +885,14 @@ def certify(record, ctx=None):
         limit=truncation,
         certified=certified,
         certification_bound=bound,
-        detail="" if certified else _failure_detail(record, truncation, weight, d),
+        detail="" if certified else _failure_detail(record, ctx, truncation, weight, d),
     )
 
 
-def _failure_detail(record, truncation, weight, d):
+def _failure_detail(record, ctx, truncation, weight, d):
     """Why n^d * (lhs - rhs), which does not vanish through q^truncation,
     is not zero in the weight's graded space."""
-    diff = record.lhs.series(truncation, d) - record.rhs.series(truncation, d)
+    diff = record.lhs.series(ctx, truncation, d) - record.rhs.series(ctx, truncation, d)
     try:
         rec = decompose(GradedForm(diff, weight, weight // 2), weight, weight // 2)
     except NotInGradedSpace as exc:
@@ -973,69 +976,50 @@ def fit_identity(record, ctx):
     identities) is kept fixed; the closed coefficients - over the stated
     monomial shapes plus their n-shifted variants - and the remaining
     convolution coefficients are solved for by exact elimination and then
-    verified over the whole context range.
+    verified over the whole context range.  Terms of one shape or one
+    convolution are one unknown, with their stated coefficients summed.
     """
     if record.lhs.has_tau and record.lhs != _TAU_SIDE:
         raise IdentityStructureError("refit expects a bare tau(n) left side")
     limit = ctx.limit
     power = _clearing_power(record)
     scale = record.lhs.denominator()
-    # every vector below is its true value times n^power (the target also
-    # times scale), so the whole-range check runs on integers
-    target = record.lhs.cleared(ctx, limit, scale, power)
+    table = {}  # label -> (stated coefficient, unit side), in column order
 
-    shapes = []
-    stated = {}
-    for t in record.rhs.closed:
-        for c, p, j in t.monomials():
-            stated[(p, j)] = stated.get((p, j), Fraction(0)) + c
-            if (p, j) not in shapes:
-                shapes.append((p, j))
-    for p, j in list(shapes):
-        if (p + 1, j) not in shapes:
-            shapes.append((p + 1, j))
-    units = [Side(closed=(ClosedTerm(Fraction(1), p, j),)) for p, j in shapes]
-    labels = [_closed_shape_name(p, j) for p, j in shapes]
+    def column(label, stated, unit):
+        table[label] = (table.get(label, (0,))[0] + stated, unit)
+
+    monomials = [m for t in record.rhs.closed for m in t.monomials()]
+    for shift in (0, 1):  # the stated shapes, then their n-shifted variants
+        for c, p, j in monomials:
+            unit = Side(closed=(ClosedTerm(Fraction(1), p + shift, j),))
+            column(_closed_shape_name(p + shift, j), 0 if shift else c, unit)
     for t in record.rhs.conv:
-        unit = ConvolutionTerm(Fraction(1), t.n_divisor, t.poly, t.left, t.right)
-        units.append(Side(conv=(unit,)))
-        labels.append(unit.describe())
-        stated[labels[-1]] = t.coefficient
-    columns = [unit.cleared(ctx, limit, 1, power) for unit in units]
-
+        term = ConvolutionTerm(Fraction(1), t.n_divisor, t.poly, t.left, t.right)
+        column(term.describe(), t.coefficient, Side(conv=(term,)))
+    # Each vector is its true value times n^power (the target also times scale):
+    # row n is n^power times the rational one, which keeps solve_exact's pivots.
+    target = record.lhs.cleared(ctx, limit, scale, power)
+    columns = [unit.cleared(ctx, limit, 1, power) for _, unit in table.values()]
     ncols = len(columns)
     rows_used = min(limit, ncols + FIT_EXTRA_ROWS)
     if rows_used < ncols:
         return FitResult(record.id, False, detail="context range too small to refit")
-    rows = [
-        [Fraction(col[n], n ** power) for col in columns] for n in range(1, rows_used + 1)
-    ]
-    rhs = [Fraction(target[n], scale * n ** power) for n in range(1, rows_used + 1)]
+    rows = list(zip(*(col[1 : rows_used + 1] for col in columns)))
+    rhs = [Fraction(target[n], scale) for n in range(1, rows_used + 1)]
     try:
         solution = solve_exact(rows, rhs)
     except LinearSolveError as exc:
         return FitResult(record.id, False, detail=str(exc))
-    den = lcm(*(x.denominator for x in solution))
-    fitted = [0] * (limit + 1)
-    for x, col in zip(solution, columns):
-        k = (x * den).numerator * scale
-        fitted = [f + k * v for f, v in zip(fitted, col)]
+    fitted, den = _combine(solution, columns, limit + 1)
     for n in range(1, limit + 1):
-        if fitted[n] != den * target[n]:
-            return FitResult(
-                record.id, False, detail=f"refit inconsistent at n={n}"
-            )
-    out = []
-    for idx, label in enumerate(labels):
-        key = shapes[idx] if idx < len(shapes) else label
-        out.append(
-            FittedCoefficient(
-                description=label,
-                stated=Fraction(stated.get(key, 0)),
-                fitted=solution[idx],
-            )
-        )
-    return FitResult(record.id, True, tuple(out))
+        if fitted[n] * scale != den * target[n]:
+            return FitResult(record.id, False, detail=f"refit inconsistent at n={n}")
+    fits = tuple(
+        FittedCoefficient(label, Fraction(stated), x)
+        for (label, (stated, _)), x in zip(table.items(), solution)
+    )
+    return FitResult(record.id, True, fits)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ normalised.
 
 Products clear denominators and convolve integer vectors through one
 kernel, `_convolve_sum`, which sums c * (a * b) over several integer
-pairs at once; a product is its one-term case, and a Rankin-Cohen bracket
-(`tauforms.brackets`) is one call.  Short vectors use the schoolbook
+pairs at once.  `_product_sum` is the one way a series product reaches
+it: a product is its one-term case, and a Rankin-Cohen bracket
+(`tauforms.brackets`) one call over its binomial terms.  Short vectors use the schoolbook
 double loop.  Longer ones use Kronecker substitution: each vector becomes
 one big number with a fixed-width slot per coefficient, so a single
 big-number product yields every coefficient at once.  Signed vectors are
@@ -284,6 +285,27 @@ def _from_cleared(ints, den):
     return _from_canonical([v // den if v % den == 0 else Fraction(v, den) for v in ints])
 
 
+def _product_sum(f, g, terms):
+    """sum c * D^i f * D^j g over (c, i, j) in terms, D: a_n -> n a_n, as a
+    QSeries cut after the shorter operand.  Each operand is cleared of
+    denominators once, equal ones (two objects too) only once, so a square
+    hands the kernel one vector twice; each D^i is taken once on integers,
+    and one `_convolve_sum` call sums every product."""
+    n = min(f.truncation, g.truncation)
+    a, da = _clear_denominators(f._coeffs[: n + 1])
+    b, db = (a, da) if g == f else _clear_denominators(g._coeffs[: n + 1])
+    chains = {}  # id of a cleared vector -> [D^0 v, D^1 v, ...] as far as asked
+
+    def derived(v, i):
+        chain = chains.setdefault(id(v), [v])
+        while len(chain) <= i:
+            chain.append(list(map(mul, range(n + 1), chain[-1])))
+        return chain[i]
+
+    total = _convolve_sum([(c, derived(a, i), derived(b, j)) for c, i, j in terms], n)
+    return _from_cleared(total, da * db)
+
+
 class QSeries:
     """A formal power series in q, truncated after the q^N coefficient.
 
@@ -383,11 +405,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            n = min(self.truncation, other.truncation)
-            a, da = _clear_denominators(self._coeffs[: n + 1])
-            # equal coefficients, whatever their objects, hand _convolve_int one list twice
-            b, db = (a, da) if other == self else _clear_denominators(other._coeffs[: n + 1])
-            return _from_cleared(_convolve_int(a, b, n), da * db)
+            return _product_sum(self, other, ((1, 0, 0),))
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import tauforms.brackets as brackets
+import tauforms.qseries as qseries
 from oracle import rc_bracket_direct
 from tauforms import (
     BracketSpec,
@@ -158,6 +158,7 @@ def test_quasi_bracket_matches_binomial_formula(n):
         (d2e2, de2),
         (e4, de2),
         (e12, e6),  # E12 has Fraction coefficients
+        (e12, e12),  # equal Fraction operands, cleared and derived once
         (e12, d2e2),
         (delta, e12),
         (e4, e4),
@@ -188,9 +189,9 @@ def test_a_bracket_is_one_kernel_call(monkeypatch):
     e4, e6 = eisenstein(4, n), eisenstein(6, n)
     expected = [rc_bracket(e4, e6, order).series for order in range(5)]
     calls = []
-    real = brackets._convolve_sum
+    real = qseries._convolve_sum
     monkeypatch.setattr(
-        brackets, "_convolve_sum", lambda terms, m: calls.append(len(terms)) or real(terms, m)
+        qseries, "_convolve_sum", lambda terms, m: calls.append(len(terms)) or real(terms, m)
     )
     for name in ("__mul__", "__add__", "scale"):
         monkeypatch.setattr(QSeries, name, lambda *args, name=name: pytest.fail(name))

@@ -307,6 +307,41 @@ def test_a_table_too_long_to_print_writes_no_file(capsys, monkeypatch, tmp_path,
     assert kept.read_text() == "kept\n"
 
 
+def _cap_address_space():
+    # a sieve that was not refused fails here instead of exhausting memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("k, max_n", [(20000, 2000), (131072, 131072)])
+def test_sigma_refuses_an_unprintable_table_before_sieving(capsys, monkeypatch, tmp_path, k, max_n):
+    # sigma_k(max_n) >= max_n^k has more digits than str() allows, which is
+    # known before a single value is sieved
+    import tauforms.cli as cli
+
+    out = tmp_path / "s.csv"
+    argv = ["sigma", "--k", str(k), "--max-n", str(max_n), "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "sigma_table", lambda k, limit: pytest.fail("sieved"))
+        code, stdout, err = run(capsys, *argv)
+    src = Path(tauforms.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tauforms.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, err) == (2, "", err)
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "integer string conversion" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_library_invariants_survive_optimize_flag():
     # python -O strips assert statements; the audit's invariants must not be
     src = str(Path(tauforms.__file__).resolve().parents[1])

@@ -12,7 +12,7 @@ from tauforms import (
     parse,
     print_expr,
 )
-from tauforms import brackets, qseries
+from tauforms import qseries
 from tauforms.expr import Atom, Bracket, Deriv, Lit, Mul, Phi, Sub
 
 
@@ -139,29 +139,37 @@ def test_phi_depth_validation():
         eval_expr(parse("Phi(1; E2, 2, 2; E2, 2, 1)"), 8)
 
 
-@pytest.mark.parametrize("text", ["E4*E4", "[E4, E4]_2"])
+@pytest.mark.parametrize("text", ["E4*E4", "E12*E12", "[E4, E4]_2"])
 def test_equal_operands_are_shared_by_value(monkeypatch, text):
-    # E4 is stored past n, so each atom is a cut of its own: equal
+    # the atom is stored past n, so each is a cut of its own: equal
     # coefficients in two objects, which the kernel still gets as one vector
     n = 40
-    eisenstein(4, 2 * n)
-    left, right = eisenstein(4, n).series, eisenstein(4, n).series
+    k = 12 if "E12" in text else 4
+    eisenstein(k, 2 * n)
+    left, right = eisenstein(k, n).series, eisenstein(k, n).series
     assert left == right and left.coefficients is not right.coefficients
     calls = []
-    for module in (qseries, brackets):
-        real = module._convolve_sum
+    real = qseries._convolve_sum
 
-        def spy(terms, m, real=real):
-            calls.append(list(terms))
-            return real(terms, m)
+    def spy(terms, m):
+        calls.append(list(terms))
+        return real(terms, m)
 
-        monkeypatch.setattr(module, "_convolve_sum", spy)
+    monkeypatch.setattr(qseries, "_convolve_sum", spy)
     result = eval_expr(parse(text), n).series
     [terms] = calls
     if text == "E4*E4":
         [(_, a, b)] = terms
         assert a is b
         assert result == eisenstein(8, n).series
+    elif text == "E12*E12":
+        # Fraction coefficients, cleared once: the schoolbook square over Q
+        [(_, a, b)] = terms
+        assert a is b
+        c = left.coefficients
+        assert list(result.coefficients) == [
+            sum(c[i] * c[m - i] for i in range(m + 1)) for m in range(n + 1)
+        ]
     else:
         # D^0, D^1 and D^2 of one vector: (v0, v2), (v1, v1) and (v2, v0)
         (_, v0, v2), (_, v1, w1), (_, w2, w0) = terms

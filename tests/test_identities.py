@@ -252,7 +252,7 @@ def test_cleared_path_matches_oracle(side, ctx120):
     assert bulk[1:] == expected
     assert side.value(limit, ctx120) == expected[-1]
     d = side.clearing_power()
-    coefficients = side.series(limit, d).coefficients
+    coefficients = side.series(ctx120, limit, d).coefficients
     assert list(coefficients[1:]) == [n ** d * v for n, v in enumerate(expected, 1)]
 
 
@@ -524,6 +524,22 @@ def test_certify_rejects_a_failure_that_decomposes_to_zero(registry, monkeypatch
         certify(record)
 
 
+def test_certify_makes_one_context_only_when_given_none(registry, monkeypatch):
+    # the failing check and its diagnosis read one context
+    import tauforms.identities as identities
+
+    record = registry.by_id["thm2.7.i"]
+    made = []
+    real = identities.make_context
+    monkeypatch.setattr(identities, "make_context", lambda limit: made.append(limit) or real(limit))
+    report = certify(record)
+    assert report.status == "failed" and report.detail
+    assert made == [certification_limit(record)]
+    made.clear()
+    assert certify(record, real(certification_limit(record))) == report
+    assert made == []
+
+
 def test_certify_shares_one_context(registry, monkeypatch):
     import tauforms.cli as cli
     import tauforms.identities as identities
@@ -651,6 +667,20 @@ def test_fit_finds_true_convolution_constant(registry, ctx120):
     assert deltas == {
         "sum 1 * sigma(m)*sigma9(n-m)": (Fraction(-3455, 864), Fraction(-3455, 36))
     }
+
+
+def test_fit_sums_the_stated_coefficients_of_one_convolution(registry, ctx120):
+    # thm2.7.i with its convolution written as two equal halves: one unknown
+    # whose stated coefficient is their sum, as for closed terms of one shape
+    anchor = registry.by_id["thm2.7.i"].anchor.replace(
+        "- 3455/864*sum sigma(m)*sigma9(n-m)",
+        "- 3455/1728*sum sigma(m)*sigma9(n-m) - 3455/1728*sum sigma(m)*sigma9(n-m)",
+    )
+    split = parse_record("thm2.7.i-split", anchor, AUDIT_FLAGGED)
+    assert len(split.rhs.conv) == 2
+    fit = fit_identity(split, ctx120)
+    assert fit.success, fit.detail
+    assert fit == replace(fit_identity(registry.by_id["thm2.7.i"], ctx120), identity_id=split.id)
 
 
 def test_fit_finds_true_npower(registry, ctx120):

@@ -349,10 +349,14 @@ def test_coefficients_wider_than_the_str_limit_stay_binary():
 
 def test_pow_multiplies_only_the_powers_it_needs(monkeypatch):
     products = []
-    real = qseries._convolve_int
-    monkeypatch.setattr(
-        qseries, "_convolve_int", lambda a, b, n: products.append(a is b) or real(a, b, n)
-    )
+    real = qseries._convolve_sum
+
+    def spy(terms, n):
+        [(_, a, b)] = terms
+        products.append(a is b)
+        return real(terms, n)
+
+    monkeypatch.setattr(qseries, "_convolve_sum", spy)
     f = QSeries([1, -2, 3, 5, 7])
     for exponent, squarings, others in ((1, 0, 0), (2, 1, 0), (3, 1, 1), (8, 3, 0), (13, 3, 2)):
         products.clear()

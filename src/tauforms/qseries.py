@@ -14,9 +14,8 @@ normalised.
 
 Products clear denominators and convolve integer vectors through one
 kernel, `_convolve_sum`, which sums c * (a * b) over several integer
-pairs at once.  `_product_sum` is the one way a series product reaches
-it: a product is its one-term case, and a Rankin-Cohen bracket
-(`tauforms.brackets`) one call over its binomial terms.  Short vectors use the schoolbook
+pairs at once; a product is its one-term case, and a Rankin-Cohen bracket
+(`tauforms.brackets`) is one call.  Short vectors use the schoolbook
 double loop.  Longer ones use Kronecker substitution: each vector becomes
 one big number with a fixed-width slot per coefficient, so a single
 big-number product yields every coefficient at once.  Signed vectors are

@@ -30,6 +30,7 @@ from .identities import (
     certification_limit,
     certify,
     check_congruence,
+    in_turn,
     make_context,
     verify_range,
 )
@@ -179,7 +180,7 @@ def cmd_verify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(args.max_n)
-    reports = [verify_range(r, args.max_n, ctx) for r in records]
+    reports = [verify_range(r, args.max_n, ctx) for r in in_turn(records, ctx)]
     results = [_result_entry(r, rep) for r, rep in zip(records, reports)]
     if args.format == "json":
         _emit(_report_json(args.max_n, [
@@ -201,7 +202,7 @@ def cmd_certify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(max(certification_limit(r) for r in records))
-    reports = [certify(r, ctx) for r in records]
+    reports = [certify(r, ctx) for r in in_turn(records, ctx)]
     failures = 0
     for record, report in zip(records, reports):
         status = _shown_status(record, report)
@@ -217,7 +218,7 @@ def cmd_congruences(args):
     registry = builtin_registry()
     ctx = make_context(args.max_n)
     failures = 0
-    for record in registry.congruences:
+    for record in in_turn(registry.congruences, ctx):
         report = check_congruence(record, args.max_n, ctx)
         line = f"{record.id}: {report.status} (mod {record.modulus}"
         if record.gcd_condition != 1:

@@ -183,10 +183,12 @@ def sigma_table(k, limit):
 def _sigma_sieve(k, limit):
     """Sieve sigma_k(n) for n <= limit multiplicatively.
 
-    With p the smallest prime factor of n and p^a || n,
-    sigma_k(n) = sigma_k(p^a) * sigma_k(n / p^a), and
-    sigma_k(p^a) = 1 + p^k * sigma_k(p^(a-1)); both factors are read off
-    smaller n, so each n costs one product.
+    With p the smallest prime factor of n = p*m, sigma_k(n) is
+    (1 + p^k) * sigma_k(m) when p does not divide m, and
+    (1 + p^k) * sigma_k(m) - p^k * sigma_k(m/p) when it does (the divisors
+    of n are those of m and p times those of m, and p times those of m/p
+    are both); every value is read off smaller n, so no table but the
+    smallest prime factors is kept beside the values.
     """
     # smallest prime factors: p runs downwards, so the smallest prime factor
     # writes last (a composite p's multiples are rewritten by its factors)
@@ -194,18 +196,14 @@ def _sigma_sieve(k, limit):
     for p in range(isqrt(limit), 1, -1):
         spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     values = [0, 1] + [0] * (limit - 1)
-    prime_part = [1] * (limit + 1)  # sigma_k(p^a)
-    rest = [1] * (limit + 1)  # n / p^a
     for n in range(2, limit + 1):
         p = spf[n]
         m = n // p
+        pk = p ** k
         if spf[m] == p:
-            prime_part[n] = s = prime_part[m] * p ** k + 1
-            rest[n] = r = rest[m]
+            values[n] = (1 + pk) * values[m] - pk * values[m // p]
         else:
-            prime_part[n] = s = 1 + p ** k
-            rest[n] = r = m
-        values[n] = s * values[r]
+            values[n] = (1 + pk) * values[m]
     return tuple(values)
 
 

@@ -23,9 +23,10 @@ convolution takes no n^p or affine prefix.  "mod M = f1*...*fk" states a
 factorisation that must multiply out to M; "n odd" means gcd(n,2)=1.
 
 Residuals are exact rationals, so "holds" means residual identically 0 - no
-tolerances anywhere.  Sides are evaluated as integer vectors after clearing
+tolerances anywhere.  Sides are evaluated as integers after clearing
 denominators (L * n^d * side(n), L the lcm of the coefficient denominators),
-so pointwise checks are integer comparisons.
+and a range check streams L * n^d * (lhs(n) - rhs(n)), so pointwise checks
+are integer comparisons.
 
 Three checks are available per identity: pointwise residuals over a range
 of n; certification, which checks that the same integer vectors agree
@@ -38,9 +39,9 @@ stated value next to the empirically determined one.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, and_, mod, mul, rshift
 
 from .expr import _Parser
 from .forms import (
@@ -79,6 +80,7 @@ __all__ = [
     "AUDIT_FLAGGED",
     "EvalContext",
     "make_context",
+    "in_turn",
     "builtin_registry",
     "parse_record",
     "evaluate",
@@ -243,10 +245,10 @@ class ConvolutionTerm:
 class Side:
     """A sum of closed and convolution terms, evaluated exactly.
 
-    Every evaluation goes through `cleared`: the integers
+    Every evaluation goes through `stream`: the integers
     scale * n^power * side(n), with scale a multiple of every coefficient
-    denominator and power at least the largest n-divisor.  `value`, `bulk`
-    and `series` divide that one vector back out.
+    denominator and power at least the largest n-divisor.  `cleared` lists
+    them, and `value`, `bulk` and `series` divide that one vector back out.
     """
 
     closed: tuple = ()
@@ -278,34 +280,13 @@ class Side:
             for (alpha, beta), c in t.poly.monomials():
                 yield (t.left, t.right, alpha), beta + power - t.n_divisor, t.coefficient * c
 
-    def cleared(self, ctx, limit, scale, power):
-        """[scale * n^power * side(n) for n = 0..limit], all exact integers.
+    def stream(self, ctx, limit, scale, power):
+        """scale * n^power * side(n) for n = 0..limit, lazily (see _horner)."""
+        return _horner(ctx, limit, self.terms(power), scale)
 
-        By Horner's rule in n: from the highest power of n down, the vector
-        so far is multiplied by n and each term k * source with that power
-        is added, so no n^e is formed and at most two vectors are alive.
-        """
-        if limit > ctx.limit:
-            raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
-        by_power = {}
-        for source, e, c in self.terms(power):
-            if e < 0:
-                raise IdentityStructureError(f"residual n-power {e} after clearing divisors")
-            k = Fraction(c) * scale
-            if k.denominator != 1:
-                raise IdentityStructureError(f"scale {scale} does not clear coefficient {c}")
-            by_power.setdefault(e, []).append((k.numerator, ctx.source(source)))
-        out = None
-        for e in range(max(by_power, default=0), -1, -1):
-            terms = by_power.get(e, ())
-            if out is not None:
-                out = map(mul, out, range(limit + 1))
-                if not terms:
-                    out = list(out)
-            for k, values in terms:
-                term = values if k == 1 else map(mul, repeat(k), values)
-                out = list(islice(term, limit + 1) if out is None else map(add, out, term))
-        return [0] * (limit + 1) if out is None else out
+    def cleared(self, ctx, limit, scale, power):
+        """[scale * n^power * side(n) for n = 0..limit], all exact integers."""
+        return list(self.stream(ctx, limit, scale, power))
 
     def value(self, n, ctx):
         """side(n) as an exact Fraction, for n >= 1."""
@@ -393,7 +374,7 @@ class VerificationReport:
 class EvalContext:
     """tau, the sigma tables and the convolutions and squarings built from
     them, for exact evaluation up to `limit`; each is built on first use and
-    shared by every identity evaluated here."""
+    shared by every identity evaluated here until `release` drops it."""
 
     limit: int
     _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -445,25 +426,30 @@ class EvalContext:
 
     def _symmetrised(self, j, alpha):
         """sum_{m<n} m^alpha sigma_j(m) sigma_j(n-m) from the squarings P_i,
-        by Horner in n^2 over i = 0..alpha//2."""
+        by Horner in n^2 over i = 0..alpha//2, as one chain of C-level maps
+        that only the doubled sum and its half are listed from."""
         if alpha == 0:
             return self._square(j, 0)
         ns = range(self.limit + 1)
-        squares = list(map(mul, ns, ns))
-        twice = [0] * (self.limit + 1)
+        twice = repeat(0)
         for i in range(alpha // 2 + 1):
             w = (-1) ** i * alpha * comb(alpha - i, i) // (alpha - i)
             term = map(mul, repeat(w), self._square(j, i))
-            twice = list(map(add, map(mul, twice, squares), term))
+            twice = map(add, map(mul, twice, map(mul, ns, ns)), term)
         if alpha % 2:
-            twice = list(map(mul, twice, ns))
-        halves = [v >> 1 for v in twice]
-        if list(map(add, halves, halves)) != twice:
+            twice = map(mul, twice, ns)
+        twice = list(twice)
+        if any(map(and_, twice, repeat(1))):
             n = next(n for n, v in enumerate(twice) if v % 2)
             raise InternalInconsistency(
                 f"sum m^{alpha} sigma{j}(m) sigma{j}(n-m) symmetrised to an odd value at n={n}"
             )
-        return halves
+        return list(map(rshift, twice, repeat(1)))
+
+    def release(self, keys):
+        """Drop the sources under keys; a later request builds them again."""
+        for key in keys:
+            self._sources.pop(key, None)
 
 
 def make_context(limit):
@@ -471,6 +457,70 @@ def make_context(limit):
     if limit < 1:
         raise ValueError("limit must be at least 1")
     return EvalContext(limit)
+
+
+def _horner(ctx, limit, terms, scale):
+    """sum of scale * c * n^e * source[n] over (source, e, c) in terms, for
+    n = 0..limit, as a lazy stream of exact integers.
+
+    Terms on one (source, e) are merged.  By Horner's rule in n: from the
+    highest power of n down, the stream so far is multiplied by n and each
+    term k * source with that power is added, all as chained C-level maps,
+    so no n^e is formed and no vector is built.  The sources are fetched
+    from ctx when the stream is made.
+    """
+    if limit > ctx.limit:
+        raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
+    by_power = {}
+    for source, e, c in terms:
+        if e < 0:
+            raise IdentityStructureError(f"residual n-power {e} after clearing divisors")
+        k = Fraction(c) * scale
+        if k.denominator != 1:
+            raise IdentityStructureError(f"scale {scale} does not clear coefficient {c}")
+        merged = by_power.setdefault(e, {})
+        merged[source] = merged.get(source, 0) + k.numerator
+    ns = range(limit + 1)
+    out = None
+    for e in range(max(by_power, default=0), -1, -1):
+        if out is not None:
+            out = map(mul, out, ns)
+        for source, k in by_power.get(e, {}).items():
+            if k:
+                values = ctx.source(source)
+                term = values if k == 1 else map(mul, repeat(k), values)
+                out = islice(term, limit + 1) if out is None else map(add, out, term)
+    return repeat(0, limit + 1) if out is None else out
+
+
+def in_turn(records, *contexts):
+    """Each record in order; once the caller is done with one, every
+    convolution and squaring that no later record reads is dropped from
+    contexts, so a command over the catalogue holds only what is still to
+    be read.  records must be a sequence.
+
+    A squaring ("square", l, i) is read when an (l, l, alpha) source with
+    alpha >= 2i is built, that is by the first record that reads it.
+    """
+    first, last = {}, {}
+    for r, record in enumerate(records):
+        for side in (record.lhs, record.rhs):
+            for source, _, _ in side.terms(0):
+                if isinstance(source, tuple):
+                    first.setdefault(source, r)
+                    last[source] = r
+    for (left, right, alpha), r in first.items():
+        if left == right:
+            for i in range(alpha // 2 + 1):
+                key = ("square", left, i)
+                last[key] = max(last.get(key, r), r)
+    done = [[] for _ in records]
+    for key, r in last.items():
+        done[r].append(key)
+    for record, keys in zip(records, done):
+        yield record
+        for ctx in contexts:
+            ctx.release(keys)
 
 
 # --------------------------------------------------------------------------
@@ -808,37 +858,38 @@ def verify_range(record, limit, ctx=None):
         raise ValueError("limit must be at least 1")
     if ctx is None:
         ctx = make_context(limit)
-    lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
-    if lhs != rhs:  # every source is 0 at n = 0, so they differ at some n >= 1
-        n = next(n for n in range(1, limit + 1) if lhs[n] != rhs[n])
-        den = scale * n ** power
-        return VerificationReport(
-            record.id,
-            status="failed",
-            limit=limit,
-            first_failure=(n, Fraction(lhs[n], den), Fraction(rhs[n], den)),
-        )
-    return VerificationReport(record.id, status="verified", limit=limit)
+    # every source is 0 at n = 0, so the sides can only differ from n = 1 on
+    diff = islice(_difference(record, ctx, limit), 1, None)
+    n = next(compress(range(1, limit + 1), diff), None)
+    if n is None:
+        return VerificationReport(record.id, status="verified", limit=limit)
+    return VerificationReport(
+        record.id,
+        status="failed",
+        limit=limit,
+        first_failure=(n, record.lhs.value(n, ctx), record.rhs.value(n, ctx)),
+    )
 
 
-def _clearing_power(record):
-    return max(record.lhs.clearing_power(), record.rhs.clearing_power())
-
-
-def _cleared_sides(record, ctx, limit):
-    """Both sides times L * n^d (L the lcm of every coefficient denominator,
-    d the clearing power) as integer vectors, with L and d."""
+def _clearing(record):
+    """(L, d): L the lcm of every coefficient denominator, d the clearing power."""
     scale = lcm(record.lhs.denominator(), record.rhs.denominator())
-    power = _clearing_power(record)
-    lhs = record.lhs.cleared(ctx, limit, scale, power)
-    rhs = record.rhs.cleared(ctx, limit, scale, power)
-    return lhs, rhs, scale, power
+    return scale, max(record.lhs.clearing_power(), record.rhs.clearing_power())
+
+
+def _difference(record, ctx, limit):
+    """L * n^d * (lhs(n) - rhs(n)) for n = 0..limit (L, d from _clearing) as
+    one lazy stream over the terms of both sides, so that neither side's
+    vector is built."""
+    scale, power = _clearing(record)
+    rhs = ((source, e, -c) for source, e, c in record.rhs.terms(power))
+    return _horner(ctx, limit, chain(record.lhs.terms(power), rhs), scale)
 
 
 def certification_weight(record):
     """Weight of the graded space certifying the identity, after clearing
     every 1/n and 1/n^2 prefactor by differentiation."""
-    d = _clearing_power(record)
+    d = _clearing(record)[1]
     w = 0
     for side in (record.lhs, record.rhs):
         for source, e, _ in side.terms(d):
@@ -912,35 +963,44 @@ def check_congruence(record, limit, ctx=None):
     if ctx is None:
         ctx = make_context(limit)
     g = record.gcd_condition
-    mod = record.modulus
-    lhs, rhs, scale, power = _cleared_sides(record, ctx, limit)
-    start = 1
+    modulus = record.modulus
+    scale, power = _clearing(record)
+    failure = None
     if scale == 1 and power == 0:
-        # the cleared vectors are the sides themselves: the loop below only
-        # has to report the first failure, found here in one pass
-        start = next(
-            (n for n in range(1, limit + 1) if (lhs[n] - rhs[n]) % mod and gcd(n, g) == 1),
-            limit + 1,
+        # the difference is lhs - rhs itself: one pass finds the n at which
+        # it is not 0 mod the modulus
+        diff = islice(_difference(record, ctx, limit), 1, None)
+        off = compress(range(1, limit + 1), map(mod, diff, repeat(modulus)))
+        n = next((n for n in off if gcd(n, g) == 1), None)
+        if n is not None:
+            failure = (n, record.lhs.value(n, ctx), record.rhs.value(n, ctx))
+    else:
+        sides = zip(
+            record.lhs.stream(ctx, limit, scale, power),
+            record.rhs.stream(ctx, limit, scale, power),
         )
-    for n in range(start, limit + 1):
-        if g != 1 and gcd(n, g) != 1:
-            continue
-        den = scale * n ** power
-        lv, lr = divmod(lhs[n], den)
-        rv, rr = divmod(rhs[n], den)
-        if lr or rr:
-            raise IdentityStructureError(
-                f"{record.id}: non-integral congruence side at n={n}"
-            )
-        if (lv - rv) % mod:
-            return VerificationReport(
-                record.id,
-                status="failed",
-                limit=limit,
-                first_failure=(n, Fraction(lv), Fraction(rv)),
-                detail=f"mod {mod}",
-            )
-    return VerificationReport(record.id, status="verified", limit=limit)
+        for n, (lhs, rhs) in enumerate(islice(sides, 1, None), 1):
+            if g != 1 and gcd(n, g) != 1:
+                continue
+            den = scale * n ** power
+            lv, lr = divmod(lhs, den)
+            rv, rr = divmod(rhs, den)
+            if lr or rr:
+                raise IdentityStructureError(
+                    f"{record.id}: non-integral congruence side at n={n}"
+                )
+            if (lv - rv) % modulus:
+                failure = (n, Fraction(lv), Fraction(rv))
+                break
+    if failure is None:
+        return VerificationReport(record.id, status="verified", limit=limit)
+    return VerificationReport(
+        record.id,
+        status="failed",
+        limit=limit,
+        first_failure=failure,
+        detail=f"mod {modulus}",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -982,7 +1042,7 @@ def fit_identity(record, ctx):
     if record.lhs.has_tau and record.lhs != _TAU_SIDE:
         raise IdentityStructureError("refit expects a bare tau(n) left side")
     limit = ctx.limit
-    power = _clearing_power(record)
+    power = _clearing(record)[1]
     scale = record.lhs.denominator()
     table = {}  # label -> (stated coefficient, unit side), in column order
 
@@ -1158,6 +1218,8 @@ def audit_all(limit=500, ctx=None):
     record the known normalisation/constant discrepancies.
 
     The audit is successful when only pre-declared flagged entries fail.
+    Each convolution and squaring is dropped from ctx after the last
+    entry that reads it (see in_turn).
     """
     registry = builtin_registry()
     if ctx is None:
@@ -1167,7 +1229,7 @@ def audit_all(limit=500, ctx=None):
     reach = max(certification_limit(r) for r in registry.identities)
     cert_ctx = ctx if ctx.limit >= reach else make_context(reach)
     entries = []
-    for record in registry.identities:
+    for record in in_turn(registry.identities, ctx, cert_ctx):
         rr = verify_range(record, limit, ctx)
         cr = certify(record, cert_ctx)
         passed = rr.status == "verified" and cr.certified
@@ -1180,7 +1242,7 @@ def audit_all(limit=500, ctx=None):
             AuditEntry(record.id, record.anchor, record.status, status, rr, cr, fit)
         )
     congruences = []
-    for record in registry.congruences:
+    for record in in_turn(registry.congruences, ctx):
         rr = check_congruence(record, limit, ctx)
         congruences.append(
             AuditEntry(record.id, record.anchor, EXPECTED_TRUE, rr.status, rr)

@@ -31,7 +31,9 @@ routes are exact.
 """
 
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal, Inexact, Rounded, localcontext
+)
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
@@ -92,9 +94,9 @@ def _packed_sum(terms, n, offset, base, width):
     vector v is packed once, most significant slot first, as the bytes or
     the decimal text of v - lo_v, and lo_v times the packed all-ones
     vector is added back, giving sum v_i x^i exactly.  Every slot of the
-    sum, plus `offset`, must lie in [0, x).  The byte route turns no
-    number into text, and `int.to_bytes` raises OverflowError on a slot
-    that does not fit its width.
+    sum, plus `offset`, must lie in [0, x), and only the low n + 1 slots
+    of the sum are read back.  The byte route turns no number into text,
+    and raises OverflowError on a slot that does not fit its width.
     """
     if base == 256:
         zero, shift = 0, lambda v, k: v << 8 * width * k  # v * x**k
@@ -155,15 +157,22 @@ def _packed_sum(terms, n, offset, base, width):
             total += lift
             del lift
         ones.clear()
-        size = (n + 1) * width  # the last n + 1 slots are the result
+        # every slot is in [0, x), so the result is total mod x**(n + 1):
+        # the upper slots are dropped before any digit or byte is written
+        size = (n + 1) * width
         if base == 10:
+            high = total.scaleb(-size).to_integral_value(rounding=ROUND_DOWN)
+            total -= high.scaleb(size)
+            del high
             text = str(total).zfill(size)
-        else:  # every slot is in [0, x), so total fills `slots` slots
-            tail = memoryview(total.to_bytes(slots * width, "big"))[-size:]
+        else:
+            if total < 0 or total.bit_length() > 8 * slots * width:
+                raise OverflowError("a slot of the packed sum does not fit its width")
+            total &= (1 << 8 * size) - 1
+            tail = total.to_bytes(size, "big")
     del total
     if base == 10:
-        end = len(text)
-        return [int(text[i - width : i]) - offset for i in range(end, end - size, -width)]
+        return [int(text[i - width : i]) - offset for i in range(size, 0, -width)]
     out = map(int.from_bytes, chain.from_iterable(iter_unpack(f"{width}s", tail)), repeat("big"))
     out = list(map(sub, out, repeat(offset)) if offset else out)
     out.reverse()  # slot 0 came last

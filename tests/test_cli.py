@@ -342,6 +342,41 @@ def test_sigma_refuses_an_unprintable_table_before_sieving(capsys, monkeypatch, 
     assert not out.exists()
 
 
+_CAPPED_VERIFY = (
+    "import resource, sys\n"
+    "import tauforms, tauforms.cli\n"
+    "tauforms.builtin_registry()\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+    "cap = (kb << 10) + ({cap_mb} << 20)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "sys.exit(tauforms.cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_verify_all_runs_under_an_address_space_cap(capsys, monkeypatch):
+    # At N = 10000 verify --identity all grows the address space by about
+    # 15 MB past the imported catalogue (CPython 3.11, x86-64 Linux): the
+    # stream of each difference and the convolutions dropped after their
+    # last reader keep it there.  Holding both sides' vectors and every
+    # convolution to the end took about 25 MB, which this cap refuses.
+    argv = ["verify", "--identity", "all", "--max-n", "10000"]
+    monkeypatch.setattr(tauforms.forms, "_STORE", {})  # keep no table at N after the test
+    code, stdout, err = run(capsys, *argv)
+    src = Path(tauforms.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_VERIFY.format(cap_mb=20), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, err) == (0, stdout, "")
+
+
 def test_library_invariants_survive_optimize_flag():
     # python -O strips assert statements; the audit's invariants must not be
     src = str(Path(tauforms.__file__).resolve().parents[1])

@@ -55,11 +55,13 @@ def divisor_sum(n, k):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 7, 9, 11, 13])
 def test_sigma_sieve_against_enumeration(k):
     table = sigma_table(k, 200)
     for n in range(1, 201):
         assert table[n] == divisor_sum(n, k)
+    # the sieve itself, past the store: each n from its smallest prime factor
+    assert forms._sigma_sieve(k, 2000) == tuple(sigma_additive(k, 2000))
 
 
 @pytest.mark.parametrize("limit", [1, 2, 64, 97, 1000, 4096])

@@ -404,6 +404,91 @@ def test_verify_all_builds_equal_sigma_sources_from_seven_squarings(monkeypatch,
     assert sorted(equal_sigma) == [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (5, 0), (5, 1)]
 
 
+def test_streamed_difference_is_the_difference_of_the_cleared_sides(registry):
+    from tauforms.identities import _clearing, _difference
+
+    limit = 300
+    ctx = make_context(limit)
+    failing, powers = [], set()
+    for record in registry:
+        scale, power = _clearing(record)
+        lhs = record.lhs.cleared(ctx, limit, scale, power)
+        rhs = record.rhs.cleared(ctx, limit, scale, power)
+        diff = list(_difference(record, ctx, limit))
+        assert diff == [l - r for l, r in zip(lhs, rhs)], record.id
+        powers.add(power)
+        if record in registry.identities and any(diff):
+            failing.append(record.id)
+    # the two flagged rows differ, with their failure reports as before
+    assert failing == ["thm2.7.i", "thm2.9.iv"]
+    for key in failing:
+        record = registry.by_id[key]
+        assert verify_range(record, limit, ctx).first_failure == first_failure(record, 4, ctx)
+    assert powers == {0, 1, 2}  # rows with 1/n and 1/n^2 prefactors are cleared alike
+    with pytest.raises(ValueError, match="beyond context limit"):
+        _difference(registry.by_id["thm2.1.iii"], ctx, limit + 1)
+
+
+def _convolutions_read(record):
+    return {
+        source
+        for side in (record.lhs, record.rhs)
+        for source, _, _ in side.terms(0)
+        if isinstance(source, tuple)
+    }
+
+
+def _still_needed(records, i):
+    """The convolutions records[i:] read, and the squarings of each (l, l,
+    alpha) among them that no earlier record has read (and so built)."""
+    reads = [_convolutions_read(r) for r in records]
+    earlier, later = set().union(*reads[:i]), set().union(*reads[i:])
+    squares = {
+        ("square", left, k)
+        for left, right, alpha in later - earlier
+        if left == right
+        for k in range(alpha // 2 + 1)
+    }
+    return later | squares
+
+
+def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
+    registry, monkeypatch, capsys
+):
+    import tauforms.cli as cli
+    import tauforms.identities as identities
+
+    records = registry.identities
+    held, contexts, built = {}, [], []
+    real_verify, real_convolve = identities.verify_range, identities._convolve_int
+
+    def verify(record, limit, ctx=None):
+        # the convolutions and squarings in the context as the record starts
+        held.setdefault(record.id, {k for k in ctx._sources if isinstance(k, tuple)})
+        contexts.append(ctx)
+        return real_verify(record, limit, ctx)
+
+    monkeypatch.setattr(identities, "verify_range", verify)
+    monkeypatch.setattr(cli, "verify_range", verify)
+    monkeypatch.setattr(
+        identities, "_convolve_int", lambda a, b, n: built.append(n) or real_convolve(a, b, n)
+    )
+    reads = set().union(*map(_convolutions_read, records))
+    products = len({k for k in reads if k[0] != k[1]}) + len(_still_needed(records, 0) - reads)
+    for run in (
+        lambda: cli.main(["verify", "--identity", "all", "--max-n", "300"]),
+        lambda: identities.audit_all(300),
+    ):
+        held.clear(), contexts.clear(), built.clear()
+        run()
+        for i, record in enumerate(records):
+            assert held[record.id] <= _still_needed(records, i), record.id
+        assert any(held.values())  # records that share a convolution still share it
+        assert len(built) == products  # and none is built twice
+        assert not [k for ctx in contexts for k in ctx._sources if isinstance(k, tuple)]
+    capsys.readouterr()
+
+
 def _perturb_conv(record, delta=1):
     term = record.rhs.conv[0]
     bad = ConvolutionTerm(

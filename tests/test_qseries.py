@@ -495,6 +495,24 @@ def test_byte_route_edge_cases(byte_route_widths, terms, n):
     assert len(byte_route_widths) == 1
 
 
+@pytest.mark.parametrize("decimal", [False, True], ids=["byte-route", "decimal-route"])
+def test_read_back_drops_a_negative_upper_half(decimal_route_widths, decimal):
+    # The kernel drops the slots above q^n before reading the sum back;
+    # here every one of them holds a negative sum, and the low slots of
+    # both signs must come back exact on either route.
+    top = 10 ** 40  # slots of about 85 digits
+    length = _DECIMAL_THRESHOLD // 85 * 3 // 2 if decimal else _LONG
+    a = [top - i for i in range(length)]
+    b = [(-1) ** j * (top + j) if j < length // 2 else -top - j for j in range(length)]
+    terms = [(1, a, b), (2, b, [1] * length)]
+    n = length - 1
+    assert max(_summed_schoolbook(terms, 2 * n)[n + 1 :]) < 0
+    low = _summed_schoolbook(terms, n)
+    assert min(low) < 0 < max(low)
+    assert _convolve_sum(terms, n) == low
+    assert bool(decimal_route_widths) == decimal
+
+
 def test_byte_route_skips_only_zero_sums(byte_route_widths):
     for terms in ([(0, _MIXED, _NEGATIVE)], [(1, _MIXED, _NEGATIVE), (-1, _NEGATIVE, _MIXED)]):
         assert _convolve_sum(terms, _LONG) == [0] * (_LONG + 1)

@@ -377,6 +377,27 @@ def test_verify_all_runs_under_an_address_space_cap(capsys, monkeypatch):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, err) == (0, stdout, "")
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_peak_rss_script_runs_the_cli_commands():
+    # scripts/peak_rss.py names its commands by their CLI options; each must
+    # still parse, and one small run reports its peak and time
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    spec = importlib.util.spec_from_file_location("peak_rss", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = dict(script.commands(None, "table.out"))
+    assert list(commands) == ["verify", "congruences", "certify", "audit"] + [
+        f"tau-table-{s}" for s in TAU_STRATEGIES
+    ]
+    for argv in commands.values():
+        build_parser().parse_args(argv)
+    src = Path(tauforms.__file__).resolve().parents[1]
+    run = script.measure(["verify", "--identity", "eq1.1", "--max-n", "20"], src)
+    assert run["exit"] == 0 and run["vmhwm_kb"] > 0 and run["seconds"] > 0
+
+
 def test_library_invariants_survive_optimize_flag():
     # python -O strips assert statements; the audit's invariants must not be
     src = str(Path(tauforms.__file__).resolve().parents[1])

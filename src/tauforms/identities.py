@@ -23,8 +23,11 @@ convolution takes no n^p or affine prefix.  "mod M = f1*...*fk" states a
 factorisation that must multiply out to M; "n odd" means gcd(n,2)=1.
 
 Residuals are exact rationals, so "holds" means residual identically 0 - no
-tolerances anywhere.  Sides are evaluated as integers after clearing
-denominators (L * n^d * side(n), L the lcm of the coefficient denominators),
+tolerances anywhere.  A side expands (Side.terms) into coefficients times
+n^e times a source: tau, sigma_k, or one product of weighted sigma tables;
+a convolution with equal sigmas is rewritten through squarings by Waring's
+formula.  Sides are evaluated as integers after clearing denominators
+(L * n^d * side(n), L the lcm of the expanded coefficients' denominators),
 and a range check streams L * n^d * (lhs(n) - rhs(n)), so pointwise checks
 are integer comparisons.
 
@@ -38,10 +41,10 @@ stated value next to the empirically determined one.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress, islice, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, and_, mod, mul, rshift
+from operator import add, and_, mod, mul, xor
 
 from .expr import _Parser
 from .forms import (
@@ -245,18 +248,21 @@ class ConvolutionTerm:
 class Side:
     """A sum of closed and convolution terms, evaluated exactly.
 
-    Every evaluation goes through `stream`: the integers
+    `terms` expands it into sources, each convolution a product of two
+    weighted sigma tables (equal sigmas through squarings).  Every
+    evaluation goes through `stream`: the integers
     scale * n^power * side(n), with scale a multiple of every coefficient
-    denominator and power at least the largest n-divisor.  `cleared` lists
-    them, and `value`, `bulk` and `series` divide that one vector back out.
+    denominator of `terms` and power at least the largest n-divisor.
+    `cleared` lists them, and `value`, `bulk` and `series` divide that one
+    vector back out.
     """
 
     closed: tuple = ()
     conv: tuple = ()
 
     def denominator(self):
-        """Least common multiple of the coefficient denominators."""
-        return lcm(1, *(Fraction(t.coefficient).denominator for t in self.closed + self.conv))
+        """Least common multiple of the coefficient denominators of terms(0)."""
+        return lcm(1, *(c.denominator for _, _, c in self.terms(0)))
 
     def clearing_power(self):
         """Smallest d >= 0 with no negative n-power left in n^d * side(n)."""
@@ -271,14 +277,36 @@ class Side:
         """(source, e, c) triples with n^power * side(n) = sum c * n^e * source[n].
 
         A source is a sigma exponent (0 for tau) or a convolution key
-        (left, right, alpha), as served by EvalContext.source.
+        (left, a, right, b), the sequence (m^a sigma_left) * (m^b sigma_right)
+        that EvalContext.source serves.  A monomial m^alpha n^beta of an
+        unequal pair is the key (left, alpha, right, 0).
+
+        With left == right == l the sum is unchanged by m <-> n-m, so
+        2 sum m^alpha sigma_l(m) sigma_l(n-m) = sum (m^alpha + (n-m)^alpha)
+        sigma_l(m) sigma_l(n-m), and by Waring's formula
+        a^alpha + b^alpha = sum_i w_i (a+b)^(alpha-2i) (ab)^i, i <= alpha/2,
+        with w_i = (-1)^i alpha/(alpha-i) C(alpha-i, i) (w_0 = 2 when alpha
+        is 0), the monomial is sum_i w_i/2 n^(beta+alpha-2i) times the
+        squaring (l, i, l, i).  The 1/2 is left in the coefficients, so
+        denominator() clears it.
         """
-        for t in self.closed:
-            for c, p, j in t.monomials():
-                yield j, p + power, c
+        return ((source, e + power, c) for source, e, c in self._terms)
+
+    @cached_property
+    def _terms(self):
+        """terms(0) as a tuple, expanded once per side."""
+        out = [(j, p, c) for t in self.closed for c, p, j in t.monomials()]
         for t in self.conv:
+            l, r = t.left, t.right
             for (alpha, beta), c in t.poly.monomials():
-                yield (t.left, t.right, alpha), beta + power - t.n_divisor, t.coefficient * c
+                e, c = beta - t.n_divisor, t.coefficient * c
+                if l != r:
+                    out.append(((l, alpha, r, 0), e, c))
+                    continue
+                for i in range(alpha // 2 + 1):
+                    w = (-1) ** i * alpha * comb(alpha - i, i) // (alpha - i) if alpha else 2
+                    out.append(((l, i, l, i), e + alpha - 2 * i, Fraction(c * w, 2)))
+        return tuple(out)
 
     def stream(self, ctx, limit, scale, power):
         """scale * n^power * side(n) for n = 0..limit, lazily (see _horner)."""
@@ -372,40 +400,42 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """tau, the sigma tables and the convolutions and squarings built from
-    them, for exact evaluation up to `limit`; each is built on first use and
-    shared by every identity evaluated here until `release` drops it."""
+    """tau, the sigma tables and the convolutions built from them, for exact
+    evaluation up to `limit`; each is built on first use and shared by every
+    identity evaluated here until `release` drops it."""
 
     limit: int
     _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def source(self, key):
         """tau (key 0), sigma_k (key k > 0) or the convolution
-        S(n) = sum_{m<n} m^alpha sigma_left(m) sigma_right(n-m) (key (left,
-        right, alpha)) as a sequence indexed by n = 0..limit.
+        (m^a sigma_left) * (m^b sigma_right) (key (left, a, right, b)), that
+        is S(n) = sum_{m<n} m^a sigma_left(m) (n-m)^b sigma_right(n-m), as a
+        sequence indexed by n = 0..limit.
 
         tau is read off Delta's product expansion at every limit, so the
         catalogue's tau formulas (van der Pol, Niebur) are never checked
         against themselves.
 
-        With left == right == l the sum is unchanged by m <-> n-m, so
-        2 S = sum (m^alpha + (n-m)^alpha) sigma_l(m) sigma_l(n-m), and by
-        Waring's formula a^alpha + b^alpha = sum_i w_i (a+b)^(alpha-2i) (ab)^i,
-        w_i = (-1)^i alpha/(alpha-i) C(alpha-i, i), it is built from the
-        squarings P_i = (m^i sigma_l) * (m^i sigma_l), i <= alpha/2:
-        S(n) = sum_i w_i n^(alpha-2i) P_i(n) / 2 (S = P_0 when alpha is 0).
-        An odd sum raises InternalInconsistency.
+        A squaring (l, i, l, i) hands the kernel one vector u twice.  Each
+        term m of (u*u)(n) pairs with n-m, so (u*u)(n) = [n even] u(n/2)
+        mod 2; a value of the other parity raises InternalInconsistency.
         """
         values = self._sources.get(key)
         if values is None:
-            if isinstance(key, tuple) and key[0] == key[1]:
-                values = self._symmetrised(*key[1:])
-            elif isinstance(key, tuple):
-                left, right, alpha = key
-                u = self.source(left)
-                if alpha:
-                    u = [m ** alpha * v for m, v in enumerate(u)]
-                values = _convolve_int(u, self.source(right), self.limit)
+            if isinstance(key, tuple):
+                left, a, right, b = key
+                u = _moment(self.source(left), a)
+                v = u if key[:2] == key[2:] else _moment(self.source(right), b)
+                values = _convolve_int(u, v, self.limit)
+                if v is u:
+                    halves = chain.from_iterable(zip(u, repeat(0)))
+                    wrong = map(and_, map(xor, values, halves), repeat(1))
+                    n = next(compress(count(), wrong), None)
+                    if n is not None:
+                        raise InternalInconsistency(
+                            f"(m^{a} sigma{left}) squared has the wrong parity at n={n}"
+                        )
             elif key == 0:
                 values = tau_range(self.limit, "product")
             else:
@@ -413,43 +443,15 @@ class EvalContext:
             self._sources[key] = values
         return values
 
-    def _square(self, j, i):
-        """P_i = (m^i sigma_j) * (m^i sigma_j), memoised as ("square", j, i)."""
-        key = ("square", j, i)
-        values = self._sources.get(key)
-        if values is None:
-            u = self.source(j)
-            if i:
-                u = [m ** i * v for m, v in enumerate(u)]
-            values = self._sources[key] = _convolve_int(u, u, self.limit)
-        return values
-
-    def _symmetrised(self, j, alpha):
-        """sum_{m<n} m^alpha sigma_j(m) sigma_j(n-m) from the squarings P_i,
-        by Horner in n^2 over i = 0..alpha//2, as one chain of C-level maps
-        that only the doubled sum and its half are listed from."""
-        if alpha == 0:
-            return self._square(j, 0)
-        ns = range(self.limit + 1)
-        twice = repeat(0)
-        for i in range(alpha // 2 + 1):
-            w = (-1) ** i * alpha * comb(alpha - i, i) // (alpha - i)
-            term = map(mul, repeat(w), self._square(j, i))
-            twice = map(add, map(mul, twice, map(mul, ns, ns)), term)
-        if alpha % 2:
-            twice = map(mul, twice, ns)
-        twice = list(twice)
-        if any(map(and_, twice, repeat(1))):
-            n = next(n for n, v in enumerate(twice) if v % 2)
-            raise InternalInconsistency(
-                f"sum m^{alpha} sigma{j}(m) sigma{j}(n-m) symmetrised to an odd value at n={n}"
-            )
-        return list(map(rshift, twice, repeat(1)))
-
     def release(self, keys):
         """Drop the sources under keys; a later request builds them again."""
         for key in keys:
             self._sources.pop(key, None)
+
+
+def _moment(values, k):
+    """[m^k * values[m]]; values itself when k is 0."""
+    return [m ** k * v for m, v in enumerate(values)] if k else values
 
 
 def make_context(limit):
@@ -495,25 +497,16 @@ def _horner(ctx, limit, terms, scale):
 
 def in_turn(records, *contexts):
     """Each record in order; once the caller is done with one, every
-    convolution and squaring that no later record reads is dropped from
-    contexts, so a command over the catalogue holds only what is still to
-    be read.  records must be a sequence.
-
-    A squaring ("square", l, i) is read when an (l, l, alpha) source with
-    alpha >= 2i is built, that is by the first record that reads it.
+    convolution that no later record reads is dropped from contexts, so a
+    command over the catalogue holds only what is still to be read.
+    records must be a sequence.
     """
-    first, last = {}, {}
+    last = {}
     for r, record in enumerate(records):
         for side in (record.lhs, record.rhs):
             for source, _, _ in side.terms(0):
                 if isinstance(source, tuple):
-                    first.setdefault(source, r)
                     last[source] = r
-    for (left, right, alpha), r in first.items():
-        if left == right:
-            for i in range(alpha // 2 + 1):
-                key = ("square", left, i)
-                last[key] = max(last.get(key, r), r)
     done = [[] for _ in records]
     for key, r in last.items():
         done[r].append(key)
@@ -888,14 +881,15 @@ def _difference(record, ctx, limit):
 
 def certification_weight(record):
     """Weight of the graded space certifying the identity, after clearing
-    every 1/n and 1/n^2 prefactor by differentiation."""
+    every 1/n and 1/n^2 prefactor by differentiation.  It is graded over
+    the unmerged terms, so terms that cancel (all of cor2.10's) still count."""
     d = _clearing(record)[1]
     w = 0
     for side in (record.lhs, record.rhs):
         for source, e, _ in side.terms(d):
-            if isinstance(source, tuple):  # D^alpha(E_{left+1}) * E_{right+1}
-                left, right, alpha = source
-                base = left + 1 + 2 * alpha + right + 1
+            if isinstance(source, tuple):  # D^a(E_{left+1}) * D^b(E_{right+1})
+                left, a, right, b = source
+                base = left + 1 + 2 * a + right + 1 + 2 * b
             else:
                 base = 12 if source == 0 else source + 1
             w = max(w, base + 2 * e)
@@ -1057,10 +1051,11 @@ def fit_identity(record, ctx):
     for t in record.rhs.conv:
         term = ConvolutionTerm(Fraction(1), t.n_divisor, t.poly, t.left, t.right)
         column(term.describe(), t.coefficient, Side(conv=(term,)))
-    # Each vector is its true value times n^power (the target also times scale):
-    # row n is n^power times the rational one, which keeps solve_exact's pivots.
+    # Each vector is its true value times n^power, and times its side's own
+    # scale: row n is n^power times the rational one, which keeps
+    # solve_exact's pivots; each solution is scaled back by its column's.
     target = record.lhs.cleared(ctx, limit, scale, power)
-    columns = [unit.cleared(ctx, limit, 1, power) for _, unit in table.values()]
+    columns = [unit.cleared(ctx, limit, unit.denominator(), power) for _, unit in table.values()]
     ncols = len(columns)
     rows_used = min(limit, ncols + FIT_EXTRA_ROWS)
     if rows_used < ncols:
@@ -1076,8 +1071,8 @@ def fit_identity(record, ctx):
         if fitted[n] * scale != den * target[n]:
             return FitResult(record.id, False, detail=f"refit inconsistent at n={n}")
     fits = tuple(
-        FittedCoefficient(label, Fraction(stated), x)
-        for (label, (stated, _)), x in zip(table.items(), solution)
+        FittedCoefficient(label, Fraction(stated), x * unit.denominator())
+        for (label, (stated, unit)), x in zip(table.items(), solution)
     )
     return FitResult(record.id, True, fits)
 
@@ -1218,8 +1213,8 @@ def audit_all(limit=500, ctx=None):
     record the known normalisation/constant discrepancies.
 
     The audit is successful when only pre-declared flagged entries fail.
-    Each convolution and squaring is dropped from ctx after the last
-    entry that reads it (see in_turn).
+    Each convolution is dropped from ctx after the last entry that reads it
+    (see in_turn).
     """
     registry = builtin_registry()
     if ctx is None:

@@ -284,14 +284,14 @@ def test_flagged_first_failures_pinned(registry, ctx120):
 
 
 def test_context_convolution_without_weight_is_a_squaring(monkeypatch):
-    # (3, 3, 0) hands the kernel the sigma3 table itself, twice
+    # (3, 0, 3, 0) hands the kernel the sigma3 table itself, twice
     calls = []
     real = qseries._convolve_sum
     monkeypatch.setattr(
         qseries, "_convolve_sum", lambda terms, n: calls.append(list(terms)) or real(terms, n)
     )
     ctx = make_context(100)
-    values = ctx.source((3, 3, 0))
+    values = ctx.source((3, 0, 3, 0))
     [[(_, a, b)]] = calls
     assert a is b is ctx.source(3)
     term = ConvolutionTerm(1, 0, PolyMN.const(1), 3, 3)
@@ -302,31 +302,38 @@ def test_context_convolution_without_weight_is_a_squaring(monkeypatch):
 
 def test_context_shares_convolutions(registry):
     ctx = make_context(40)
-    assert ctx.source((3, 3, 1)) is ctx.source((3, 3, 1))
+    assert ctx.source((3, 1, 3, 1)) is ctx.source((3, 1, 3, 1))
     for record in registry.identities:
         verify_range(record, 40, ctx)
-    s3 = ctx.source(3)
-    assert ctx.source((3, 3, 1)) == [
-        sum(m * s3[m] * s3[n - m] for m in range(1, n)) for n in range(41)
+    s3, s5 = ctx.source(3), ctx.source(5)
+    # (left, a, right, b) is sum m^a sigma_left(m) (n-m)^b sigma_right(n-m)
+    assert ctx.source((3, 1, 3, 1)) == [
+        sum(m * s3[m] * (n - m) * s3[n - m] for m in range(1, n)) for n in range(41)
+    ]
+    assert ctx.source((3, 1, 5, 0)) == [
+        sum(m * s3[m] * s5[n - m] for m in range(1, n)) for n in range(41)
     ]
 
 
 @pytest.mark.parametrize("limit", [1, 2, 63, 64, 65, 300])
 def test_equal_sigma_sources_match_the_product(limit):
-    # (j, j, alpha) is built from squarings; the product it replaces is
+    # sum m^alpha sigma_j(m) sigma_j(n-m) is written through squarings, with
+    # Waring's 1/2 in its scale; the product it replaces is
     # (m^alpha sigma_j) * sigma_j
     ctx = make_context(limit)
     for j in (1, 3, 5, 7):
         s = ctx.source(j)
         for alpha in range(5):
+            side = Side(conv=(ConvolutionTerm(Fraction(1), 0, PolyMN({(alpha, 0): 1}), j, j),))
+            scale = side.denominator()
+            assert scale == (2 if alpha else 1)
             u = [m ** alpha * v for m, v in enumerate(s)]
-            assert ctx.source((j, j, alpha)) == qseries._convolve_int(u, s, limit), (j, alpha)
+            product = qseries._convolve_int(u, s, limit)
+            assert side.cleared(ctx, limit, scale, 0) == [scale * v for v in product], (j, alpha)
 
 
-@pytest.mark.parametrize("key", [(1, 1, 1), (1, 1, 3), (5, 5, 1)])
-def test_odd_symmetrised_sum_is_an_internal_inconsistency(key, monkeypatch):
-    # the first squaring, P_0, off by one at n = 65 makes the doubled sum
-    # odd there: P_0 enters it with the odd weight 65^alpha
+def _first_convolution_off_by_one(monkeypatch):
+    """Make the first convolution the context builds off by one at n = 65."""
     import tauforms.identities as identities
 
     real = identities._convolve_int
@@ -340,8 +347,25 @@ def test_odd_symmetrised_sum_is_an_internal_inconsistency(key, monkeypatch):
         return out
 
     monkeypatch.setattr(identities, "_convolve_int", first_off_by_one)
-    with pytest.raises(InternalInconsistency, match="odd value at n=65"):
+
+
+@pytest.mark.parametrize("key", [(1, 0, 1, 0), (1, 1, 1, 1), (5, 1, 5, 1)])
+def test_odd_symmetrised_sum_is_an_internal_inconsistency(key, monkeypatch):
+    # a squaring is even at odd n, since each term m pairs with n-m; one
+    # off by one at n = 65 is odd there
+    _first_convolution_off_by_one(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="wrong parity at n=65"):
         make_context(100).source(key)
+
+
+def test_a_squaring_fault_exits_3(monkeypatch, capsys):
+    # the first convolution verify builds is eq1.1's squaring of sigma3: a
+    # kernel fault is an internal error, not a failed identity
+    from tauforms.cli import main
+
+    _first_convolution_off_by_one(monkeypatch)
+    assert main(["verify", "--identity", "all", "--max-n", "100"]) == 3
+    assert "squared has the wrong parity at n=65" in capsys.readouterr().err
 
 
 _powered_closed = st.builds(
@@ -439,17 +463,8 @@ def _convolutions_read(record):
 
 
 def _still_needed(records, i):
-    """The convolutions records[i:] read, and the squarings of each (l, l,
-    alpha) among them that no earlier record has read (and so built)."""
-    reads = [_convolutions_read(r) for r in records]
-    earlier, later = set().union(*reads[:i]), set().union(*reads[i:])
-    squares = {
-        ("square", left, k)
-        for left, right, alpha in later - earlier
-        if left == right
-        for k in range(alpha // 2 + 1)
-    }
-    return later | squares
+    """The convolutions records[i:] read."""
+    return set().union(*map(_convolutions_read, records[i:]))
 
 
 def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
@@ -463,7 +478,7 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
     real_verify, real_convolve = identities.verify_range, identities._convolve_int
 
     def verify(record, limit, ctx=None):
-        # the convolutions and squarings in the context as the record starts
+        # the convolutions in the context as the record starts
         held.setdefault(record.id, {k for k in ctx._sources if isinstance(k, tuple)})
         contexts.append(ctx)
         return real_verify(record, limit, ctx)
@@ -473,8 +488,9 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
     monkeypatch.setattr(
         identities, "_convolve_int", lambda a, b, n: built.append(n) or real_convolve(a, b, n)
     )
-    reads = set().union(*map(_convolutions_read, records))
-    products = len({k for k in reads if k[0] != k[1]}) + len(_still_needed(records, 0) - reads)
+    reads = _still_needed(records, 0)
+    # 19 unequal products and 7 squarings
+    assert len(reads) == 26 and sum(k[:2] == k[2:] for k in reads) == 7
     for run in (
         lambda: cli.main(["verify", "--identity", "all", "--max-n", "300"]),
         lambda: identities.audit_all(300),
@@ -484,7 +500,7 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
         for i, record in enumerate(records):
             assert held[record.id] <= _still_needed(records, i), record.id
         assert any(held.values())  # records that share a convolution still share it
-        assert len(built) == products  # and none is built twice
+        assert len(built) == len(reads)  # and none is built twice
         assert not [k for ctx in contexts for k in ctx._sources if isinstance(k, tuple)]
     capsys.readouterr()
 
@@ -524,9 +540,54 @@ def test_certify_clears_divisor_powers(registry):
 
 
 def test_certification_weight_examples(registry):
-    assert certification_weight(registry.by_id["thm2.1.i"]) == (12, 0)
-    assert certification_weight(registry.by_id["thm2.3"]) == (14, 1)
-    assert certification_weight(registry.by_id["thm2.6.iii"]) == (16, 2)
+    # graded over the unmerged terms: cor2.10's cancel to nothing once
+    # merged, and it keeps weight 10 (bound 9)
+    assert {r.id: certification_weight(r) for r in registry.identities} == {
+        "eq1.1": (12, 0), "eq1.2": (12, 0), "thm2.1.i": (12, 0), "thm2.1.ii": (12, 0),
+        "thm2.1.iii": (14, 1), "thm2.1.iv": (14, 1), "thm2.2.i": (12, 0),
+        "thm2.2.ii": (12, 0), "thm2.2.iii": (14, 1), "thm2.2.iv": (14, 1),
+        "thm2.2.v": (14, 1), "thm2.3": (14, 1), "thm2.4.i": (14, 1), "thm2.4.ii": (14, 1),
+        "thm2.5.i": (12, 0), "thm2.5.ii": (12, 0), "thm2.5.iii": (12, 0),
+        "thm2.5.iv": (12, 0), "thm2.6.i": (12, 0), "thm2.6.ii": (12, 0),
+        "thm2.6.iii": (16, 2), "thm2.6.iv": (16, 2), "thm2.6.v": (16, 2),
+        "thm2.7.i": (12, 0), "thm2.7.ii": (12, 0), "thm2.7.iii": (12, 0),
+        "thm2.7.iv": (12, 0), "thm2.7.v": (12, 0), "thm2.7.vi": (12, 0),
+        "thm2.7.vii": (12, 0), "thm2.7.viii": (12, 0), "thm2.7.ix": (12, 0),
+        "thm2.9.i": (10, 0), "thm2.9.ii": (8, 0), "thm2.9.iii": (6, 0),
+        "thm2.9.iv": (10, 0), "thm2.9.v": (8, 0), "thm2.9.vi": (10, 0),
+        "thm2.9.vii": (8, 0), "thm2.9.viii": (10, 0), "cor2.10": (10, 0),
+        "cor2.11": (12, 0), "id1": (10, 0), "id4": (8, 0), "id5": (10, 0),
+    }
+    assert certify(registry.by_id["cor2.10"]).certification_bound == 9
+
+
+def _merged(side, power):
+    """side.terms(power) merged into {(source, e): c}, without zeros."""
+    out = {}
+    for source, e, c in side.terms(power):
+        out[source, e] = out.get((source, e), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_equal_statements_merge_to_equal_terms(registry):
+    # thm2.1.iii's 1080/n sum m^2 (n-m) sigma3 sigma3 is thm2.1.i's
+    # 540 sum m (n-m) sigma3 sigma3 once both are written through squarings
+    sides = [
+        (_merged(r.lhs, 1), _merged(r.rhs, 1))
+        for r in map(registry.by_id.get, ("eq1.2", "thm2.1.i", "thm2.1.iii"))
+    ]
+    assert sides[0] == sides[1] == sides[2]
+    # cor2.10's polynomial is odd under m <-> n-m
+    assert _merged(registry.by_id["cor2.10"].lhs, 0) == {}
+    # the raw expansion of [E4,E4]_2 = 4800*Delta at q^n, over 4800
+    raw = parse_record(
+        "raw",
+        "tau(n) = n^2*sigma3(n) + sum (240n^2 - 780m*n + 540m^2)*sigma3(m)*sigma3(n-m)",
+    )
+    eq = registry.by_id["eq1.1"]
+    assert raw.rhs != eq.rhs
+    assert _merged(raw.rhs, 0) == _merged(eq.rhs, 0)
+    assert _merged(raw.lhs, 0) == _merged(eq.lhs, 0)
 
 
 def test_certify_eisenstein_relation_as_record():
@@ -776,6 +837,19 @@ def test_fit_finds_true_npower(registry, ctx120):
         "n^2*sigma3(n)": (Fraction(-1, 120), Fraction(0)),
         "n^3*sigma3(n)": (Fraction(0), Fraction(-1, 120)),
     }
+
+
+@pytest.mark.parametrize(
+    "key, constant", [("thm2.1.i", -540), ("thm2.5.i", -24), ("cor2.11", -840)]
+)
+def test_fit_recovers_a_perturbed_equal_sigma_constant(key, constant, registry, ctx120):
+    # the unit column of an equal-sigma convolution has Waring's 1/2 in its
+    # terms, so it needs a scale of its own
+    record = registry.by_id[key]
+    fit = fit_identity(_perturb_conv(record), ctx120)
+    assert fit.success, fit.detail
+    deltas = {c.description: (c.stated, c.fitted) for c in fit.discrepancies}
+    assert deltas == {record.rhs.conv[0].describe(): (constant + 1, constant)}
 
 
 def test_audit_report(registry, ctx120):

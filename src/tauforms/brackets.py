@@ -12,14 +12,16 @@ literal for every r.
 
 A bracket is one `qseries._product_sum` over its v+1 binomial terms: the
 operands are cleared of denominators once and every product is summed in
-one kernel call, as a series product is.
+one kernel call, as a series product is.  The six brackets of E2's
+derivatives (`e2_bracket_family`) share their products: three in all.
 """
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .forms import GradedForm, eisenstein
-from .qseries import _product_sum
+from .qseries import _convolve_int, _from_canonical, _product_sum
 
 __all__ = [
     "BracketSpec",
@@ -68,6 +70,15 @@ class BracketSpec:
     def result_depth(self):
         return self.left_depth + self.right_depth
 
+    @property
+    def terms(self):
+        """(c, r, order - r) for each r: the bracket of f and g is the sum
+        of c * D^r f * D^(order-r) g."""
+        n = self.order
+        a = self.left_weight - self.left_depth + n - 1
+        b = self.right_weight - self.right_depth + n - 1
+        return [((-1) ** r * binomial(a, n - r) * binomial(b, r), r, n - r) for r in range(n + 1)]
+
 
 def rc_bracket(f, g, order):
     """Order-v Rankin-Cohen bracket of two modular (depth-0) forms.
@@ -103,12 +114,7 @@ def quasi_bracket(order, f, g, left=None, right=None):
     k, s = left if left is not None else (f.weight, f.depth)
     l, t = right if right is not None else (g.weight, g.depth)
     spec = BracketSpec(order, k, s, l, t)
-    a, b = k - s + order - 1, l - t + order - 1
-    terms = [
-        ((-1) ** r * binomial(a, order - r) * binomial(b, r), r, order - r)
-        for r in range(order + 1)
-    ]
-    series = _product_sum(f.series, g.series, terms)
+    series = _product_sum(f.series, g.series, spec.terms)
     return GradedForm(series, spec.result_weight, spec.result_depth)
 
 
@@ -117,20 +123,40 @@ def is_cuspidal(h):
     return h.series.coefficient(0) == 0
 
 
+# key -> (order, a, b): f_key is the quasimodular bracket of D^a E2 and
+# D^b E2, of gradings (2 + 2a, 1 + a) and (2 + 2b, 1 + b)
+_E2_FAMILY = {
+    "f1": (1, 3, 0),
+    "f2": (1, 2, 1),
+    "f3": (2, 2, 0),
+    "f4": (2, 1, 1),
+    "f5": (3, 1, 0),
+    "f6": (4, 0, 0),
+}
+
+
 def e2_bracket_family(truncation):
     """The six weight-12 quasimodular brackets built from derivatives of E2.
 
     Keys f1..f6; f4 = -3*f2 and f6 = -2*f5 hold identically, and the family
     decomposes over the weight-12 graded generators with the golden
     coordinates exercised in the tests.
+
+    In every bracket a + b + order = 4, so each term is c * D^i E2 *
+    D^(4-i) E2.  The three products P_i = D^i E2 * D^(4-i) E2, i <= 2, are
+    built once, and each bracket is an integer combination of them.
     """
-    e2 = eisenstein(2, truncation)
-    d = [e2, e2.derive(1), e2.derive(2), e2.derive(3)]
-    return {
-        "f1": quasi_bracket(1, d[3], d[0]),
-        "f2": quasi_bracket(1, d[2], d[1]),
-        "f3": quasi_bracket(2, d[2], d[0]),
-        "f4": quasi_bracket(2, d[1], d[1]),
-        "f5": quasi_bracket(3, d[1], d[0]),
-        "f6": quasi_bracket(4, d[0], d[0]),
-    }
+    e2 = eisenstein(2, truncation).series.coefficients
+    d = [e2]
+    while len(d) < 5:
+        d.append(list(map(mul, range(truncation + 1), d[-1])))
+    products = [_convolve_int(d[i], d[4 - i], truncation) for i in range(3)]
+    family = {}
+    for key, (order, a, b) in _E2_FAMILY.items():
+        spec = BracketSpec(order, 2 + 2 * a, 1 + a, 2 + 2 * b, 1 + b)
+        weights = [0, 0, 0]
+        for c, r, s in spec.terms:
+            weights[min(a + r, b + s)] += c
+        series = _from_canonical([sum(map(mul, weights, p)) for p in zip(*products)])
+        family[key] = GradedForm(series, spec.result_weight, spec.result_depth)
+    return family

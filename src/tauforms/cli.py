@@ -151,7 +151,7 @@ def _write_csv(path, rows):
 
 def cmd_tau_table(args):
     values = tau_range(args.max_n, args.strategy)
-    rows = [(n, values[n]) for n in range(1, args.max_n + 1)]
+    rows = zip(range(1, args.max_n + 1), values[1:])
     if args.format == "csv":
         _write_csv(args.out, rows)
     else:

@@ -295,6 +295,11 @@ def eval_expr(node, truncation):
         right = eval_expr(node.right, truncation)
         return left + right if isinstance(node, Add) else left - right
     if isinstance(node, Mul):
+        # a nonzero literal factor scales: same series, weight and depth
+        # as the product with the constant series, without the product
+        for lit, other in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(lit, Lit) and lit.value:
+                return eval_expr(other, truncation).scale(lit.value)
         return eval_expr(node.left, truncation) * eval_expr(node.right, truncation)
     if isinstance(node, Bracket):
         left = eval_expr(node.left, truncation)

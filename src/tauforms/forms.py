@@ -3,7 +3,9 @@
 Everything is constructed from scratch: Bernoulli numbers by recurrence,
 divisor-power sums by sieving, Eisenstein series of every even weight from
 their defining expansions, the discriminant form from Jacobi's identity for
-eta^3, and tau(n) by four independent strategies that are required to agree.
+eta^3 (squared over its sparse terms) and, independently, as
+(E4 E8 - E6^2)/1728, and tau(n) by four independent strategies that are
+required to agree.  Each route multiplies only what its formula needs.
 Every named form is held once in `_STORE`, at the largest size asked for;
 smaller requests are cut from it, so rising sizes keep one copy of each.
 """
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from operator import sub
 
-from .qseries import QSeries, _coefficient_int, _convolve_int, as_rational
+from .qseries import QSeries, _coefficient_int, _convolve_int, _from_canonical, as_rational
 
 __all__ = [
     "GradedForm",
@@ -239,8 +242,9 @@ def delta_product(truncation):
     """The weight-12 cusp form q * prod_{n>=1} (1 - q^n)^24.
 
     Jacobi's identity prod(1 - q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}
-    gives the cube of the product with O(sqrt N) nonzero coefficients, and
-    Delta = q * cube^8 takes three squarings.
+    gives the cube of the product with O(sqrt N) nonzero coefficients.  Its
+    square is summed over pairs of those terms, one dense squaring gives
+    the 12th power (`_eta_twelve`), and Delta is q times its square.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -248,34 +252,69 @@ def delta_product(truncation):
 
 
 def _delta_product(truncation):
-    return GradedForm((QSeries(_jacobi_cube(truncation)) ** 8).shift(1), 12, 0)
+    twelve = _from_canonical(_eta_twelve(truncation))
+    return GradedForm((twelve * twelve).shift(1), 12, 0)
 
 
-def _jacobi_cube(n):
-    """prod(1 - q^m)^3 through q^n, by Jacobi's identity."""
-    cube = [0] * (n + 1)
+def _eta_six(n):
+    """prod(1 - q^m)^6 through q^n: the square of Jacobi's cube, summed over
+    the pairs j <= k of its O(sqrt n) terms (about 0.8 n products of small
+    integers; a pair j < k counts twice)."""
+    cube = []
     k = 0
     while (t := k * (k + 1) // 2) <= n:
-        cube[t] = (-1) ** k * (2 * k + 1)
+        cube.append((t, (-1) ** k * (2 * k + 1)))
         k += 1
-    return cube
+    six = [0] * (n + 1)
+    for j, (s, a) in enumerate(cube):
+        if 2 * s > n:
+            break
+        six[2 * s] += a * a
+        for t, b in cube[j + 1 :]:
+            if s + t > n:
+                break
+            six[s + t] += 2 * a * b
+    return six
+
+
+def _eta_twelve(n):
+    """prod(1 - q^m)^12 through q^n, one dense squaring of `_eta_six`."""
+    six = _eta_six(n)
+    return _convolve_int(six, six, n)
 
 
 def delta_from_eisenstein(truncation):
-    """The same cusp form via (E4^3 - E6^2) / 1728.
+    """The same cusp form via (E4^3 - E6^2) / 1728, taken as
+    (E4 * E8 - E6^2) / 1728: the space of weight 8 is one-dimensional, so
+    E4^2 = E8 = 1 + 480 sum sigma7(n) q^n, and two products suffice.
 
-    The division is exact in integers; a remainder would contradict the
-    Eisenstein expansions and raises InternalInconsistency.
+    E8 is built from a sigma7 sieve of its own and dropped after its
+    product, so neither is held in the store.  The division is exact in
+    integers; a remainder would contradict the Eisenstein expansions and
+    raises InternalInconsistency.
     """
     form = _largest(("Delta", "eisenstein"), truncation, _delta_from_eisenstein)
     return form.truncate(truncation)
 
 
 def _delta_from_eisenstein(truncation):
-    e4 = eisenstein(4, truncation).series
-    e6 = eisenstein(6, truncation).series
-    coeffs = [_over_1728(c, i) for i, c in enumerate((e4 ** 3 - e6 ** 2).coefficients)]
-    return GradedForm(QSeries(coeffs), 12, 0)
+    # E8 first, so that its sieve's transient lists are freed before the
+    # stored E4 and E6 are built
+    e8 = _eisenstein_ints(8, _sigma_sieve(7, truncation))
+    e4 = eisenstein(4, truncation).series.coefficients
+    e4e8 = _convolve_int(e4, e8, truncation)
+    del e8
+    e6 = eisenstein(6, truncation).series.coefficients
+    e6e6 = _convolve_int(e6, e6, truncation)
+    coeffs = [_over_1728(c, i) for i, c in enumerate(map(sub, e4e8, e6e6))]
+    return GradedForm(_from_canonical(coeffs), 12, 0)
+
+
+def _eisenstein_ints(k, sigma):
+    """The coefficients of E_k from sigma_{k-1}(1..N), for k = 4, 6, 8,
+    whose q^1 coefficient is an integer."""
+    c = _eisenstein_coefficient(k)
+    return [1] + [c * v for v in sigma[1:]]
 
 
 def _over_1728(c, i):
@@ -339,27 +378,22 @@ def tau(n, strategy="product"):
 
     The first two compute one coefficient, not a table: the q^n
     coefficient of a * b is the dot product of a[m] and b[n-m], so only
-    the factors are built, through q^n.  product squares Jacobi's cube
-    twice to c4 = prod(1-q^m)^12 through q^(n-1) and takes the q^(n-1)
-    coefficient of c4 * c4.  eisenstein takes the q^n coefficient of
-    E4 * E4^2 - E6 * E6, with E4^2 one squaring, and divides it by 1728;
-    a remainder raises InternalInconsistency.  vdp and niebur are the
-    literal per-n sums.
+    the factors are built, through q^n.  product builds
+    c12 = prod(1-q^m)^12 through q^(n-1) from Jacobi's sparse cube with one
+    dense squaring, and takes the q^(n-1) coefficient of c12 * c12.
+    eisenstein takes the q^n coefficient of E4 * E8 - E6 * E6 (E4^2 = E8),
+    two dot products and no product of series, and divides it by 1728; a
+    remainder raises InternalInconsistency.  vdp and niebur are the literal
+    per-n sums.
     """
     if n < 1:
         raise ValueError("tau(n) is defined for n >= 1")
     if strategy == "product":
-        cube = _jacobi_cube(n - 1)
-        c2 = _convolve_int(cube, cube, n - 1)
-        c4 = _convolve_int(c2, c2, n - 1)
-        value = _coefficient_int(c4, c4, n - 1)
+        c12 = _eta_twelve(n - 1)
+        value = _coefficient_int(c12, c12, n - 1)
     elif strategy == "eisenstein":
-        e4, e6 = (
-            [1] + [c * v for v in sigma_table(k - 1, n).values[1:]]
-            for k, c in ((4, _eisenstein_coefficient(4)), (6, _eisenstein_coefficient(6)))
-        )
-        c = _coefficient_int(e4, _convolve_int(e4, e4, n), n) - _coefficient_int(e6, e6, n)
-        value = _over_1728(c, n)
+        e4, e6, e8 = (_eisenstein_ints(k, sigma_table(k - 1, n).values) for k in (4, 6, 8))
+        value = _over_1728(_coefficient_int(e4, e8, n) - _coefficient_int(e6, e6, n), n)
     elif strategy == "vdp":
         value = _tau_vdp(n, sigma_table(3, n).values, sigma_table(7, n).values)
     elif strategy == "niebur":
@@ -374,7 +408,9 @@ TAU_STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 def tau_range(limit, strategy="product"):
     """tau(1..limit) in bulk; returns a list indexed by n with [0] = 0.
 
-    The convolution strategies sieve sigma once per exponent and take
+    product and eisenstein read the coefficients of `delta_product` (two
+    dense squarings) and `delta_from_eisenstein` (two products).  The
+    convolution strategies sieve sigma once per exponent and take
     every convolution sum as a squaring (one vector passed twice to the
     exact kernel, so it is packed once):
 

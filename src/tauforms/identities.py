@@ -42,7 +42,7 @@ stated value next to the empirically determined one.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, lcm
 from operator import add, and_, mod, mul, xor
 
@@ -54,7 +54,7 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .qseries import _convolve_int, _from_cleared
+from .qseries import _coefficient_int, _convolve_int, _from_cleared
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -420,6 +420,9 @@ class EvalContext:
         A squaring (l, i, l, i) hands the kernel one vector u twice.  Each
         term m of (u*u)(n) pairs with n-m, so (u*u)(n) = [n even] u(n/2)
         mod 2; a value of the other parity raises InternalInconsistency.
+        Any other product u*v is checked by its sum: sum_{n<=N} (u*v)(n) is
+        sum_m u(m) V(N-m), with V the prefix sums of v, one dot product; a
+        different sum raises InternalInconsistency.
         """
         values = self._sources.get(key)
         if values is None:
@@ -436,6 +439,11 @@ class EvalContext:
                         raise InternalInconsistency(
                             f"(m^{a} sigma{left}) squared has the wrong parity at n={n}"
                         )
+                elif sum(values) != _coefficient_int(u, list(accumulate(v)), self.limit):
+                    raise InternalInconsistency(
+                        f"(m^{a} sigma{left}) * (m^{b} sigma{right}) has the wrong sum"
+                        f" to n={self.limit}"
+                    )
             elif key == 0:
                 values = tau_range(self.limit, "product")
             else:

@@ -118,6 +118,33 @@ def test_family_proportionalities():
     assert fam["f4"].series == fam["f2"].series.scale(-3)
 
 
+@pytest.mark.parametrize("n", [0, 1, 19, 20, 64, 256])
+def test_e2_family_is_its_six_brackets_from_three_products(monkeypatch, n):
+    e2 = eisenstein(2, n)
+    d = [e2.derive(i) for i in range(4)]
+    expected = {
+        "f1": quasi_bracket(1, d[3], d[0]),
+        "f2": quasi_bracket(1, d[2], d[1]),
+        "f3": quasi_bracket(2, d[2], d[0]),
+        "f4": quasi_bracket(2, d[1], d[1]),
+        "f5": quasi_bracket(3, d[1], d[0]),
+        "f6": quasi_bracket(4, d[0], d[0]),
+    }
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, m: calls.append(len(terms)) or real(terms, m)
+    )
+    fam = e2_bracket_family(n)
+    assert calls == [1, 1, 1]  # D^i E2 * D^(4-i) E2 for i = 0, 1, 2
+    assert fam == expected
+    assert {key: (f.weight, f.depth) for key, f in fam.items()} == {
+        key: (f.weight, f.depth) for key, f in expected.items()
+    }
+    assert fam["f4"].series == fam["f2"].series.scale(-3)
+    assert fam["f6"].series == fam["f5"].series.scale(-2)
+
+
 def test_cuspidality():
     n = 16
     assert is_cuspidal(delta_product(n))

@@ -398,6 +398,27 @@ def test_peak_rss_script_runs_the_cli_commands():
     assert run["exit"] == 0 and run["vmhwm_kb"] > 0 and run["seconds"] > 0
 
 
+def test_session_kinds_script_replays_the_session_stream():
+    # scripts/session_kinds.py serves the benchmark's seeded session pass
+    # with the benchmark worker's handler; every kind is timed and checked
+    root = Path(__file__).resolve().parents[1]
+    src = Path(tauforms.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "session_kinds.py"), "--src", str(src)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kinds = json.loads(proc.stdout)["kinds"]
+    assert set(kinds) == {"expr", "decompose", "rc_bracket", "e2_family", "certify", "tau"} | {
+        f"tau.{s}" for s in TAU_STRATEGIES
+    }
+    assert kinds["tau"]["count"] == sum(kinds[f"tau.{s}"]["count"] for s in TAU_STRATEGIES)
+    for entry in kinds.values():
+        assert entry["count"] > 0 and entry["mean_ms"] > 0 and entry["failed"] == 0
+
+
 def test_library_invariants_survive_optimize_flag():
     # python -O strips assert statements; the audit's invariants must not be
     src = str(Path(tauforms.__file__).resolve().parents[1])

@@ -175,3 +175,33 @@ def test_equal_operands_are_shared_by_value(monkeypatch, text):
         (_, v0, v2), (_, v1, w1), (_, w2, w0) = terms
         assert v0 is w0 and v1 is w1 and v2 is w2
         assert result == delta_product(n).series.scale(4800)
+
+
+@pytest.mark.parametrize(
+    "left, right, products",
+    [
+        (Fraction(3), "E4", 0),
+        ("E4", Fraction(3), 0),
+        (Fraction(5, 7), "D(E2)*E6", 1),  # the inner product only
+        (Fraction(-2), "D^2(E2)", 0),
+        (Fraction(1, 2), "E4 + E6", 0),  # weight-inhomogeneous
+        (Fraction(2), Fraction(3), 0),
+        (Fraction(2, 3), Fraction(0), 0),
+        (Fraction(0), "E4", 1),  # a zero literal has no weight: the product
+        ("E4", Fraction(0), 1),
+    ],
+)
+def test_a_literal_factor_scales_as_the_product_does(monkeypatch, left, right, products):
+    n = 30
+    node = Mul(*(Lit(x) if isinstance(x, Fraction) else parse(x) for x in (left, right)))
+    # a literal on its own is the constant series of weight 0 (None for 0)
+    product = eval_expr(node.left, n) * eval_expr(node.right, n)
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, m: calls.append(terms) or real(terms, m)
+    )
+    result = eval_expr(node, n)
+    assert result.series.coefficients == product.series.coefficients
+    assert (result.weight, result.depth) == (product.weight, product.depth)
+    assert len(calls) == products

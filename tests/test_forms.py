@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import delta_euler, sigma_additive
 from tauforms import (
+    TAU_STRATEGIES,
     GradedForm,
     QSeries,
     TauStrategyDisagreement,
@@ -271,8 +272,8 @@ def test_tau_single_coefficient_routes_cache_no_table(monkeypatch):
     monkeypatch.setattr(forms, "_STORE", {})
     for strategy in ("product", "eisenstein"):
         tau(3000, strategy)
-    # no Delta and no E_k: only the two sigma sieves E4 and E6 are read from
-    assert sorted(forms._STORE) == [("sigma", 3), ("sigma", 5)]
+    # no Delta and no E_k: only the sigma sieves E4, E6 and E8 are read from
+    assert sorted(forms._STORE) == [("sigma", 3), ("sigma", 5), ("sigma", 7)]
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -293,10 +294,51 @@ def test_tau_eisenstein_rejects_a_remainder(monkeypatch, n):
         tau(n, "eisenstein")
 
 
+def _kernel_calls(monkeypatch):
+    """The term lists of every `_convolve_sum` call from here on."""
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, n: calls.append(list(terms)) or real(terms, n)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 19, 20, 1000])
+def test_sparse_eta_six_is_the_square_of_jacobis_cube(n):
+    cube = [0] * (n + 1)
+    k = 0
+    while k * (k + 1) // 2 <= n:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    assert forms._eta_six(n) == _convolve_int(cube, cube, n)
+
+
+def test_tau_single_routes_multiply_only_what_they_need(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    tau(3000, "eisenstein")
+    assert calls == []  # two dot products, no product of series
+    tau(3000, "product")
+    [[(_, a, b)]] = calls  # one dense squaring of prod(1-q^m)^6
+    assert a is b
+
+
+@pytest.mark.parametrize("build", [delta_product, delta_from_eisenstein])
+def test_delta_takes_two_kernel_products(monkeypatch, build):
+    # product: prod(1-q^m)^6 and ^12 squared; eisenstein: E4*E8 and E6^2
+    monkeypatch.setattr(forms, "_STORE", {})
+    calls = _kernel_calls(monkeypatch)
+    assert build(300).series.coefficients == tuple(delta_euler(300))
+    assert [len(terms) for terms in calls] == [1, 1]
+    assert sorted(k for k in forms._STORE if k[0] != "Delta") == (
+        [] if build is delta_product else [("E", 4), ("E", 6), ("sigma", 3), ("sigma", 5)]
+    )
+
+
 def test_tau_single_matches_bulk():
-    bulk = tau_range(40, "niebur")
-    for n in (1, 7, 29, 40):
-        assert tau(n, "niebur") == bulk[n]
+    for strategy in TAU_STRATEGIES:
+        bulk = tau_range(300, strategy)
+        assert [tau(n, strategy) for n in range(1, 301)] == bulk[1:], strategy
 
 
 def test_tau_multiplicativity_spot_check():

@@ -332,18 +332,19 @@ def test_equal_sigma_sources_match_the_product(limit):
             assert side.cleared(ctx, limit, scale, 0) == [scale * v for v in product], (j, alpha)
 
 
-def _first_convolution_off_by_one(monkeypatch):
-    """Make the first convolution the context builds off by one at n = 65."""
+def _first_convolution_off_by_one(monkeypatch, unequal=False):
+    """Make the first convolution the context builds (the first product of
+    two different vectors, if unequal) off by one at n = 65."""
     import tauforms.identities as identities
 
     real = identities._convolve_int
-    calls = []
+    faults = []
 
     def first_off_by_one(a, b, n):
         out = real(a, b, n)
-        if not calls:
+        if not faults and not (unequal and a is b):
             out[65] += 1
-        calls.append(n)
+            faults.append(n)
         return out
 
     monkeypatch.setattr(identities, "_convolve_int", first_off_by_one)
@@ -366,6 +367,22 @@ def test_a_squaring_fault_exits_3(monkeypatch, capsys):
     _first_convolution_off_by_one(monkeypatch)
     assert main(["verify", "--identity", "all", "--max-n", "100"]) == 3
     assert "squared has the wrong parity at n=65" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [(3, 0, 5, 0), (1, 2, 3, 0), (0, 0, 1, 1)])
+def test_a_wrong_unequal_product_is_an_internal_inconsistency(key, monkeypatch):
+    # sum_{n<=N} (u*v)(n) = sum_m u(m) V(N-m) with V the prefix sums of v
+    _first_convolution_off_by_one(monkeypatch, unequal=True)
+    with pytest.raises(InternalInconsistency, match="has the wrong sum to n=100"):
+        make_context(100).source(key)
+
+
+def test_an_unequal_product_fault_exits_3(monkeypatch, capsys):
+    from tauforms.cli import main
+
+    _first_convolution_off_by_one(monkeypatch, unequal=True)
+    assert main(["verify", "--identity", "all", "--max-n", "100"]) == 3
+    assert "has the wrong sum to n=100" in capsys.readouterr().err
 
 
 _powered_closed = st.builds(

@@ -1,8 +1,9 @@
 """Ramanujan's tau four ways.
 
 The discriminant cusp form has the expansion q*prod(1-q^n)^24 = sum tau(n) q^n.
-The same numbers fall out of (E4^3 - E6^2)/1728, of a sigma3-convolution of
-van der Pol type, and of Niebur's formula that needs nothing beyond sigma(n).
+The same numbers fall out of E12 - E6^2 = (762048/691) Delta, as
+(65520 sigma11(n) - 691 (E6^2)_n)/762048, of a sigma3-convolution of van der
+Pol type, and of Niebur's formula that needs nothing beyond sigma(n).
 All four routes are exact integer arithmetic and must agree to the last digit.
 """
 

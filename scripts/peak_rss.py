@@ -10,10 +10,12 @@ show), and reports it with the seconds that main() took.
 Without --max-n every command runs at the size of the benchmark's
 workloads (verify --format json at 2000, congruences at 10000, audit at
 500, tau-table at 8192); with it, every sized command runs at N.  certify
-takes no size.  Run from the repository root:
+takes no size.  tau-table writes CSV, as in the benchmark, or with
+--format json a JSON file.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/peak_rss.py > peaks.json
     python3 scripts/peak_rss.py --max-n 50000 --only verify --runs 5
+    python3 scripts/peak_rss.py --format json --only tau-table-product
 
 --src DIR measures the tauforms package under DIR instead of this tree's
 src, so that two trees can be measured alike.  --runs repeats the whole
@@ -48,9 +50,9 @@ print(json.dumps({"exit": code, "seconds": seconds, "vmhwm_kb": kb}))
 """
 
 
-def commands(max_n, out):
+def commands(max_n, out, fmt="csv"):
     """(name, argv) of every measured command; max_n None means the
-    benchmark's sizes."""
+    benchmark's sizes, fmt is tau-table's --format."""
 
     def size(default):
         return str(default if max_n is None else max_n)
@@ -60,7 +62,8 @@ def commands(max_n, out):
     yield "certify", ["certify", "--identity", "all"]
     yield "audit", ["audit", "--max-n", size(500)]
     for strategy in STRATEGIES:
-        argv = ["tau-table", "--max-n", size(8192), "--strategy", strategy, "--out", out]
+        argv = ["tau-table", "--max-n", size(8192), "--strategy", strategy, "--format", fmt]
+        argv += ["--out", out]
         yield f"tau-table-{strategy}", argv
 
 
@@ -83,17 +86,19 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--only", nargs="+", default=None, help="command names to run")
     parser.add_argument("--src", type=Path, default=SRC)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     result = {
         "max_n": args.max_n,
         "src": str(args.src),
+        "format": args.format,
         "python": platform.python_version(),
         "commands": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         todo = [
             (name, cmd)
-            for name, cmd in commands(args.max_n, os.path.join(tmp, "table.out"))
+            for name, cmd in commands(args.max_n, os.path.join(tmp, "table.out"), args.format)
             if args.only is None or name in args.only
         ]
         for _ in range(args.runs):

@@ -9,7 +9,6 @@ inconsistency (tau strategies disagree, or an exact invariant failed).
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -122,45 +121,50 @@ def cmd_tau(args):
     return EXIT_OK
 
 
-def _write(path, render):
-    """Write the text render() builds to the file at path.  The text is
-    built before the file is opened, so a value too long to print (the
-    int/str digit limit) leaves no file; that and a path that cannot be
-    written are usage errors."""
+def _printable(path, value):
+    """Refuse value if it is too long to print (the int/str digit limit):
+    a usage error."""
     try:
-        text = render()
+        str(value)
     except ValueError as exc:
         raise SystemExit(f"cannot write {path}: {exc}") from None
+
+
+def _write(path, widest, dump):
+    """Call dump(fh) on the file at path, opened for writing.  widest, a
+    value with as many digits as any that dump writes, is turned into text
+    first, so a table too long to print leaves no file; that and a path
+    that cannot be written are usage errors."""
+    _printable(path, widest)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            dump(fh)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_csv(path, rows):
-    def render():
-        out = io.StringIO(newline="")
-        writer = csv.writer(out)
+def _write_csv(path, widest, rows):
+    def dump(fh):
+        writer = csv.writer(fh)
         writer.writerow(["n", "value"])
         writer.writerows(rows)
-        return out.getvalue()
 
-    _write(path, render)
+    _write(path, widest, dump)
 
 
 def cmd_tau_table(args):
     values = tau_range(args.max_n, args.strategy)
+    widest = max(values, key=abs)
     rows = zip(range(1, args.max_n + 1), values[1:])
     if args.format == "csv":
-        _write_csv(args.out, rows)
+        _write_csv(args.out, widest, rows)
     else:
         payload = {
             "tool-version": __version__,
             "strategy": args.strategy,
             "values": [[n, v] for n, v in rows],
         }
-        _write(args.out, lambda: json.dumps(payload, indent=2))
+        _write(args.out, widest, lambda fh: json.dump(payload, fh, indent=2))
     print(f"wrote tau(1..{args.max_n}) to {args.out}")
     return EXIT_OK
 
@@ -169,9 +173,10 @@ def cmd_sigma(args):
     limit = sys.get_int_max_str_digits()
     if limit and args.max_n ** args.k >= 10 ** limit:
         # sigma_k(max_n) >= max_n^k is too long to print: refuse before sieving
-        _write(args.out, lambda: str(args.max_n ** args.k))
+        _printable(args.out, args.max_n ** args.k)
     table = sigma_table(args.k, args.max_n)
-    _write_csv(args.out, ((n, table[n]) for n in range(1, args.max_n + 1)))
+    rows = ((n, table[n]) for n in range(1, args.max_n + 1))
+    _write_csv(args.out, max(table.values), rows)
     print(f"wrote sigma_{args.k}(1..{args.max_n}) to {args.out}")
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 Everything is constructed from scratch: Bernoulli numbers by recurrence,
 divisor-power sums by sieving, Eisenstein series of every even weight from
 their defining expansions, the discriminant form from Jacobi's identity for
-eta^3 (squared over its sparse terms) and, independently, as
-(E4 E8 - E6^2)/1728, and tau(n) by four independent strategies that are
-required to agree.  Each route multiplies only what its formula needs.
+eta^3 (squared over its sparse terms) and, independently, from
+E12 - E6^2 = (762048/691) Delta, and tau(n) by four independent strategies
+that are required to agree.  Each route multiplies only what its formula
+needs.
 Every named form is held once in `_STORE`, at the largest size asked for;
 smaller requests are cut from it, so rising sizes keep one copy of each.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from operator import sub
 
 from .qseries import QSeries, _coefficient_int, _convolve_int, _from_canonical, as_rational
 
@@ -284,45 +284,36 @@ def _eta_twelve(n):
 
 
 def delta_from_eisenstein(truncation):
-    """The same cusp form via (E4^3 - E6^2) / 1728, taken as
-    (E4 * E8 - E6^2) / 1728: the space of weight 8 is one-dimensional, so
-    E4^2 = E8 = 1 + 480 sum sigma7(n) q^n, and two products suffice.
+    """The same cusp form from the Eisenstein series of weight 12.
 
-    E8 is built from a sigma7 sieve of its own and dropped after its
-    product, so neither is held in the store.  The division is exact in
-    integers; a remainder would contradict the Eisenstein expansions and
-    raises InternalInconsistency.
+    E12 - E6^2 = (762048/691) Delta, and E12 = 1 + (65520/691) sum
+    sigma11(n) q^n, so for n >= 1
+    Delta_n = (65520 sigma11(n) - 691 (E6^2)_n) / 762048: one squaring of
+    the stored E6.  sigma11 comes from a sieve of its own and is not held
+    in the store.  The division is exact in integers; a remainder would
+    contradict the Eisenstein expansions and raises InternalInconsistency.
+    Since 65520 and 762048 are both 566 mod 691, an exact quotient is
+    also congruent to sigma11(n) mod 691.
     """
     form = _largest(("Delta", "eisenstein"), truncation, _delta_from_eisenstein)
     return form.truncate(truncation)
 
 
 def _delta_from_eisenstein(truncation):
-    # E8 first, so that its sieve's transient lists are freed before the
-    # stored E4 and E6 are built
-    e8 = _eisenstein_ints(8, _sigma_sieve(7, truncation))
-    e4 = eisenstein(4, truncation).series.coefficients
-    e4e8 = _convolve_int(e4, e8, truncation)
-    del e8
     e6 = eisenstein(6, truncation).series.coefficients
     e6e6 = _convolve_int(e6, e6, truncation)
-    coeffs = [_over_1728(c, i) for i, c in enumerate(map(sub, e4e8, e6e6))]
+    s11 = _sigma_sieve(11, truncation)
+    coeffs = [0] + [_delta_coefficient(s11[i], e6e6[i], i) for i in range(1, truncation + 1)]
     return GradedForm(_from_canonical(coeffs), 12, 0)
 
 
-def _eisenstein_ints(k, sigma):
-    """The coefficients of E_k from sigma_{k-1}(1..N), for k = 4, 6, 8,
-    whose q^1 coefficient is an integer."""
-    c = _eisenstein_coefficient(k)
-    return [1] + [c * v for v in sigma[1:]]
-
-
-def _over_1728(c, i):
-    """c / 1728 for c the q^i coefficient of E4^3 - E6^2, which it divides."""
-    quotient, remainder = divmod(c, 1728)
+def _delta_coefficient(s11, e6e6, i):
+    """Delta_i = (65520 sigma11(i) - 691 (E6^2)_i) / 762048, for i >= 1."""
+    c = 65520 * s11 - 691 * e6e6
+    quotient, remainder = divmod(c, 762048)
     if remainder:
         raise InternalInconsistency(
-            f"E4^3 - E6^2 has q^{i} coefficient {c}, not divisible by 1728"
+            f"691 (E12 - E6^2) has q^{i} coefficient {c}, not divisible by 762048"
         )
     return quotient
 
@@ -372,7 +363,7 @@ def tau(n, strategy="product"):
     """Ramanujan's tau(n), by one of four independent strategies.
 
     product     coefficient of q^n in q*prod(1-q^m)^24
-    eisenstein  coefficient of q^n in (E4^3 - E6^2)/1728
+    eisenstein  (65520 sigma11(n) - 691 (E6^2)_n) / 762048, from E12 - E6^2
     vdp         n^2*sigma7(n) - 540 * sum m(n-m) sigma3(m) sigma3(n-m)
     niebur      n^4*sigma(n) - 24 * sum (35m^4 - 52m^3 n + 18m^2 n^2) sigma(m) sigma(n-m)
 
@@ -381,9 +372,9 @@ def tau(n, strategy="product"):
     the factors are built, through q^n.  product builds
     c12 = prod(1-q^m)^12 through q^(n-1) from Jacobi's sparse cube with one
     dense squaring, and takes the q^(n-1) coefficient of c12 * c12.
-    eisenstein takes the q^n coefficient of E4 * E8 - E6 * E6 (E4^2 = E8),
-    two dot products and no product of series, and divides it by 1728; a
-    remainder raises InternalInconsistency.  vdp and niebur are the literal
+    eisenstein takes the q^n coefficient of E6 * E6, one dot product and
+    no product of series, and sigma11(n); a remainder in the division by
+    762048 raises InternalInconsistency.  vdp and niebur are the literal
     per-n sums.
     """
     if n < 1:
@@ -392,8 +383,8 @@ def tau(n, strategy="product"):
         c12 = _eta_twelve(n - 1)
         value = _coefficient_int(c12, c12, n - 1)
     elif strategy == "eisenstein":
-        e4, e6, e8 = (_eisenstein_ints(k, sigma_table(k - 1, n).values) for k in (4, 6, 8))
-        value = _over_1728(_coefficient_int(e4, e8, n) - _coefficient_int(e6, e6, n), n)
+        e6 = [1] + [-504 * v for v in sigma_table(5, n).values[1:]]  # E6 through q^n
+        value = _delta_coefficient(sigma_table(11, n)[n], _coefficient_int(e6, e6, n), n)
     elif strategy == "vdp":
         value = _tau_vdp(n, sigma_table(3, n).values, sigma_table(7, n).values)
     elif strategy == "niebur":
@@ -409,7 +400,7 @@ def tau_range(limit, strategy="product"):
     """tau(1..limit) in bulk; returns a list indexed by n with [0] = 0.
 
     product and eisenstein read the coefficients of `delta_product` (two
-    dense squarings) and `delta_from_eisenstein` (two products).  The
+    dense squarings) and `delta_from_eisenstein` (one squaring).  The
     convolution strategies sieve sigma once per exponent and take
     every convolution sum as a squaring (one vector passed twice to the
     exact kernel, so it is packed once):

@@ -221,7 +221,7 @@ _USAGE_ERRORS = [
     (("sigma", "--k", "3", "--max-n", "5", "--out", "."), "Is a directory"),
     # its q^4 coefficient, 240*73*4^100000, has more digits than str() allows
     (("eval", "--expr", "D^100000(E4)", "--trunc", "4"), "integer string conversion"),
-    # sigma_3000(30) has about 4430 digits; the table's text is built before
+    # sigma_3000(30) has about 4430 digits; it is turned into text before
     # the file is opened, so the directory that does not exist is never tried
     (("sigma", "--k", "3000", "--max-n", "30", "--out", "/nonexistent/dir/s.csv"),
      "integer string conversion"),
@@ -378,7 +378,7 @@ def test_verify_all_runs_under_an_address_space_cap(capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_peak_rss_script_runs_the_cli_commands():
+def test_peak_rss_script_runs_the_cli_commands(tmp_path):
     # scripts/peak_rss.py names its commands by their CLI options; each must
     # still parse, and one small run reports its peak and time
     import importlib.util
@@ -393,9 +393,18 @@ def test_peak_rss_script_runs_the_cli_commands():
     ]
     for argv in commands.values():
         build_parser().parse_args(argv)
+    tables = dict(script.commands(None, "table.out", "json"))
+    assert list(tables) == list(commands)
+    for name, argv in tables.items():
+        args = build_parser().parse_args(argv)
+        assert not name.startswith("tau-table") or args.format == "json"
     src = Path(tauforms.__file__).resolve().parents[1]
     run = script.measure(["verify", "--identity", "eq1.1", "--max-n", "20"], src)
     assert run["exit"] == 0 and run["vmhwm_kb"] > 0 and run["seconds"] > 0
+    out = tmp_path / "table.json"
+    run = script.measure(dict(script.commands(20, str(out), "json"))["tau-table-eisenstein"], src)
+    assert run["exit"] == 0 and run["vmhwm_kb"] > 0
+    assert json.loads(out.read_text())["values"][-1] == [20, tau_range(20)[20]]
 
 
 def test_session_kinds_script_replays_the_session_stream():

@@ -171,7 +171,8 @@ def test_delta_from_eisenstein_rejects_a_remainder(monkeypatch):
 
     monkeypatch.setattr(forms, "eisenstein", bent)
     monkeypatch.setattr(forms, "_STORE", {})
-    # (E6 + q^3)^2 moves the q^3 coefficient of E4^3 - E6^2 by -2
+    # (E6 + q^3)^2 moves the q^3 coefficient of E6^2 by 2, and so that of
+    # 691 (E12 - E6^2) by -1382, which 762048 does not divide
     with pytest.raises(InternalInconsistency, match=r"q\^3 coefficient"):
         delta_from_eisenstein(8)
 
@@ -272,8 +273,8 @@ def test_tau_single_coefficient_routes_cache_no_table(monkeypatch):
     monkeypatch.setattr(forms, "_STORE", {})
     for strategy in ("product", "eisenstein"):
         tau(3000, strategy)
-    # no Delta and no E_k: only the sigma sieves E4, E6 and E8 are read from
-    assert sorted(forms._STORE) == [("sigma", 3), ("sigma", 5), ("sigma", 7)]
+    # no Delta and no E_k: only the sigma sieves of E6 and E12 are read from
+    assert sorted(forms._STORE) == [("sigma", 5), ("sigma", 11)]
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -289,9 +290,31 @@ def test_tau_eisenstein_rejects_a_remainder(monkeypatch, n):
         return forms.SigmaTable(k, tuple(values))
 
     monkeypatch.setattr(forms, "sigma_table", bent)
-    # E6 - 504 q^n moves the q^n coefficient of E4^3 - E6^2 by 1008
+    # E6 - 504 q^n moves the q^n coefficient of E6^2 by -1008, and so that
+    # of 691 (E12 - E6^2) by 691 * 1008, which 762048 does not divide
     with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
         tau(n, "eisenstein")
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_eisenstein_routes_reject_a_sigma11_remainder(monkeypatch, n):
+    # sigma11(n) + 1 moves the q^n coefficient of 691 (E12 - E6^2) by 65520,
+    # which 762048 does not divide; the table route sieves sigma11 itself and
+    # the single coefficient reads it through sigma_table, both from the sieve
+    real = forms._sigma_sieve
+
+    def bent(k, limit):
+        values = real(k, limit)
+        if k != 11:
+            return values
+        return values[:n] + (values[n] + 1,) + values[n + 1 :]
+
+    monkeypatch.setattr(forms, "_sigma_sieve", bent)
+    monkeypatch.setattr(forms, "_STORE", {})
+    with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
+        tau(n, "eisenstein")
+    with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
+        delta_from_eisenstein(n)
 
 
 def _kernel_calls(monkeypatch):
@@ -317,22 +340,29 @@ def test_sparse_eta_six_is_the_square_of_jacobis_cube(n):
 def test_tau_single_routes_multiply_only_what_they_need(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     tau(3000, "eisenstein")
-    assert calls == []  # two dot products, no product of series
+    assert calls == []  # one dot product, no product of series
     tau(3000, "product")
     [[(_, a, b)]] = calls  # one dense squaring of prod(1-q^m)^6
     assert a is b
 
 
-@pytest.mark.parametrize("build", [delta_product, delta_from_eisenstein])
-def test_delta_takes_two_kernel_products(monkeypatch, build):
-    # product: prod(1-q^m)^6 and ^12 squared; eisenstein: E4*E8 and E6^2
+def test_delta_product_takes_two_kernel_products(monkeypatch):
+    # prod(1-q^m)^6 and ^12 squared
     monkeypatch.setattr(forms, "_STORE", {})
     calls = _kernel_calls(monkeypatch)
-    assert build(300).series.coefficients == tuple(delta_euler(300))
+    assert delta_product(300).series.coefficients == tuple(delta_euler(300))
     assert [len(terms) for terms in calls] == [1, 1]
-    assert sorted(k for k in forms._STORE if k[0] != "Delta") == (
-        [] if build is delta_product else [("E", 4), ("E", 6), ("sigma", 3), ("sigma", 5)]
-    )
+    assert sorted(k for k in forms._STORE if k[0] != "Delta") == []
+
+
+def test_delta_from_eisenstein_takes_one_squaring(monkeypatch):
+    # E6^2, with sigma11 sieved for the route and not held
+    monkeypatch.setattr(forms, "_STORE", {})
+    calls = _kernel_calls(monkeypatch)
+    assert delta_from_eisenstein(300).series.coefficients == tuple(delta_euler(300))
+    [[(_, a, b)]] = calls
+    assert a is b
+    assert sorted(k for k in forms._STORE if k[0] != "Delta") == [("E", 6), ("sigma", 5)]
 
 
 def test_tau_single_matches_bulk():

@@ -8,7 +8,6 @@ inconsistency (tau strategies disagree, or an exact invariant failed).
 """
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -144,10 +143,12 @@ def _write(path, widest, dump):
 
 
 def _write_csv(path, widest, rows):
+    """Integer rows (n, value) under the header "n,value", each line ended
+    by \r\n: the bytes csv.writer writes, since integers need no quoting."""
+
     def dump(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["n", "value"])
-        writer.writerows(rows)
+        fh.write("n,value\r\n")
+        fh.writelines(map("%d,%d\r\n".__mod__, rows))
 
     _write(path, widest, dump)
 

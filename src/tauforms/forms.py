@@ -4,9 +4,9 @@ Everything is constructed from scratch: Bernoulli numbers by recurrence,
 divisor-power sums by sieving, Eisenstein series of every even weight from
 their defining expansions, the discriminant form from Jacobi's identity for
 eta^3 (squared over its sparse terms) and, independently, from
-E12 - E6^2 = (762048/691) Delta, and tau(n) by four independent strategies
-that are required to agree.  Each route multiplies only what its formula
-needs.
+E12 - E6^2 = (762048/691) Delta with E6^2 read off one squaring of the
+sigma5 table, and tau(n) by four independent strategies that are
+required to agree.  Each route multiplies only what its formula needs.
 Every named form is held once in `_STORE`, at the largest size asked for;
 smaller requests are cut from it, so rising sizes keep one copy of each.
 """
@@ -288,34 +288,44 @@ def delta_from_eisenstein(truncation):
 
     E12 - E6^2 = (762048/691) Delta, and E12 = 1 + (65520/691) sum
     sigma11(n) q^n, so for n >= 1
-    Delta_n = (65520 sigma11(n) - 691 (E6^2)_n) / 762048: one squaring of
-    the stored E6.  sigma11 comes from a sieve of its own and is not held
-    in the store.  The division is exact in integers; a remainder would
-    contradict the Eisenstein expansions and raises InternalInconsistency.
-    Since 65520 and 762048 are both 566 mod 691, an exact quotient is
-    also congruent to sigma11(n) mod 691.
+    Delta_n = (65520 sigma11(n) - 691 (E6^2)_n) / 762048.  E6 = 1 - 504 S5,
+    S5 = sum sigma5(n) q^n, so (E6^2)_n = 254016 (S5^2)_n - 1008 sigma5(n):
+    one squaring of the stored sigma5 table, non-negative and 18 bits
+    narrower per packed slot than E6.  sigma11 comes from a sieve of its
+    own and is not held in the store.  The division is exact in integers;
+    a remainder would contradict the Eisenstein expansions and raises
+    InternalInconsistency.  Since 65520 and 762048 are both 566 mod 691,
+    an exact quotient is also congruent to sigma11(n) mod 691.
     """
     form = _largest(("Delta", "eisenstein"), truncation, _delta_from_eisenstein)
     return form.truncate(truncation)
 
 
 def _delta_from_eisenstein(truncation):
-    e6 = eisenstein(6, truncation).series.coefficients
-    e6e6 = _convolve_int(e6, e6, truncation)
+    s5 = sigma_table(5, truncation).values
+    s5s5 = _convolve_int(s5, s5, truncation)
     s11 = _sigma_sieve(11, truncation)
-    coeffs = [0] + [_delta_coefficient(s11[i], e6e6[i], i) for i in range(1, truncation + 1)]
+    coeffs = map(_delta_coefficient, s11, s5s5, s5, range(truncation + 1))
     return GradedForm(_from_canonical(coeffs), 12, 0)
 
 
-def _delta_coefficient(s11, e6e6, i):
-    """Delta_i = (65520 sigma11(i) - 691 (E6^2)_i) / 762048, for i >= 1."""
-    c = 65520 * s11 - 691 * e6e6
+def _delta_coefficient(s11, s5s5, s5, i):
+    """Delta_i = (65520 sigma11(i) - 691 (E6^2)_i) / 762048, with
+    (E6^2)_i = 254016 (S5^2)_i - 1008 sigma5(i) for i >= 1 (at i = 0 every
+    table reads 0, and so does Delta)."""
+    c = 65520 * s11 - 691 * (254016 * s5s5 - 1008 * s5)
     quotient, remainder = divmod(c, 762048)
     if remainder:
         raise InternalInconsistency(
             f"691 (E12 - E6^2) has q^{i} coefficient {c}, not divisible by 762048"
         )
     return quotient
+
+
+def _divisor_sigma(k, n):
+    """sigma_k(n) from the divisors of n alone, by trial division to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sum(d ** k for d in {*small, *(n // d for d in small)})
 
 
 def dim_modular(k):
@@ -372,10 +382,11 @@ def tau(n, strategy="product"):
     the factors are built, through q^n.  product builds
     c12 = prod(1-q^m)^12 through q^(n-1) from Jacobi's sparse cube with one
     dense squaring, and takes the q^(n-1) coefficient of c12 * c12.
-    eisenstein takes the q^n coefficient of E6 * E6, one dot product and
-    no product of series, and sigma11(n); a remainder in the division by
-    762048 raises InternalInconsistency.  vdp and niebur are the literal
-    per-n sums.
+    eisenstein takes (E6^2)_n = 254016 (S5^2)_n - 1008 sigma5(n) from the
+    q^n coefficient of S5 * S5, S5 = sum sigma5(m) q^m, one dot product and
+    no product of series, and sigma11(n) from the divisors of n; a
+    remainder in the division by 762048 raises InternalInconsistency.  vdp
+    and niebur are the literal per-n sums.
     """
     if n < 1:
         raise ValueError("tau(n) is defined for n >= 1")
@@ -383,8 +394,8 @@ def tau(n, strategy="product"):
         c12 = _eta_twelve(n - 1)
         value = _coefficient_int(c12, c12, n - 1)
     elif strategy == "eisenstein":
-        e6 = [1] + [-504 * v for v in sigma_table(5, n).values[1:]]  # E6 through q^n
-        value = _delta_coefficient(sigma_table(11, n)[n], _coefficient_int(e6, e6, n), n)
+        s5 = sigma_table(5, n).values
+        value = _delta_coefficient(_divisor_sigma(11, n), _coefficient_int(s5, s5, n), s5[n], n)
     elif strategy == "vdp":
         value = _tau_vdp(n, sigma_table(3, n).values, sigma_table(7, n).values)
     elif strategy == "niebur":
@@ -400,10 +411,10 @@ def tau_range(limit, strategy="product"):
     """tau(1..limit) in bulk; returns a list indexed by n with [0] = 0.
 
     product and eisenstein read the coefficients of `delta_product` (two
-    dense squarings) and `delta_from_eisenstein` (one squaring).  The
-    convolution strategies sieve sigma once per exponent and take
-    every convolution sum as a squaring (one vector passed twice to the
-    exact kernel, so it is packed once):
+    dense squarings) and `delta_from_eisenstein` (one squaring of the
+    sigma5 table).  The convolution strategies sieve sigma once per
+    exponent and take every convolution sum as a squaring (one vector
+    passed twice to the exact kernel, so it is packed once):
 
     vdp     sum m(n-m) sigma3(m) sigma3(n-m) is (u * u)[n], u(m) = m sigma3(m)
     niebur  with P_e(n) = sum m^e (n-m)^e sigma(m) sigma(n-m), the square of
@@ -416,11 +427,9 @@ def tau_range(limit, strategy="product"):
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if strategy == "product":
-        coeffs = delta_product(limit).series.coefficients
-        return [int(c) for c in coeffs]
+        return list(delta_product(limit).series.coefficients)
     if strategy == "eisenstein":
-        coeffs = delta_from_eisenstein(limit).series.coefficients
-        return [int(c) for c in coeffs]
+        return list(delta_from_eisenstein(limit).series.coefficients)
     if strategy == "vdp":
         s7 = sigma_table(7, limit).values
         u = [mm * v for mm, v in enumerate(sigma_table(3, limit).values)]

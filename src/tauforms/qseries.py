@@ -26,8 +26,8 @@ packed as bytes, each vector in one pass of `int.to_bytes` and one
 `int.from_bytes`, multiplied by CPython's `int` (Karatsuba) and read back
 with `struct.iter_unpack`, so no number is turned into text; large ones
 are packed in decimal text and multiplied by libmpdec through `decimal`,
-which switches to a number-theoretic transform on huge operands.  Both
-routes are exact.
+which switches to a number-theoretic transform on huge operands, and their
+text is read back by `struct.iter_unpack` as well.  Both routes are exact.
 """
 
 import sys
@@ -164,7 +164,7 @@ def _packed_sum(terms, n, offset, base, width):
             high = total.scaleb(-size).to_integral_value(rounding=ROUND_DOWN)
             total -= high.scaleb(size)
             del high
-            text = str(total).zfill(size)
+            tail = str(total).zfill(size)
         else:
             if total < 0 or total.bit_length() > 8 * slots * width:
                 raise OverflowError("a slot of the packed sum does not fit its width")
@@ -172,8 +172,9 @@ def _packed_sum(terms, n, offset, base, width):
             tail = total.to_bytes(size, "big")
     del total
     if base == 10:
-        return [int(text[i - width : i]) - offset for i in range(size, 0, -width)]
-    out = map(int.from_bytes, chain.from_iterable(iter_unpack(f"{width}s", tail)), repeat("big"))
+        tail = tail.encode()  # the text is dropped as soon as it is encoded
+    cells = chain.from_iterable(iter_unpack(f"{width}s", tail))
+    out = map(int, cells) if base == 10 else map(int.from_bytes, cells, repeat("big"))
     out = list(map(sub, out, repeat(offset)) if offset else out)
     out.reverse()  # slot 0 came last
     return out

@@ -1,6 +1,6 @@
 import pytest
 
-from tauforms import builtin_registry, make_context, qseries
+from tauforms import builtin_registry, forms, make_context, qseries
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,24 @@ def decimal_route_widths(monkeypatch):
 def byte_route_widths(monkeypatch):
     """Slot widths, in bytes, of every product that takes the byte route."""
     return _route_widths(monkeypatch, 256)
+
+
+@pytest.fixture
+def bend_sigma5(monkeypatch):
+    """bend_sigma5(n): from an empty store on, forms.sigma_table reads
+    sigma5(n) + 1 in place of sigma5(n)."""
+    real = forms.sigma_table
+
+    def bend(n):
+        def bent(k, limit):
+            table = real(k, limit)
+            if k != 5:
+                return table
+            values = list(table.values)
+            values[n] += 1
+            return forms.SigmaTable(k, tuple(values))
+
+        monkeypatch.setattr(forms, "sigma_table", bent)
+        monkeypatch.setattr(forms, "_STORE", {})
+
+    return bend

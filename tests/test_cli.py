@@ -12,7 +12,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tauforms
-from tauforms import TAU_STRATEGIES, NotInGradedSpace, decompose, eval_expr, parse, tau_range
+from tauforms import (
+    TAU_STRATEGIES,
+    NotInGradedSpace,
+    decompose,
+    eval_expr,
+    parse,
+    sigma_table,
+    tau_range,
+)
 from tauforms.cli import build_parser, main
 
 
@@ -90,6 +98,31 @@ def test_sigma_table(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(open(out_path)))
     assert rows == [["n", "value"], ["1", "1"], ["2", "9"], ["3", "28"], ["4", "73"]]
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (("tau-table", "--max-n", "300"), lambda: tau_range(300)[1:]),
+        (("sigma", "--k", "11", "--max-n", "300"), lambda: sigma_table(11, 300).values[1:]),
+    ],
+    ids=["tau-table", "sigma"],
+)
+def test_csv_tables_are_the_bytes_csv_writer_writes(tmp_path, capsys, argv, values):
+    out_path = tmp_path / "table.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    expected_path = tmp_path / "expected.csv"
+    with open(expected_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "value"])
+        writer.writerows(enumerate(values(), start=1))
+    data = out_path.read_bytes()
+    assert data == expected_path.read_bytes()
+    assert data.startswith(b"n,value\r\n1,1\r\n")
+    assert data.count(b"\r\n") == data.count(b"\n") == 301
+    if argv[0] == "tau-table":
+        assert b"\r\n2,-24\r\n" in data  # negative values are written bare
 
 
 def test_verify_single_identity_json(capsys):
@@ -486,6 +519,23 @@ def test_strategy_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "tau", "--n", "2")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau", "--n", "3", "--strategy", "eisenstein"),
+        ("tau-table", "--max-n", "8", "--strategy", "eisenstein", "--out", "unused.csv"),
+    ],
+    ids=["tau", "tau-table"],
+)
+def test_a_bent_sigma5_exits_3(capsys, bend_sigma5, argv):
+    # sigma5(3) + 1 leaves 691 (E12 - E6^2) with a q^3 coefficient that
+    # 762048 does not divide: the Eisenstein route's exact division fails
+    bend_sigma5(3)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "q^3 coefficient" in err
 
 
 def test_benchmark_tracer_wraps_the_library():

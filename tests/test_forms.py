@@ -160,19 +160,12 @@ def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch, decimal_rou
     assert tau_cross_check(4096) == tau_range(4096, "product")
 
 
-def test_delta_from_eisenstein_rejects_a_remainder(monkeypatch):
-    real = forms.eisenstein
-
-    def bent(k, truncation):
-        form = real(k, truncation)
-        if k != 6:
-            return form
-        return GradedForm(form.series + QSeries([0, 0, 0, 1], truncation), 6)
-
-    monkeypatch.setattr(forms, "eisenstein", bent)
-    monkeypatch.setattr(forms, "_STORE", {})
-    # (E6 + q^3)^2 moves the q^3 coefficient of E6^2 by 2, and so that of
-    # 691 (E12 - E6^2) by -1382, which 762048 does not divide
+def test_delta_from_eisenstein_rejects_a_remainder(bend_sigma5):
+    bend_sigma5(3)
+    # sigma5(3) + 1 leaves (S5^2)_3 as it is (sigma5 has no q^0 term) and
+    # moves (E6^2)_3 = 254016 (S5^2)_3 - 1008 sigma5(3) by -1008, and so the
+    # q^3 coefficient of 691 (E12 - E6^2) by 691 * 1008, which 762048 does
+    # not divide
     with pytest.raises(InternalInconsistency, match=r"q\^3 coefficient"):
         delta_from_eisenstein(8)
 
@@ -273,23 +266,20 @@ def test_tau_single_coefficient_routes_cache_no_table(monkeypatch):
     monkeypatch.setattr(forms, "_STORE", {})
     for strategy in ("product", "eisenstein"):
         tau(3000, strategy)
-    # no Delta and no E_k: only the sigma sieves of E6 and E12 are read from
-    assert sorted(forms._STORE) == [("sigma", 5), ("sigma", 11)]
+    # no Delta and no E_k: only the sigma5 sieve that E6 is read off;
+    # sigma11(3000) comes from the divisors of 3000, with no table
+    assert sorted(forms._STORE) == [("sigma", 5)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 11])
+def test_divisor_sigma_matches_the_sieve(k):
+    table = sigma_table(k, 400)
+    assert [forms._divisor_sigma(k, n) for n in range(1, 401)] == list(table.values[1:])
 
 
 @pytest.mark.parametrize("n", [3, 100])
-def test_tau_eisenstein_rejects_a_remainder(monkeypatch, n):
-    real = forms.sigma_table
-
-    def bent(k, limit):
-        table = real(k, limit)
-        if k != 5:
-            return table
-        values = list(table.values)
-        values[n] += 1
-        return forms.SigmaTable(k, tuple(values))
-
-    monkeypatch.setattr(forms, "sigma_table", bent)
+def test_tau_eisenstein_rejects_a_remainder(bend_sigma5, n):
+    bend_sigma5(n)
     # E6 - 504 q^n moves the q^n coefficient of E6^2 by -1008, and so that
     # of 691 (E12 - E6^2) by 691 * 1008, which 762048 does not divide
     with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
@@ -300,16 +290,20 @@ def test_tau_eisenstein_rejects_a_remainder(monkeypatch, n):
 def test_eisenstein_routes_reject_a_sigma11_remainder(monkeypatch, n):
     # sigma11(n) + 1 moves the q^n coefficient of 691 (E12 - E6^2) by 65520,
     # which 762048 does not divide; the table route sieves sigma11 itself and
-    # the single coefficient reads it through sigma_table, both from the sieve
-    real = forms._sigma_sieve
+    # the single coefficient sums it over the divisors of n
+    real_sieve, real_sum = forms._sigma_sieve, forms._divisor_sigma
 
-    def bent(k, limit):
-        values = real(k, limit)
+    def bent_sieve(k, limit):
+        values = real_sieve(k, limit)
         if k != 11:
             return values
         return values[:n] + (values[n] + 1,) + values[n + 1 :]
 
-    monkeypatch.setattr(forms, "_sigma_sieve", bent)
+    def bent_sum(k, m):
+        return real_sum(k, m) + (k == 11 and m == n)
+
+    monkeypatch.setattr(forms, "_sigma_sieve", bent_sieve)
+    monkeypatch.setattr(forms, "_divisor_sigma", bent_sum)
     monkeypatch.setattr(forms, "_STORE", {})
     with pytest.raises(InternalInconsistency, match=rf"q\^{n} coefficient"):
         tau(n, "eisenstein")
@@ -356,13 +350,26 @@ def test_delta_product_takes_two_kernel_products(monkeypatch):
 
 
 def test_delta_from_eisenstein_takes_one_squaring(monkeypatch):
-    # E6^2, with sigma11 sieved for the route and not held
+    # the sigma5 table squared, with no E6 built and sigma11 sieved for the
+    # route and not held
     monkeypatch.setattr(forms, "_STORE", {})
     calls = _kernel_calls(monkeypatch)
     assert delta_from_eisenstein(300).series.coefficients == tuple(delta_euler(300))
     [[(_, a, b)]] = calls
     assert a is b
-    assert sorted(k for k in forms._STORE if k[0] != "Delta") == [("E", 6), ("sigma", 5)]
+    assert list(a) == list(sigma_table(5, 300).values)
+    assert sorted(k for k in forms._STORE if k[0] != "Delta") == [("sigma", 5)]
+
+
+def test_delta_from_eisenstein_squares_narrower_slots(monkeypatch, decimal_route_widths):
+    # one decimal-route product, its slots narrower than those of E6^2
+    monkeypatch.setattr(forms, "_STORE", {})
+    delta_from_eisenstein(4096)
+    [width] = decimal_route_widths
+    e6 = list(eisenstein(6, 4096).series.coefficients)
+    decimal_route_widths.clear()
+    _convolve_int(e6, e6, 4096)
+    assert decimal_route_widths and width < decimal_route_widths[0]
 
 
 def test_tau_single_matches_bulk():

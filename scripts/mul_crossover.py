@@ -8,12 +8,16 @@ fastest of several runs of each.
 - Packed routes, 64..16384 coefficients: the byte route (CPython `int`)
   and the decimal route (libmpdec) of `_packed_sum` on the same product.
   The crossover is the smallest packed operand size (coefficients times
-  slot width, in decimal digits) at and above which the decimal route won
-  every timing; it is what `qseries._DECIMAL_THRESHOLD` is set from.
+  slot width, in decimal digits) at and above which the decimal route lost
+  no timing; it is what `qseries._DECIMAL_THRESHOLD` is set from.
 - Cutoff, truncations n = 8..64: the whole kernel `_convolve_sum` with its
   schoolbook loop and with its packed route.  The crossover is the
-  smallest n at and above which the packed route won every timing; it is
+  smallest n at and above which the packed route lost no timing; it is
   what `qseries._PACK_THRESHOLD` is set from.
+
+A route loses a timing only when it is slower by more than `LOSS_MARGIN`:
+two sweeps of one tree on an idle host differ by a few percent at a size,
+and a single such row would otherwise move the crossover.
 
 Run from the repository root:
 
@@ -33,6 +37,7 @@ SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 614
          12288, 16384)
 CUTOFF_SIZES = tuple(range(8, 65, 4))
 EXPONENTS = (3, 5, 11)
+LOSS_MARGIN = 0.03  # a share of the other route's time
 
 
 def best_of(call, runs):
@@ -121,12 +126,13 @@ def measure_cutoff(k, n):
 
 
 def crossover(rows, key, slow, fast):
-    """Smallest rows[key] from which on the `fast` route won every timing,
-    of the product and of the squaring, at every row."""
+    """Smallest rows[key] from which on the `fast` route lost no timing, of
+    the product or of the squaring, at any row: it lost one when it took
+    more than 1 + LOSS_MARGIN times as long as the `slow` route."""
     lost = [
         r[key]
         for r in rows
-        if r[f"{fast}_s"] >= r[f"{slow}_s"] or r[f"{fast}_square_s"] >= r[f"{slow}_square_s"]
+        if any(r[f"{fast}{t}"] > (1 + LOSS_MARGIN) * r[f"{slow}{t}"] for t in ("_s", "_square_s"))
     ]
     won = [r[key] for r in rows if not lost or r[key] > max(lost)]
     return min(won, default=None)

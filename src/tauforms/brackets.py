@@ -16,10 +16,10 @@ one kernel call, as a series product is.  The six brackets of E2's
 derivatives (`e2_bracket_family`) share their products: three in all.
 """
 
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
+from ._value import Value
 from .forms import GradedForm, eisenstein
 from .qseries import _convolve_int, _from_canonical, _product_sum
 
@@ -40,27 +40,26 @@ def binomial(a, b):
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class BracketSpec:
+class BracketSpec(Value):
     """Order and operand grading of a bracket; knows the result grading."""
 
-    order: int
-    left_weight: int
-    left_depth: int
-    right_weight: int
-    right_depth: int
+    __slots__ = __match_args__ = (
+        "order", "left_weight", "left_depth", "right_weight", "right_depth"
+    )
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order, left_weight, left_depth, right_weight, right_depth):
+        if order < 0:
             raise ValueError("bracket order must be non-negative")
-        for w, s, side in (
-            (self.left_weight, self.left_depth, "left"),
-            (self.right_weight, self.right_depth, "right"),
-        ):
+        for w, s, side in ((left_weight, left_depth, "left"), (right_weight, right_depth, "right")):
             if w < 2 or w % 2:
                 raise ValueError(f"{side} weight must be even and >= 2, got {w}")
             if not 0 <= s <= w // 2:
                 raise ValueError(f"{side} depth {s} outside 0..{w // 2}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "left_weight", left_weight)
+        object.__setattr__(self, "left_depth", left_depth)
+        object.__setattr__(self, "right_weight", right_weight)
+        object.__setattr__(self, "right_depth", right_depth)
 
     @property
     def result_weight(self):

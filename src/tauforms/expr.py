@@ -13,9 +13,9 @@ Grammar (whitespace insensitive; juxtaposition multiplies):
 Syntax errors carry the byte offset and the set of expected tokens.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .brackets import quasi_bracket, rc_bracket
 from .forms import GradedForm, delta_product, eisenstein
 from .qseries import QSeries
@@ -54,56 +54,70 @@ class EvalError(TypeError):
     modular bracket over a quasimodular operand)."""
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(Value):
+    __slots__ = __match_args__ = ("value",)  # a Fraction
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Value):
+    __slots__ = __match_args__ = ("name",)  # one of ATOMS
+
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Deriv:
-    times: int
-    child: object
+class Deriv(Value):
+    __slots__ = __match_args__ = ("times", "child")
+
+    def __init__(self, times, child):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class _Binary(Value):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: object
-    right: object
-    order: int
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Phi:
-    order: int
-    left: object
-    left_weight: int
-    left_depth: int
-    right: object
-    right_weight: int
-    right_depth: int
+class Bracket(Value):
+    __slots__ = __match_args__ = ("left", "right", "order")
+
+    def __init__(self, left, right, order):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "order", order)
+
+
+class Phi(Value):
+    __slots__ = __match_args__ = (
+        "order", "left", "left_weight", "left_depth", "right", "right_weight", "right_depth"
+    )
+
+    def __init__(self, order, left, left_weight, left_depth, right, right_weight, right_depth):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "left_weight", left_weight)
+        object.__setattr__(self, "left_depth", left_depth)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "right_weight", right_weight)
+        object.__setattr__(self, "right_depth", right_depth)
 
 
 class _Parser:

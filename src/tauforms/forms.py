@@ -11,11 +11,11 @@ Every named form is held once in `_STORE`, at the largest size asked for;
 smaller requests are cut from it, so rising sizes keep one copy of each.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
+from ._value import Value
 from .qseries import QSeries, _coefficient_int, _convolve_int, _from_canonical, as_rational
 
 __all__ = [
@@ -37,29 +37,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradedForm:
-    """A q-expansion tagged with its weight and a depth bound.
+class GradedForm(Value):
+    """A q-expansion (a QSeries) tagged with its weight and a depth bound.
 
     weight None marks a weight-inhomogeneous combination (it can still be
     added and printed, but refuses brackets and decomposition).  depth is
     an upper bound: 0 means plainly modular.
     """
 
-    series: QSeries
-    weight: int | None
-    depth: int = 0
+    __slots__ = __match_args__ = ("series", "weight", "depth")
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, series, weight, depth=0):
+        if depth < 0:
             raise ValueError("depth bound must be non-negative")
-        if self.weight is not None:
-            if self.weight < 0 or self.weight % 2:
-                raise ValueError(f"weight must be even and non-negative, got {self.weight}")
-            if self.depth > self.weight // 2:
-                raise ValueError(
-                    f"depth bound {self.depth} exceeds weight/2 = {self.weight // 2}"
-                )
+        if weight is not None:
+            if weight < 0 or weight % 2:
+                raise ValueError(f"weight must be even and non-negative, got {weight}")
+            if depth > weight // 2:
+                raise ValueError(f"depth bound {depth} exceeds weight/2 = {weight // 2}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def truncation(self):
@@ -156,12 +154,15 @@ def _largest(key, size, build):
     return entry[1]
 
 
-@dataclass(frozen=True)
-class SigmaTable:
-    """sigma_k(1) .. sigma_k(N): sums of k-th powers of divisors."""
+class SigmaTable(Value):
+    """sigma_k(1) .. sigma_k(N): sums of k-th powers of divisors, as the
+    tuple values indexed by n (values[0] unused, 0)."""
 
-    k: int
-    values: tuple  # index n, values[0] unused (0)
+    __slots__ = __match_args__ = ("k", "values")
+
+    def __init__(self, k, values):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "values", values)
 
     @property
     def limit(self):

@@ -39,13 +39,13 @@ for entries that fail, an exact refit of the constants that reports the
 stated value next to the empirically determined one.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, lcm
 from operator import add, and_, mod, mul, xor
 
+from ._value import Value
 from .expr import _Parser
 from .forms import (
     GradedForm,
@@ -202,14 +202,18 @@ def _closed_shape_name(p, j):
     return name + ("/n" if p == -1 else f"/n^{-p}")
 
 
-@dataclass(frozen=True)
-class ClosedTerm:
-    """c * n^power * (a*n + b) * sigma_j(n); sigma exponent 0 denotes tau(n)."""
+class ClosedTerm(Value):
+    """c * n^power * (a*n + b) * sigma_j(n); sigma exponent 0 denotes tau(n).
 
-    coefficient: Fraction
-    n_power: int
-    sigma: int
-    affine: tuple | None = None
+    The coefficient is a Fraction, affine the pair (a, b) or None."""
+
+    __slots__ = __match_args__ = ("coefficient", "n_power", "sigma", "affine")
+
+    def __init__(self, coefficient, n_power, sigma, affine=None):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "n_power", n_power)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "affine", affine)
 
     def monomials(self):
         """Expand the affine factor: [(coefficient, power, sigma)] pieces."""
@@ -227,15 +231,18 @@ class ClosedTerm:
         return [_closed_shape_name(p, j) for _, p, j in self.monomials()]
 
 
-@dataclass(frozen=True)
-class ConvolutionTerm:
-    """c / n^divisor * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m)."""
+class ConvolutionTerm(Value):
+    """c / n^divisor * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m), with
+    c a Fraction and P a PolyMN."""
 
-    coefficient: Fraction
-    n_divisor: int
-    poly: PolyMN
-    left: int
-    right: int
+    __slots__ = __match_args__ = ("coefficient", "n_divisor", "poly", "left", "right")
+
+    def __init__(self, coefficient, n_divisor, poly, left, right):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "n_divisor", n_divisor)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def describe(self):
         body = f"sum {self.poly!r} * {_sigma_name(self.left)}(m)*{_sigma_name(self.right)}(n-m)"
@@ -244,8 +251,7 @@ class ConvolutionTerm:
         return body
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Value):
     """A sum of closed and convolution terms, evaluated exactly.
 
     `terms` expands it into sources, each convolution a product of two
@@ -254,11 +260,16 @@ class Side:
     scale * n^power * side(n), with scale a multiple of every coefficient
     denominator of `terms` and power at least the largest n-divisor.
     `cleared` lists them, and `value`, `bulk` and `series` divide that one
-    vector back out.
+    vector back out.  The expansion is made on first use and kept (in
+    `__dict__`).
     """
 
-    closed: tuple = ()
-    conv: tuple = ()
+    __slots__ = ("closed", "conv", "__dict__")
+    __match_args__ = ("closed", "conv")
+
+    def __init__(self, closed=(), conv=()):
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "conv", conv)
 
     def denominator(self):
         """Least common multiple of the coefficient denominators of terms(0)."""
@@ -342,70 +353,103 @@ class Side:
         return any(t.sigma == 0 for t in self.closed)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    anchor: str
-    lhs: Side
-    rhs: Side
-    status: str = EXPECTED_TRUE
+class IdentityRecord(Value):
+    """lhs(n) = rhs(n), as stated by anchor."""
+
+    __slots__ = __match_args__ = ("id", "anchor", "lhs", "rhs", "status")
+
+    def __init__(self, id, anchor, lhs, rhs, status=EXPECTED_TRUE):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "status", status)
 
 
-@dataclass(frozen=True)
-class CongruenceRecord:
-    id: str
-    anchor: str
-    lhs: Side
-    rhs: Side
-    modulus: int
-    modulus_factors: tuple
-    gcd_condition: int = 1
+class CongruenceRecord(Value):
+    """lhs(n) == rhs(n) mod modulus for n prime to gcd_condition, as stated
+    by anchor; modulus_factors multiply out to the modulus."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = (
+        "id", "anchor", "lhs", "rhs", "modulus", "modulus_factors", "gcd_condition"
+    )
+
+    def __init__(self, id, anchor, lhs, rhs, modulus, modulus_factors, gcd_condition=1):
         prod = 1
-        for f in self.modulus_factors:
+        for f in modulus_factors:
             prod *= f
-        if prod != self.modulus:
-            raise ValueError(
-                f"{self.id}: stated factorisation {self.modulus_factors} != {self.modulus}"
-            )
+        if prod != modulus:
+            raise ValueError(f"{id}: stated factorisation {modulus_factors} != {modulus}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "modulus_factors", modulus_factors)
+        object.__setattr__(self, "gcd_condition", gcd_condition)
 
 
-@dataclass(frozen=True)
-class Registry:
-    identities: tuple
-    congruences: tuple
+class Registry(Value):
+    """The identity and congruence records, and every record by its id."""
 
-    def __post_init__(self):
+    __slots__ = ("identities", "congruences", "by_id")
+    __match_args__ = ("identities", "congruences")
+
+    def __init__(self, identities, congruences):
+        object.__setattr__(self, "identities", identities)
+        object.__setattr__(self, "congruences", congruences)
         object.__setattr__(
-            self,
-            "by_id",
-            {r.id: r for r in self.identities} | {r.id: r for r in self.congruences},
+            self, "by_id", {r.id: r for r in identities} | {r.id: r for r in congruences}
         )
 
     def __iter__(self):
         return iter(self.identities + self.congruences)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity_id: str
-    status: str  # verified | certified | failed | audit-flagged
-    limit: int | None = None
-    first_failure: tuple | None = None  # (n, lhs value, rhs value)
-    certified: bool | None = None
-    certification_bound: int | None = None
-    detail: str = ""
+class VerificationReport(Value):
+    """The outcome of a range check, a congruence check or certification."""
+
+    __slots__ = __match_args__ = (
+        "identity_id",
+        "status",
+        "limit",
+        "first_failure",
+        "certified",
+        "certification_bound",
+        "detail",
+    )
+
+    def __init__(
+        self,
+        identity_id,
+        status,  # verified | certified | failed | audit-flagged
+        limit=None,
+        first_failure=None,  # (n, lhs value, rhs value)
+        certified=None,
+        certification_bound=None,
+        detail="",
+    ):
+        object.__setattr__(self, "identity_id", identity_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "certification_bound", certification_bound)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(Value):
     """tau, the sigma tables and the convolutions built from them, for exact
     evaluation up to `limit`; each is built on first use and shared by every
-    identity evaluated here until `release` drops it."""
+    identity evaluated here until `release` drops it.  Two contexts are
+    equal when their limits are: what they have built is left out."""
 
-    limit: int
-    _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("limit", "_sources")
+    __match_args__ = ("limit",)
+
+    def __init__(self, limit):
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "_sources", {})
 
     def source(self, key):
         """tau (key 0), sigma_k (key k > 0) or the convolution
@@ -926,18 +970,26 @@ def certify(record, ctx=None):
     computed proof bound for the weight space.  Without ctx, one context
     to T serves the check and the diagnosis.
     """
-    weight, d = certification_weight(record)
-    bound = generator_count(weight) + GUARD_ROWS
     truncation = certification_limit(record)
     if ctx is None:
         ctx = make_context(truncation)
-    certified = verify_range(record, truncation, ctx).status == "verified"
+    return _certification(record, ctx, verify_range(record, truncation, ctx), truncation)
+
+
+def _certification(record, ctx, walk, truncation):
+    """certify's report, read off walk, the verify_range report of record
+    in ctx to truncation = certification_limit(record) or beyond: the
+    difference vanishes through q^truncation unless walk failed at some
+    n <= truncation."""
+    weight, d = certification_weight(record)
+    late = walk.first_failure is not None and walk.first_failure[0] > truncation
+    certified = walk.status == "verified" or late
     return VerificationReport(
         record.id,
         status="certified" if certified else "failed",
         limit=truncation,
         certified=certified,
-        certification_bound=bound,
+        certification_bound=generator_count(weight) + GUARD_ROWS,
         detail="" if certified else _failure_detail(record, ctx, truncation, weight, d),
     )
 
@@ -1009,19 +1061,27 @@ def check_congruence(record, limit, ctx=None):
 # empirical refitting of failed identities
 
 
-@dataclass(frozen=True)
-class FittedCoefficient:
-    description: str
-    stated: Fraction
-    fitted: Fraction
+class FittedCoefficient(Value):
+    """A refitted constant: the stated and the fitted value, as Fractions."""
+
+    __slots__ = __match_args__ = ("description", "stated", "fitted")
+
+    def __init__(self, description, stated, fitted):
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "stated", stated)
+        object.__setattr__(self, "fitted", fitted)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    identity_id: str
-    success: bool
-    coefficients: tuple = ()
-    detail: str = ""
+class FitResult(Value):
+    """The outcome of fit_identity: a FittedCoefficient per unknown."""
+
+    __slots__ = __match_args__ = ("identity_id", "success", "coefficients", "detail")
+
+    def __init__(self, identity_id, success, coefficients=(), detail=""):
+        object.__setattr__(self, "identity_id", identity_id)
+        object.__setattr__(self, "success", success)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def discrepancies(self):
@@ -1089,31 +1149,55 @@ def fit_identity(record, ctx):
 # the audit
 
 
-@dataclass(frozen=True)
-class AuditFinding:
-    id: str
-    claimed: str
-    computed: str
-    detail: str
+class AuditFinding(Value):
+    """A stated value next to the one computed, and why they differ."""
+
+    __slots__ = __match_args__ = ("id", "claimed", "computed", "detail")
+
+    def __init__(self, id, claimed, computed, detail):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    id: str
-    anchor: str
-    expected_status: str
-    status: str  # verified | failed | audit-flagged
-    range_report: VerificationReport
-    certify_report: VerificationReport | None = None
-    fit: FitResult | None = None
+class AuditEntry(Value):
+    """One catalogue record's audit: its VerificationReports, and the
+    FitResult of a record that failed."""
+
+    __slots__ = __match_args__ = (
+        "id", "anchor", "expected_status", "status", "range_report", "certify_report", "fit"
+    )
+
+    def __init__(
+        self,
+        id,
+        anchor,
+        expected_status,
+        status,  # verified | failed | audit-flagged
+        range_report,
+        certify_report=None,
+        fit=None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "expected_status", expected_status)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "range_report", range_report)
+        object.__setattr__(self, "certify_report", certify_report)
+        object.__setattr__(self, "fit", fit)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    limit: int
-    entries: tuple
-    congruences: tuple
-    findings: tuple
+class AuditReport(Value):
+    """audit_all's AuditEntry tuples and AuditFinding tuple."""
+
+    __slots__ = __match_args__ = ("limit", "entries", "congruences", "findings")
+
+    def __init__(self, limit, entries, congruences, findings):
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "congruences", congruences)
+        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self):
@@ -1227,14 +1311,18 @@ def audit_all(limit=500, ctx=None):
     registry = builtin_registry()
     if ctx is None:
         ctx = make_context(limit)
-    # certify reads the same sources to T, so it shares ctx unless ctx
-    # stops short of T
+    # certify walks the same difference to T: a range walk that reaches
+    # every record's T gives its verdict, else certify walks again, in ctx
+    # unless ctx stops short of T
     reach = max(certification_limit(r) for r in registry.identities)
     cert_ctx = ctx if ctx.limit >= reach else make_context(reach)
     entries = []
     for record in in_turn(registry.identities, ctx, cert_ctx):
         rr = verify_range(record, limit, ctx)
-        cr = certify(record, cert_ctx)
+        if limit >= reach:
+            cr = _certification(record, ctx, rr, certification_limit(record))
+        else:
+            cr = certify(record, cert_ctx)
         passed = rr.status == "verified" and cr.certified
         if passed:
             status = "verified"

@@ -20,10 +20,10 @@ Each weight's basis and generators are kept in the store of named forms
 (`tauforms.forms`), cut from the largest build requested so far.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._value import Value
 from .forms import GradedForm, InternalInconsistency, _largest, dim_modular, eisenstein
 from .qseries import QSeries, _clear_denominators, _from_cleared, as_rational
 
@@ -46,19 +46,26 @@ __all__ = [
 GUARD_ROWS = 4
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    label: str
-    form: GradedForm
+class BasisElement(Value):
+    """A labelled form of a modular basis or of the graded generators."""
+
+    __slots__ = __match_args__ = ("label", "form")
+
+    def __init__(self, label, form):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "form", form)
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
-    """Coordinates of a form over the weight-k graded generators."""
+class DecompositionRecord(Value):
+    """Coordinates of a form over the weight-k graded generators:
+    coordinates is ((label, Fraction), ...) in generator order."""
 
-    weight: int
-    depth: int
-    coordinates: tuple  # ((label, Fraction), ...) in generator order
+    __slots__ = __match_args__ = ("weight", "depth", "coordinates")
+
+    def __init__(self, weight, depth, coordinates):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "coordinates", coordinates)
 
     def nonzero(self):
         return {label: c for label, c in self.coordinates if c != 0}

@@ -36,7 +36,6 @@ from tauforms.identities import (
     Side,
     fit_identity,
 )
-from dataclasses import replace
 
 FLAGGED = {"thm2.7.i", "thm2.9.iv"}
 
@@ -197,8 +196,7 @@ def test_criterion_07_certification():
     # a deliberately perturbed coefficient must fail both checks, fast
     base = registry.by_id["thm2.1.i"]
     term = base.rhs.conv[0]
-    bad = replace(
-        base,
+    bad = base._replace(
         id="thm2.1.i-perturbed",
         rhs=Side(
             base.rhs.closed,

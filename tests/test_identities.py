@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -35,6 +34,7 @@ from tauforms.expr import ParseError
 from tauforms.identities import (
     CongruenceRecord,
     IdentityStructureError,
+    _certification,
     certification_limit,
     certification_weight,
     parse_record,
@@ -237,7 +237,7 @@ def _split(side, parts):
         return tuple(
             piece
             for t, x in zip(terms, parts)
-            for piece in (replace(t, coefficient=t.coefficient - x), replace(t, coefficient=x))
+            for piece in (t._replace(coefficient=t.coefficient - x), t._replace(coefficient=x))
         )
 
     return Side(split(side.closed), split(side.conv))
@@ -527,8 +527,7 @@ def _perturb_conv(record, delta=1):
     bad = ConvolutionTerm(
         term.coefficient + delta, term.n_divisor, term.poly, term.left, term.right
     )
-    return replace(
-        record,
+    return record._replace(
         id=record.id + "-perturbed",
         rhs=Side(record.rhs.closed, (bad,) + record.rhs.conv[1:]),
     )
@@ -638,8 +637,7 @@ def test_certify_reports_nonzero_coordinate(registry):
     # which stays inside the graded space: the offending coordinate is named
     base = registry.by_id["thm2.1.i"]
     term = base.rhs.closed[0]
-    bad = replace(
-        base,
+    bad = base._replace(
         id="thm2.1.i-closed-perturbed",
         rhs=Side((ClosedTerm(term.coefficient + 1, 2, 7),), base.rhs.conv),
     )
@@ -729,13 +727,31 @@ def test_certify_shares_one_context(registry, monkeypatch):
     for run in (seen[:per_run], seen[per_run:]):
         assert len(run) == per_run and len({id(c) for c in run}) == 1
         assert run[0].limit == 64
-    # an audit whose own context reaches T certifies in it, with the same reports
+    # an audit whose range walk reaches T reads the same reports off it,
+    # without walking again
     seen.clear()
     ctx = make_context(top)
     report = identities.audit_all(top, ctx)
-    assert len(seen) == per_run and all(c is ctx for c in seen)
+    assert seen == []
     for entry, record in zip(report.entries, registry.identities):
         assert entry.certify_report == certify(record), record.id
+
+
+def test_certify_reads_its_report_off_a_longer_walk(registry, ctx120):
+    # failing or not, a range walk beyond T gives certify's report, and a
+    # first failure past T is none through q^T
+    records = list(registry.identities) + [
+        _perturb_conv(registry.by_id["thm2.1.i"]),
+        parse_record(*_E14_ROW),
+    ]
+    for record in records:
+        walk = verify_range(record, 120, ctx120)
+        derived = _certification(record, ctx120, walk, certification_limit(record))
+        assert derived == certify(record, ctx120), record.id
+    record = registry.by_id["eq1.1"]
+    t = certification_limit(record)
+    late = VerificationReport(record.id, "failed", 120, (t + 1, 0, 1))
+    assert _certification(record, ctx120, late, t) == certify(record)
 
 
 def test_certification_agrees_with_range(registry, ctx120):
@@ -811,8 +827,8 @@ def test_catalogue_congruences_at_a_wider_modulus_match_the_oracle(registry, ctx
     # every catalogue row has scale 1 and power 0; at seven times its
     # modulus each fails somewhere or holds, as the oracle says
     for record in registry.congruences:
-        wider = replace(
-            record, modulus=7 * record.modulus, modulus_factors=record.modulus_factors + (7,)
+        wider = record._replace(
+            modulus=7 * record.modulus, modulus_factors=record.modulus_factors + (7,)
         )
         report = check_congruence(wider, 120, ctx120)
         assert report.first_failure == congruence_failure(wider, 120, ctx120), record.id
@@ -843,7 +859,7 @@ def test_fit_sums_the_stated_coefficients_of_one_convolution(registry, ctx120):
     assert len(split.rhs.conv) == 2
     fit = fit_identity(split, ctx120)
     assert fit.success, fit.detail
-    assert fit == replace(fit_identity(registry.by_id["thm2.7.i"], ctx120), identity_id=split.id)
+    assert fit == fit_identity(registry.by_id["thm2.7.i"], ctx120)._replace(identity_id=split.id)
 
 
 def test_fit_finds_true_npower(registry, ctx120):

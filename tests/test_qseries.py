@@ -519,14 +519,19 @@ def test_byte_route_skips_only_zero_sums(byte_route_widths):
     assert byte_route_widths == []
 
 
-def test_mul_crossover_script_measures_both_routes():
-    # scripts/mul_crossover.py times the kernel's two packings and its
-    # schoolbook cutoff by name; one small row of each keeps it in step
-    # with the kernel
+def _mul_crossover_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "mul_crossover.py"
     spec = importlib.util.spec_from_file_location("mul_crossover", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_mul_crossover_script_measures_both_routes():
+    # scripts/mul_crossover.py times the kernel's two packings and its
+    # schoolbook cutoff by name; one small row of each keeps it in step
+    # with the kernel
+    script = _mul_crossover_script()
     row = script.measure(3, 64)
     assert row["coefficients"] == 64 and row["packed_digits"] == 64 * row["slot_digits"]
     keys = ("binary_s", "decimal_s", "binary_square_s", "decimal_square_s")
@@ -538,3 +543,26 @@ def test_mul_crossover_script_measures_both_routes():
     assert all(row[key] > 0 for key in keys)
     assert qseries._PACK_THRESHOLD == _PACK_THRESHOLD
     assert script.crossover([row], "n", "schoolbook", "packed") in (8, None)
+
+
+def test_mul_crossover_ignores_a_loss_within_its_margin():
+    script = _mul_crossover_script()
+
+    def row(n, packed, packed_square=None):
+        return {
+            "n": n,
+            "schoolbook_s": 1.0,
+            "packed_s": packed,
+            "schoolbook_square_s": 1.0,
+            "packed_square_s": packed if packed_square is None else packed_square,
+        }
+
+    noisy = 1 + script.LOSS_MARGIN / 2
+    rows = [row(8, 1.5), row(12, 0.9), row(16, noisy), row(20, 0.9, noisy), row(24, 0.8)]
+    assert script.crossover(rows, "n", "schoolbook", "packed") == 12
+    # a real loss, of the product or of the squaring, moves it
+    lost = 1 + 2 * script.LOSS_MARGIN
+    for late in (row(16, lost), row(20, 0.9, lost)):
+        moved = [late if r["n"] == late["n"] else r for r in rows]
+        assert script.crossover(moved, "n", "schoolbook", "packed") == late["n"] + 4
+    assert script.crossover([row(8, lost)], "n", "schoolbook", "packed") is None

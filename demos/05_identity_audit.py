@@ -27,7 +27,7 @@ print(f"  certification:         {report.status} (checked through q^{report.limi
 
 print()
 print("running the full audit at n <= 200 ...")
-audit = audit_all(200, ctx)
+audit = audit_all(200)
 flagged = [e for e in audit.entries if e.status == "audit-flagged"]
 print(f"  verified: {sum(1 for e in audit.entries if e.status == 'verified')}")
 print(f"  flagged:  {[e.id for e in flagged]}")

@@ -46,11 +46,12 @@ from math import comb, gcd, lcm
 from operator import add, and_, mod, mul, xor
 
 from ._value import Value
-from .expr import _Parser
+from .expr import _Parser, eval_expr, parse
 from .forms import (
     GradedForm,
     InternalInconsistency,
-    delta_product,
+    bernoulli,
+    eisenstein,
     sigma_table,
     tau_range,
 )
@@ -1214,8 +1215,6 @@ class AuditReport(Value):
 
 
 def _normalization_finding():
-    from .forms import bernoulli, eisenstein
-
     samples = []
     for k in (4, 6, 8, 10, 12):
         display = Fraction(-4 * k) / bernoulli(k)
@@ -1234,95 +1233,67 @@ def _normalization_finding():
     )
 
 
-def _bracket_findings(truncation=32):
-    from .brackets import rc_bracket
-    from .forms import eisenstein
-
-    delta = delta_product(truncation).series
-    e4 = eisenstein(4, truncation)
-    e6 = eisenstein(6, truncation)
-    e8 = eisenstein(8, truncation)
-
-    b46 = rc_bracket(e4, e6, 1).series
-    c46 = b46.coefficient(1)  # Delta is normalised, so this is the multiple
-    if b46 != delta.scale(c46):
-        raise InternalInconsistency("[E4,E6]_1 is not a multiple of Delta")
-    f1 = AuditFinding(
-        id="bracket-e4-e6-order1",
-        claimed="[E4,E6]_1 = 3456*Delta (also stated as 4*E4*D(E6) - 6*E6*D(E4) = -3456*Delta)",
-        computed=f"[E4,E6]_1 = {c46}*Delta",
-        detail=(
-            "the expanded statement carries the correct sign: "
-            "4*E4*D(E6) - 6*E6*D(E4) equals -3456*Delta exactly"
-        ),
-    )
-
-    b44 = rc_bracket(e4, e4, 2).series
-    c44 = b44.coefficient(1)
-    if b44 != delta.scale(c44):
-        raise InternalInconsistency("[E4,E4]_2 is not a multiple of Delta")
-    reduced = e8.series.derive(2).scale(2) - e4.series.derive(1) * e4.series.derive(1) * 9
-    reduced_ok = reduced == delta.scale(960)
-    f2 = AuditFinding(
-        id="bracket-e4-e4-order2",
-        claimed="[E4,E4]_2 = 960*Delta",
-        computed=f"[E4,E4]_2 = {c44}*Delta",
-        detail=(
-            f"the bracket is {c44 // 960} times the stated multiple; the reduced "
-            "combination 2*D^2(E8) - 9*D(E4)^2 = 960*Delta "
-            + ("holds exactly" if reduced_ok else "FAILS")
-        ),
-    )
-    return f1, f2
+# Form-level findings: (id, claimed, computed, detail, the statements as
+# printed, which must fail, and their corrections, which must hold).  Each
+# statement is "lhs = rhs" in the expr language, checked through q^32.
+_FORM_ROWS = (
+    (
+        "bracket-e4-e6-order1",
+        "[E4,E6]_1 = 3456*Delta (also stated as 4*E4*D(E6) - 6*E6*D(E4) = -3456*Delta)",
+        "[E4,E6]_1 = -3456*Delta",
+        "the expanded statement carries the correct sign: "
+        "4*E4*D(E6) - 6*E6*D(E4) equals -3456*Delta exactly",
+        ("[E4,E6]_1 = 3456*Delta",),
+        ("[E4,E6]_1 = -3456*Delta", "4*E4*D(E6) - 6*E6*D(E4) = -3456*Delta"),
+    ),
+    (
+        "bracket-e4-e4-order2",
+        "[E4,E4]_2 = 960*Delta",
+        "[E4,E4]_2 = 4800*Delta",
+        "the bracket is 5 times the stated multiple; the reduced combination "
+        "2*D^2(E8) - 9*D(E4)^2 = 960*Delta holds exactly",
+        ("[E4,E4]_2 = 960*Delta",),
+        ("[E4,E4]_2 = 4800*Delta", "2*D^2(E8) - 9*D(E4)*D(E4) = 960*Delta"),
+    ),
+    (
+        "weight8-decomposition-generator",
+        "D(E2)^2 = 1/5*D(E6) + 2*D^3(E2) and E2*D^2(E2) = 3/10*D(E6) + 4*D^3(E2)",
+        "D(E2)^2 = 1/5*D^2(E4) + 2*D^3(E2) and E2*D^2(E2) = 3/10*D^2(E4) + 4*D^3(E2)",
+        "the stated coefficients 1/5, 2, 3/10, 4 are exactly right but sit on "
+        "the D^2(E4) generator: the D(E6) variants already fail at the q^1 "
+        "coefficient (1/5*(-504) + 2*(-24) != 0)",
+        ("D(E2)*D(E2) = 1/5*D(E6) + 2*D^3(E2)", "E2*D^2(E2) = 3/10*D(E6) + 4*D^3(E2)"),
+        ("D(E2)*D(E2) = 1/5*D^2(E4) + 2*D^3(E2)", "E2*D^2(E2) = 3/10*D^2(E4) + 4*D^3(E2)"),
+    ),
+)
 
 
-def _weight8_decomposition_finding(truncation=32):
-    from .quasidecomp import decompose
-    from .forms import eisenstein
-
-    e2 = eisenstein(2, truncation)
-    sq = decompose(e2.derive(1) * e2.derive(1), 8).nonzero()
-    mixed = decompose(e2 * e2.derive(2), 8).nonzero()
-    if sq != {"D^2(E4)": Fraction(1, 5), "D^3(E2)": Fraction(2)} or mixed != {
-        "D^2(E4)": Fraction(3, 10),
-        "D^3(E2)": Fraction(4),
-    }:
-        raise InternalInconsistency(f"weight-8 decompositions changed: {sq}, {mixed}")
-    return AuditFinding(
-        id="weight8-decomposition-generator",
-        claimed="D(E2)^2 = 1/5*D(E6) + 2*D^3(E2) and E2*D^2(E2) = 3/10*D(E6) + 4*D^3(E2)",
-        computed="D(E2)^2 = 1/5*D^2(E4) + 2*D^3(E2) and E2*D^2(E2) = 3/10*D^2(E4) + 4*D^3(E2)",
-        detail=(
-            "the stated coefficients 1/5, 2, 3/10, 4 are exactly right but sit on "
-            "the D^2(E4) generator: the D(E6) variants already fail at the q^1 "
-            "coefficient (1/5*(-504) + 2*(-24) != 0)"
-        ),
-    )
-
-
-def audit_all(limit=500, ctx=None):
+def audit_all(limit=500):
     """Verify and certify every catalogue entry, refit the failures, and
     record the known normalisation/constant discrepancies.
 
+    One context to max(limit, T) serves the whole audit, T the largest
+    certification order: each identity is walked once, to max(limit, its
+    own T), and both its range report at limit and certify's report are
+    read off that walk; a failure is refitted over the context's range.
+    Each convolution is dropped after the last entry that reads it (see
+    in_turn).  Each form-level finding is checked exactly: its printed
+    statements must fail and its corrections hold, with both sides of
+    each of equal weight, or InternalInconsistency names the finding.
+
     The audit is successful when only pre-declared flagged entries fail.
-    Each convolution is dropped from ctx after the last entry that reads it
-    (see in_turn).
     """
     registry = builtin_registry()
-    if ctx is None:
-        ctx = make_context(limit)
-    # certify walks the same difference to T: a range walk that reaches
-    # every record's T gives its verdict, else certify walks again, in ctx
-    # unless ctx stops short of T
-    reach = max(certification_limit(r) for r in registry.identities)
-    cert_ctx = ctx if ctx.limit >= reach else make_context(reach)
+    ctx = make_context(max(limit, *map(certification_limit, registry.identities)))
     entries = []
-    for record in in_turn(registry.identities, ctx, cert_ctx):
-        rr = verify_range(record, limit, ctx)
-        if limit >= reach:
-            cr = _certification(record, ctx, rr, certification_limit(record))
+    for record in in_turn(registry.identities, ctx):
+        truncation = certification_limit(record)
+        walk = verify_range(record, max(limit, truncation), ctx)
+        if walk.first_failure is not None and walk.first_failure[0] > limit:
+            rr = VerificationReport(record.id, status="verified", limit=limit)
         else:
-            cr = certify(record, cert_ctx)
+            rr = walk._replace(limit=limit)
+        cr = _certification(record, ctx, walk, truncation)
         passed = rr.status == "verified" and cr.certified
         if passed:
             status = "verified"
@@ -1338,9 +1309,18 @@ def audit_all(limit=500, ctx=None):
         congruences.append(
             AuditEntry(record.id, record.anchor, EXPECTED_TRUE, rr.status, rr)
         )
-    findings = (
-        (_normalization_finding(),)
-        + _bracket_findings()
-        + (_weight8_decomposition_finding(),)
-    )
-    return AuditReport(limit, tuple(entries), tuple(congruences), findings)
+    findings = [_normalization_finding()]
+    for key, claimed, computed, detail, wrong, right in _FORM_ROWS:
+        for statements, holds in ((wrong, False), (right, True)):
+            for statement in statements:
+                lhs, rhs = (eval_expr(parse(side), 32) for side in statement.split("="))
+                if lhs.weight is None or lhs.weight != rhs.weight:
+                    raise InternalInconsistency(
+                        f"{key}: the sides of {statement} are not of one weight"
+                    )
+                if (lhs.series == rhs.series) != holds:
+                    raise InternalInconsistency(
+                        f"{key}: {statement} {'fails' if holds else 'holds'} through q^32"
+                    )
+        findings.append(AuditFinding(key, claimed, computed, detail))
+    return AuditReport(limit, tuple(entries), tuple(congruences), tuple(findings))

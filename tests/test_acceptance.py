@@ -110,7 +110,7 @@ def test_criterion_04_decomposition_golden_values():
     # the coordinates sit on D^2(E4), not D(E6); the audit records this
     assert sq == {"D^2(E4)": Fraction(1, 5), "D^3(E2)": Fraction(2)}
     assert mixed == {"D^2(E4)": Fraction(3, 10), "D^3(E2)": Fraction(4)}
-    finding = {f.id for f in audit_all(40, make_context(40)).findings}
+    finding = {f.id for f in audit_all(40).findings}
     assert "weight8-decomposition-generator" in finding
     print(
         "criterion 4: PASS - f1,f2,f3,f5 and the weight-8 products decompose to the "
@@ -138,7 +138,7 @@ def test_criterion_05_bracket_suite():
         ).scale(9)
         assert reduced == delta.scale(960)
         finding = next(
-            f for f in audit_all(40, make_context(40)).findings
+            f for f in audit_all(40).findings
             if f.id == "bracket-e4-e4-order2"
         )
         assert "960" in finding.claimed and "4800" in finding.computed
@@ -254,7 +254,7 @@ def test_criterion_08_e2_identity_pair():
 
 
 def test_criterion_09_audit_findings():
-    report = audit_all(120, make_context(120))
+    report = audit_all(120)
     assert report.ok
     normal = next(f for f in report.findings if f.id == "eisenstein-leading-coefficient")
     assert "4k/B_k" in normal.claimed

@@ -180,14 +180,38 @@ def test_congruences_command(capsys):
     assert out.count("verified") == 15
 
 
+# `audit --max-n 60` from its findings header on, byte for byte
+AUDIT_FINDINGS = (
+    "-- findings --\n"
+    "eisenstein-leading-coefficient: claimed E_k = 1 - (4k/B_k) sum sigma_{k-1}(n) "
+    "q^n; computed E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n\n"
+    "  the -4k/B_k display is exactly twice every tabulated expansion coefficient; "
+    "k=4: -4k/B_k gives 480, expansions use 240; k=6: -4k/B_k gives -1008, expansions"
+    " use -504; k=8: -4k/B_k gives 960, expansions use 480; k=10: -4k/B_k gives -528,"
+    " expansions use -264; k=12: -4k/B_k gives 131040/691, expansions use 65520/691\n"
+    "bracket-e4-e6-order1: claimed [E4,E6]_1 = 3456*Delta (also stated as 4*E4*D(E6) "
+    "- 6*E6*D(E4) = -3456*Delta); computed [E4,E6]_1 = -3456*Delta\n"
+    "  the expanded statement carries the correct sign: 4*E4*D(E6) - 6*E6*D(E4) "
+    "equals -3456*Delta exactly\n"
+    "bracket-e4-e4-order2: claimed [E4,E4]_2 = 960*Delta; computed [E4,E4]_2 = "
+    "4800*Delta\n"
+    "  the bracket is 5 times the stated multiple; the reduced combination 2*D^2(E8) "
+    "- 9*D(E4)^2 = 960*Delta holds exactly\n"
+    "weight8-decomposition-generator: claimed D(E2)^2 = 1/5*D(E6) + 2*D^3(E2) and "
+    "E2*D^2(E2) = 3/10*D(E6) + 4*D^3(E2); computed D(E2)^2 = 1/5*D^2(E4) + 2*D^3(E2) "
+    "and E2*D^2(E2) = 3/10*D^2(E4) + 4*D^3(E2)\n"
+    "  the stated coefficients 1/5, 2, 3/10, 4 are exactly right but sit on the "
+    "D^2(E4) generator: the D(E6) variants already fail at the q^1 coefficient "
+    "(1/5*(-504) + 2*(-24) != 0)\n"
+    "audit ok\n"
+)
+
+
 def test_audit_command(capsys):
     code, out, _ = run(capsys, "audit", "--max-n", "60")
     assert code == 0
-    assert "audit ok" in out
-    assert "eisenstein-leading-coefficient" in out
-    assert "bracket-e4-e6-order1" in out
-    assert "bracket-e4-e4-order2" in out
     assert "stated -3455/864, fitted -3455/36" in out
+    assert out[out.index("-- findings --") :] == AUDIT_FINDINGS
 
 
 def test_decompose_command(capsys):

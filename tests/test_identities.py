@@ -511,6 +511,7 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
     for run in (
         lambda: cli.main(["verify", "--identity", "all", "--max-n", "300"]),
         lambda: identities.audit_all(300),
+        lambda: identities.audit_all(40),  # one context to T, below T too
     ):
         held.clear(), contexts.clear(), built.clear()
         run()
@@ -722,19 +723,17 @@ def test_certify_shares_one_context(registry, monkeypatch):
     monkeypatch.setattr(cli, "certify", spy)
     monkeypatch.setattr(identities, "certify", spy)
     assert cli.main(["certify"]) == 0
-    identities.audit_all(40)
-    per_run = len(registry.identities)
-    for run in (seen[:per_run], seen[per_run:]):
-        assert len(run) == per_run and len({id(c) for c in run}) == 1
-        assert run[0].limit == 64
-    # an audit whose range walk reaches T reads the same reports off it,
-    # without walking again
-    seen.clear()
-    ctx = make_context(top)
-    report = identities.audit_all(top, ctx)
-    assert seen == []
-    for entry, record in zip(report.entries, registry.identities):
-        assert entry.certify_report == certify(record), record.id
+    assert len(seen) == len(registry.identities) and len({id(c) for c in seen}) == 1
+    assert seen[0].limit == 64
+    # the audit walks each record once, to max(limit, T), and reads both
+    # the range report at limit and certify's report off that walk
+    for limit in (40, top):
+        seen.clear()
+        report = identities.audit_all(limit)
+        assert seen == []
+        for entry, record in zip(report.entries, registry.identities):
+            assert entry.range_report == verify_range(record, limit), record.id
+            assert entry.certify_report == certify(record), record.id
 
 
 def test_certify_reads_its_report_off_a_longer_walk(registry, ctx120):
@@ -885,8 +884,8 @@ def test_fit_recovers_a_perturbed_equal_sigma_constant(key, constant, registry, 
     assert deltas == {record.rhs.conv[0].describe(): (constant + 1, constant)}
 
 
-def test_audit_report(registry, ctx120):
-    report = audit_all(120, ctx120)
+def test_audit_report(registry):
+    report = audit_all(120)
     assert report.ok
     statuses = {e.id: e.status for e in report.entries}
     assert statuses["thm2.7.i"] == AUDIT_FLAGGED
@@ -906,6 +905,30 @@ def test_audit_report(registry, ctx120):
         "bracket-e4-e4-order2",
         "weight8-decomposition-generator",
     ]
+
+
+@pytest.mark.parametrize(
+    "bend, message",
+    [
+        (lambda fails, holds: (fails, ("[E4,E6]_1 = -3455*Delta",) + holds[1:]), "fails"),
+        (lambda fails, holds: (("[E4,E6]_1 = -3456*Delta",), holds), "holds"),
+        (lambda fails, holds: (fails, ("[E4,E6]_1 = -3456*E8",) + holds[1:]), "weight"),
+    ],
+    ids=["correction-fails", "claim-holds", "unequal-weights"],
+)
+def test_audit_refuses_a_form_row_that_does_not_check_out(monkeypatch, capsys, bend, message):
+    import tauforms.cli as cli
+    import tauforms.identities as identities
+
+    rows = identities._FORM_ROWS
+    assert rows[0][0] == "bracket-e4-e6-order1"
+    bent = rows[0][:4] + bend(*rows[0][4:])
+    monkeypatch.setattr(identities, "_FORM_ROWS", (bent,) + rows[1:])
+    with pytest.raises(InternalInconsistency, match=f"^bracket-e4-e6-order1: .*{message}"):
+        audit_all(40)
+    assert cli.main(["audit", "--max-n", "40"]) == 3
+    out, err = capsys.readouterr()
+    assert "audit ok" not in out and "bracket-e4-e6-order1" in err
 
 
 def test_substituting_convolution_moments_reproduces_cor211(registry):

@@ -21,7 +21,7 @@ from operator import mul
 
 from ._value import Value
 from .forms import GradedForm, eisenstein
-from .qseries import _convolve_int, _from_canonical, _product_sum
+from .qseries import _convolve_int, _derived, _from_canonical, _product_sum
 
 __all__ = [
     "BracketSpec",
@@ -146,9 +146,7 @@ def e2_bracket_family(truncation):
     built once, and each bracket is an integer combination of them.
     """
     e2 = eisenstein(2, truncation).series.coefficients
-    d = [e2]
-    while len(d) < 5:
-        d.append(list(map(mul, range(truncation + 1), d[-1])))
+    d = [_derived(e2, i) for i in range(5)]
     products = [_convolve_int(d[i], d[4 - i], truncation) for i in range(3)]
     family = {}
     for key, (order, a, b) in _E2_FAMILY.items():

@@ -4,7 +4,9 @@ Exit codes: 0 success; 1 verification or certification failure that is not
 pre-declared audit-flagged; 2 usage or expression parse error (an --out
 file that cannot be written and a result too long to print count as usage
 errors, and a table too long to print writes no file); 3 internal
-inconsistency (tau strategies disagree, or an exact invariant failed).
+inconsistency (a remainder in the Eisenstein route's division by 762048, a
+catalogue squaring of the wrong parity or product of the wrong sum, a
+form-level audit row that does not check out, or another failed invariant).
 """
 
 import argparse

@@ -10,7 +10,8 @@ Grammar (whitespace insensitive; juxtaposition multiplies):
     rational := int ["/" int]
     atom     := E2 | E4 | E6 | E8 | E10 | E12 | Delta
 
-Syntax errors carry the byte offset and the set of expected tokens.
+Syntax errors carry the byte offset and the set of expected tokens.  A
+bracket or Phi order above MAX_ORDER is one.
 """
 
 from fractions import Fraction
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 ATOMS = ("E2", "E4", "E6", "E8", "E10", "E12", "Delta")
+
+# Bracket and Phi orders above this are refused: the paper, tests, demos and
+# benchmark use at most 4, and a bracket's work grows with its order.
+MAX_ORDER = 4
 
 
 class ParseError(ValueError):
@@ -157,6 +162,15 @@ class _Parser:
             self.error({"integer"})
         return int(self.text[start : self.pos])
 
+    def order(self):
+        """A bracket or Phi order: an integer of at most MAX_ORDER."""
+        self.skip_ws()
+        start = self.pos
+        order = self.integer()
+        if order > MAX_ORDER:
+            raise ParseError(start, {f"an order of at most {MAX_ORDER}"}, str(order))
+        return order
+
     def identifier(self):
         self.skip_ws()
         start = self.pos
@@ -215,7 +229,7 @@ class _Parser:
             right = self.parse_expr()
             self.expect("]")
             self.expect("_")
-            order = self.integer()
+            order = self.order()
             return Bracket(left, right, order)
         if ch.isalpha():
             mark = self.pos
@@ -230,7 +244,7 @@ class _Parser:
                 return Deriv(times, node)
             if name == "Phi":
                 self.expect("(")
-                order = self.integer()
+                order = self.order()
                 self.expect(";")
                 left = self.parse_expr()
                 self.expect(",")

@@ -13,10 +13,13 @@ smaller requests are cut from it, so rising sizes keep one copy of each.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, isqrt
 
 from ._value import Value
-from .qseries import QSeries, _coefficient_int, _convolve_int, _from_canonical, as_rational
+from .qseries import (
+    QSeries, _coefficient_int, _convolve_int, _derived, _from_canonical, as_rational
+)
 
 __all__ = [
     "GradedForm",
@@ -117,8 +120,6 @@ class GradedForm(Value):
 
     def derive(self, times=1):
         """Derivation raises weight by 2 and the depth bound by 1 per step."""
-        if times < 0:
-            raise ValueError("cannot integrate, only derive")
         w = None if self.weight is None else self.weight + 2 * times
         return GradedForm(self.series.derive(times), w, self.depth + times)
 
@@ -356,18 +357,19 @@ class TauStrategyDisagreement(InternalInconsistency):
         super().__init__(f"tau strategies disagree at n={n}: {detail}")
 
 
-def _tau_vdp(n, s3, s7):
-    acc = 0
-    for mm in range(1, n):
-        acc += mm * (n - mm) * s3[mm] * s3[n - mm]
-    return n * n * s7[n] - 540 * acc
+def _vdp_coefficient(s7, uu, n):
+    """tau(n) = n^2 sigma7(n) - 540 sum_{m<n} m(n-m) sigma3(m) sigma3(n-m),
+    that sum being uu = (u * u)_n for u = D sigma3."""
+    return n * n * s7 - 540 * uu
 
 
-def _tau_niebur(n, s1):
-    acc = 0
-    for mm in range(1, n):
-        acc += (35 * mm ** 4 - 52 * mm ** 3 * n + 18 * mm ** 2 * n * n) * s1[mm] * s1[n - mm]
-    return n ** 4 * s1[n] - 24 * acc
+def _niebur_coefficient(s1, p0, p1, p2, n):
+    """tau(n) = n^4 sigma(n) - 24 sum_{m<n} (35m^4 - 52m^3 n + 18m^2 n^2)
+    sigma(m) sigma(n-m).  P_e = (u * u)_n, u = D^e sigma, sums
+    m^e (n-m)^e sigma(m) sigma(n-m), which m <-> n-m leaves unchanged, and
+    averaging the Niebur weight over that swap makes its sum
+    n^4 P_0/2 - 10n^2 P_1 + 35 P_2."""
+    return n ** 4 * (s1 - 12 * p0) + 240 * n * n * p1 - 840 * p2
 
 
 def tau(n, strategy="product"):
@@ -378,32 +380,32 @@ def tau(n, strategy="product"):
     vdp         n^2*sigma7(n) - 540 * sum m(n-m) sigma3(m) sigma3(n-m)
     niebur      n^4*sigma(n) - 24 * sum (35m^4 - 52m^3 n + 18m^2 n^2) sigma(m) sigma(n-m)
 
-    The first two compute one coefficient, not a table: the q^n
-    coefficient of a * b is the dot product of a[m] and b[n-m], so only
-    the factors are built, through q^n.  product builds
-    c12 = prod(1-q^m)^12 through q^(n-1) from Jacobi's sparse cube with one
-    dense squaring, and takes the q^(n-1) coefficient of c12 * c12.
-    eisenstein takes (E6^2)_n = 254016 (S5^2)_n - 1008 sigma5(n) from the
-    q^n coefficient of S5 * S5, S5 = sum sigma5(m) q^m, one dot product and
-    no product of series, and sigma11(n) from the divisors of n; a
-    remainder in the division by 762048 raises InternalInconsistency.  vdp
-    and niebur are the literal per-n sums.
+    Each reads the q^n coefficient of the products that its `tau_range`
+    table is built from, as the dot product of a[m] and b[n-m], so only the
+    factors are built, through q^n.  product dots c12 = prod(1-q^m)^12,
+    built through q^(n-1) from Jacobi's sparse cube with one dense squaring,
+    with itself at q^(n-1).  eisenstein dots S5 = sum sigma5(m) q^m with
+    itself for (E6^2)_n = 254016 (S5^2)_n - 1008 sigma5(n), and a remainder
+    in the division by 762048 raises InternalInconsistency.  vdp and niebur
+    dot each D-weighted sigma table that their table squares (one and
+    three).  sigma11(n) and sigma7(n) come from the divisors of n.
     """
     if n < 1:
         raise ValueError("tau(n) is defined for n >= 1")
     if strategy == "product":
         c12 = _eta_twelve(n - 1)
-        value = _coefficient_int(c12, c12, n - 1)
-    elif strategy == "eisenstein":
+        return _coefficient_int(c12, c12, n - 1)
+    if strategy == "eisenstein":
         s5 = sigma_table(5, n).values
-        value = _delta_coefficient(_divisor_sigma(11, n), _coefficient_int(s5, s5, n), s5[n], n)
-    elif strategy == "vdp":
-        value = _tau_vdp(n, sigma_table(3, n).values, sigma_table(7, n).values)
-    elif strategy == "niebur":
-        value = _tau_niebur(n, sigma_table(1, n).values)
-    else:
-        raise ValueError(f"unknown tau strategy {strategy!r}")
-    return value
+        return _delta_coefficient(_divisor_sigma(11, n), _coefficient_int(s5, s5, n), s5[n], n)
+    if strategy == "vdp":
+        u = _derived(sigma_table(3, n).values, 1)
+        return _vdp_coefficient(_divisor_sigma(7, n), _coefficient_int(u, u, n), n)
+    if strategy == "niebur":
+        s1 = sigma_table(1, n).values
+        squares = (_coefficient_int(u, u, n) for u in map(_derived, repeat(s1), range(3)))
+        return _niebur_coefficient(s1[n], *squares, n)
+    raise ValueError(f"unknown tau strategy {strategy!r}")
 
 TAU_STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 
@@ -413,17 +415,10 @@ def tau_range(limit, strategy="product"):
 
     product and eisenstein read the coefficients of `delta_product` (two
     dense squarings) and `delta_from_eisenstein` (one squaring of the
-    sigma5 table).  The convolution strategies sieve sigma once per
-    exponent and take every convolution sum as a squaring (one vector
-    passed twice to the exact kernel, so it is packed once):
-
-    vdp     sum m(n-m) sigma3(m) sigma3(n-m) is (u * u)[n], u(m) = m sigma3(m)
-    niebur  with P_e(n) = sum m^e (n-m)^e sigma(m) sigma(n-m), the square of
-            m^e sigma for e = 0, 1, 2: the sum is unchanged by m <-> n-m, and
-            averaging the Niebur weight over that swap gives
-            sum (35m^4 - 52m^3 n + 18m^2 n^2) sigma sigma
-              = n^4 P_0/2 - 10n^2 P_1 + 35 P_2,
-            so tau(n) = n^4 sigma(n) - 12n^4 P_0 + 240n^2 P_1 - 840 P_2
+    sigma5 table).  vdp and niebur sieve sigma once per exponent, square
+    each D-weighted table that their formula names (one vector passed
+    twice to the exact kernel, so it is packed once) and map
+    `_vdp_coefficient` or `_niebur_coefficient` over the squares.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -433,18 +428,12 @@ def tau_range(limit, strategy="product"):
         return list(delta_from_eisenstein(limit).series.coefficients)
     if strategy == "vdp":
         s7 = sigma_table(7, limit).values
-        u = [mm * v for mm, v in enumerate(sigma_table(3, limit).values)]
-        c = _convolve_int(u, u, limit)
-        return [0] + [n * n * s7[n] - 540 * c[n] for n in range(1, limit + 1)]
+        u = _derived(sigma_table(3, limit).values, 1)
+        return list(map(_vdp_coefficient, s7, _convolve_int(u, u, limit), range(limit + 1)))
     if strategy == "niebur":
         s1 = sigma_table(1, limit).values
-        u1 = [mm * v for mm, v in enumerate(s1)]
-        u2 = [mm * v for mm, v in enumerate(u1)]
-        p0, p1, p2 = (_convolve_int(u, u, limit) for u in (s1, u1, u2))
-        return [0] + [
-            n ** 4 * (s1[n] - 12 * p0[n]) + 240 * n * n * p1[n] - 840 * p2[n]
-            for n in range(1, limit + 1)
-        ]
+        squares = [_convolve_int(u, u, limit) for u in map(_derived, repeat(s1), range(3))]
+        return list(map(_niebur_coefficient, s1, *squares, range(limit + 1)))
     raise ValueError(f"unknown tau strategy {strategy!r}")
 
 

@@ -55,7 +55,7 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .qseries import _coefficient_int, _convolve_int, _from_cleared
+from .qseries import _coefficient_int, _convolve_int, _derived, _from_cleared
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -473,8 +473,8 @@ class EvalContext(Value):
         if values is None:
             if isinstance(key, tuple):
                 left, a, right, b = key
-                u = _moment(self.source(left), a)
-                v = u if key[:2] == key[2:] else _moment(self.source(right), b)
+                u = _derived(self.source(left), a)
+                v = u if key[:2] == key[2:] else _derived(self.source(right), b)
                 values = _convolve_int(u, v, self.limit)
                 if v is u:
                     halves = chain.from_iterable(zip(u, repeat(0)))
@@ -500,11 +500,6 @@ class EvalContext(Value):
         """Drop the sources under keys; a later request builds them again."""
         for key in keys:
             self._sources.pop(key, None)
-
-
-def _moment(values, k):
-    """[m^k * values[m]]; values itself when k is 0."""
-    return [m ** k * v for m, v in enumerate(values)] if k else values
 
 
 def make_context(limit):
@@ -548,9 +543,9 @@ def _horner(ctx, limit, terms, scale):
     return repeat(0, limit + 1) if out is None else out
 
 
-def in_turn(records, *contexts):
+def in_turn(records, ctx):
     """Each record in order; once the caller is done with one, every
-    convolution that no later record reads is dropped from contexts, so a
+    convolution that no later record reads is dropped from ctx, so a
     command over the catalogue holds only what is still to be read.
     records must be a sequence.
     """
@@ -565,8 +560,7 @@ def in_turn(records, *contexts):
         done[r].append(key)
     for record, keys in zip(records, done):
         yield record
-        for ctx in contexts:
-            ctx.release(keys)
+        ctx.release(keys)
 
 
 # --------------------------------------------------------------------------

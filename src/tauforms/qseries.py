@@ -294,6 +294,12 @@ def _from_cleared(ints, den):
     return _from_canonical([v // den if v % den == 0 else Fraction(v, den) for v in ints])
 
 
+def _derived(values, k):
+    """D^k of a coefficient vector, D: a_m -> m a_m: [m^k * values[m]], and
+    values itself when k is 0.  The one place that applies D to a vector."""
+    return [m ** k * v for m, v in enumerate(values)] if k else values
+
+
 def _product_sum(f, g, terms):
     """sum c * D^i f * D^j g over (c, i, j) in terms, D: a_n -> n a_n, as a
     QSeries cut after the shorter operand.  Each operand is cleared of
@@ -303,13 +309,12 @@ def _product_sum(f, g, terms):
     n = min(f.truncation, g.truncation)
     a, da = _clear_denominators(f._coeffs[: n + 1])
     b, db = (a, da) if g == f else _clear_denominators(g._coeffs[: n + 1])
-    chains = {}  # id of a cleared vector -> [D^0 v, D^1 v, ...] as far as asked
+    memo = {}  # (id of a cleared vector, i) -> D^i of it
 
     def derived(v, i):
-        chain = chains.setdefault(id(v), [v])
-        while len(chain) <= i:
-            chain.append(list(map(mul, range(n + 1), chain[-1])))
-        return chain[i]
+        if (id(v), i) not in memo:
+            memo[id(v), i] = _derived(v, i)
+        return memo[id(v), i]
 
     total = _convolve_sum([(c, derived(a, i), derived(b, j)) for c, i, j in terms], n)
     return _from_cleared(total, da * db)
@@ -443,16 +448,12 @@ class QSeries:
         return result
 
     def derive(self, times=1):
-        """Apply the coefficient-scaling derivation: a_n -> n^times * a_n.
-
-        times = 0 is the identity, handy when iterating over operator
-        powers in bracket formulas.
-        """
+        """Apply the coefficient-scaling derivation: a_n -> n^times * a_n."""
         if times < 0:
             raise ValueError("cannot integrate, only derive")
         if times == 0:
             return self
-        return _from_results([(i ** times) * c for i, c in enumerate(self._coeffs)])
+        return _from_results(_derived(self._coeffs, times))
 
     def shift(self, k=1):
         """Multiply by q^k, keeping the truncation (top coefficients drop off)."""

@@ -14,6 +14,10 @@ library builds it from Jacobi's identity and `QSeries` powers instead.
 The Rankin-Cohen bracket is summed straight from its binomial formula on
 plain coefficient lists, with `math.comb` and schoolbook products.
 
+The van der Pol and Niebur formulas for tau(n) are summed over m as
+printed, on divisor sums from the additive sieve; the library reads them
+off squarings of D-weighted sigma tables.
+
 Divisor sums come from the additive sieve (every d adds d^k to each of
 its multiples); the library sieves multiplicatively over smallest prime
 factors.  Linear systems are solved by Gauss-Jordan elimination on
@@ -101,6 +105,30 @@ def delta_euler(truncation):
     for _ in range(24):
         power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(n + 1)]
     return [0] + power[:n]
+
+
+def tau_vdp_literal(limit):
+    """[tau(n) for n = 0..limit] (entry 0 is 0) by van der Pol's sum
+    n^2 sigma7(n) - 540 sum_{m=1}^{n-1} m(n-m) sigma3(m) sigma3(n-m)."""
+    s3, s7 = sigma_additive(3, limit), sigma_additive(7, limit)
+    return [0] + [
+        n * n * s7[n] - 540 * sum(m * (n - m) * s3[m] * s3[n - m] for m in range(1, n))
+        for n in range(1, limit + 1)
+    ]
+
+
+def tau_niebur_literal(limit):
+    """[tau(n) for n = 0..limit] (entry 0 is 0) by Niebur's sum n^4 sigma(n)
+    - 24 sum_{m=1}^{n-1} (35m^4 - 52m^3 n + 18m^2 n^2) sigma(m) sigma(n-m)."""
+    s1 = sigma_additive(1, limit)
+    return [0] + [
+        n ** 4 * s1[n]
+        - 24 * sum(
+            (35 * m ** 4 - 52 * m ** 3 * n + 18 * m ** 2 * n * n) * s1[m] * s1[n - m]
+            for m in range(1, n)
+        )
+        for n in range(1, limit + 1)
+    ]
 
 
 def rc_bracket_direct(f, k, g, l, v):

@@ -224,3 +224,19 @@ def test_a_bracket_is_one_kernel_call(monkeypatch):
         monkeypatch.setattr(QSeries, name, lambda *args, name=name: pytest.fail(name))
     assert [quasi_bracket(order, e4, e6).series for order in range(5)] == expected
     assert calls == [1, 2, 3, 4, 5]
+
+
+def test_a_bracket_of_one_form_derives_each_order_once(monkeypatch):
+    # [f, f]_v sums c * D^r f * D^(v-r) f over r: each D^r f is built once
+    # and serves both sides, so the one kernel call sees v + 1 vectors
+    e4 = eisenstein(4, 80)
+    calls = []
+    real = qseries._convolve_sum
+    monkeypatch.setattr(
+        qseries, "_convolve_sum", lambda terms, m: calls.append(list(terms)) or real(terms, m)
+    )
+    for order in range(5):
+        calls.clear()
+        quasi_bracket(order, e4, e4)
+        [terms] = calls
+        assert len({id(v) for _, a, b in terms for v in (a, b)}) == order + 1

@@ -294,6 +294,10 @@ _USAGE_ERRORS = [
     (("decompose", "--expr", "E4", "--weight", "4", "--trunc", "131073"), "above the maximum"),
     # a weight past it would spin in generator_count for an expression of no weight
     (("decompose", "--expr", "0", "--weight", str(10 ** 12)), "above the maximum"),
+    # bracket and Phi orders past expr.MAX_ORDER are refused before anything is built
+    (("eval", "--expr", "[E4,E6]_3000", "--trunc", "64", "--coeff", "1"),
+     "offset 8: expected an order of at most 4, found '3000'"),
+    (("eval", "--expr", "Phi(5; E2, 2, 1; E2, 2, 1)", "--trunc", "2"), "an order of at most 4"),
     (("decompose", "--expr", "E4", "--weight", "-2"), "minimum"),
 ]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import delta_euler, sigma_additive
+from oracle import delta_euler, sigma_additive, tau_niebur_literal, tau_vdp_literal
 from tauforms import (
     TAU_STRATEGIES,
     GradedForm,
@@ -203,10 +203,12 @@ def test_tau_strategies_agree():
 )
 @pytest.mark.parametrize("strategy", ["vdp", "niebur"])
 def test_bulk_convolution_routes_match_the_literal_formulas(strategy, limit):
-    # limits on both sides of _PACK_THRESHOLD: schoolbook and packed squarings
-    table = tau_range(limit, strategy)
-    assert table == [0] + [tau(n, strategy) for n in range(1, limit + 1)]
-    assert table == delta_euler(limit)
+    # limits on both sides of _PACK_THRESHOLD: schoolbook and packed
+    # squarings; the table and every single value against the sum as printed
+    literal = {"vdp": tau_vdp_literal, "niebur": tau_niebur_literal}[strategy](limit)
+    assert tau_range(limit, strategy) == literal
+    assert [0] + [tau(n, strategy) for n in range(1, limit + 1)] == literal
+    assert literal == delta_euler(limit)
 
 
 # signed vectors with v[0] = 0, convolved below and above _PACK_THRESHOLD
@@ -251,7 +253,7 @@ def test_convolution_routes_are_squarings(monkeypatch, strategy, squarings):
         assert a is b
 
 
-@pytest.mark.parametrize("strategy", ["product", "eisenstein"])
+@pytest.mark.parametrize("strategy", ["product", "eisenstein", "vdp", "niebur"])
 def test_tau_single_coefficient_routes(strategy):
     # below, at and past _PACK_THRESHOLD and around the powers of two that
     # the tables are sized to
@@ -263,12 +265,13 @@ def test_tau_single_coefficient_routes(strategy):
 
 
 def test_tau_single_coefficient_routes_cache_no_table(monkeypatch):
-    monkeypatch.setattr(forms, "_STORE", {})
-    for strategy in ("product", "eisenstein"):
+    # no Delta and no E_k: only the sieve of the sigma table that a route
+    # dots (sigma5, sigma3, sigma); sigma11(3000) and sigma7(3000) come from
+    # the divisors of 3000, with no table
+    for strategy, sieved in (("product", []), ("eisenstein", [5]), ("vdp", [3]), ("niebur", [1])):
+        monkeypatch.setattr(forms, "_STORE", {})
         tau(3000, strategy)
-    # no Delta and no E_k: only the sigma5 sieve that E6 is read off;
-    # sigma11(3000) comes from the divisors of 3000, with no table
-    assert sorted(forms._STORE) == [("sigma", 5)]
+        assert sorted(forms._STORE) == [("sigma", k) for k in sieved], strategy
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 11])
@@ -333,8 +336,9 @@ def test_sparse_eta_six_is_the_square_of_jacobis_cube(n):
 
 def test_tau_single_routes_multiply_only_what_they_need(monkeypatch):
     calls = _kernel_calls(monkeypatch)
-    tau(3000, "eisenstein")
-    assert calls == []  # one dot product, no product of series
+    for strategy in ("eisenstein", "vdp", "niebur"):
+        tau(3000, strategy)
+    assert calls == []  # one dot product per squaring, no product of series
     tau(3000, "product")
     [[(_, a, b)]] = calls  # one dense squaring of prod(1-q^m)^6
     assert a is b

@@ -18,7 +18,8 @@ takes no size.  tau-table writes CSV, as in the benchmark, or with
     python3 scripts/peak_rss.py --format json --only tau-table-product
 
 --src DIR measures the tauforms package under DIR instead of this tree's
-src, so that two trees can be measured alike.  --runs repeats the whole
+src, so that two trees can be measured alike.  --without-gmp runs the
+kernel as on a host where libgmp does not load.  --runs repeats the whole
 list, command after command, and every run is reported.
 """
 
@@ -37,6 +38,8 @@ STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 CHILD = r"""
 import json, os, sys, time
 import tauforms, tauforms.cli
+if sys.argv[2] == "without-gmp":
+    tauforms.qseries._gmp = lambda: None
 tauforms.builtin_registry()
 argv = json.loads(sys.argv[1])
 stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
@@ -67,11 +70,12 @@ def commands(max_n, out, fmt="csv"):
         yield f"tau-table-{strategy}", argv
 
 
-def measure(argv, src):
+def measure(argv, src, without_gmp=False):
     """One fresh interpreter running argv: {"exit", "seconds", "vmhwm_kb"}."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    kernel = "without-gmp" if without_gmp else "as-found"
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(argv)],
+        [sys.executable, "-c", CHILD, json.dumps(argv), kernel],
         capture_output=True,
         text=True,
         env=env,
@@ -87,11 +91,13 @@ def main(argv=None):
     parser.add_argument("--only", nargs="+", default=None, help="command names to run")
     parser.add_argument("--src", type=Path, default=SRC)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--without-gmp", action="store_true", help="keep libgmp unloaded")
     args = parser.parse_args(argv)
     result = {
         "max_n": args.max_n,
         "src": str(args.src),
         "format": args.format,
+        "without_gmp": args.without_gmp,
         "python": platform.python_version(),
         "commands": {},
     }
@@ -103,7 +109,7 @@ def main(argv=None):
         ]
         for _ in range(args.runs):
             for name, cmd in todo:
-                run = measure(cmd, args.src)
+                run = measure(cmd, args.src, args.without_gmp)
                 entry = result["commands"].setdefault(
                     name, {"argv": cmd[:-2] if cmd[-2] == "--out" else cmd,
                            "exit": run["exit"], "vmhwm_mb": [], "seconds": []}

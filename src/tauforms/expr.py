@@ -14,6 +14,7 @@ Syntax errors carry the byte offset and the set of expected tokens.  A
 bracket or Phi order above MAX_ORDER is one.
 """
 
+import sys
 from fractions import Fraction
 
 from ._value import Value
@@ -160,6 +161,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error({"integer"})
+        # int() refuses a run past Python's int/str conversion limit
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - start > limit:
+            found = f"an integer of {self.pos - start} digits"
+            raise ParseError(start, {f"an integer of at most {limit} digits"}, found)
         return int(self.text[start : self.pos])
 
     def order(self):

@@ -24,10 +24,17 @@ all-ones vector, and the sum is read back shifted up by the least value a
 slot of it can take, so every slot is non-negative.  Mid-size operands are
 packed as bytes, each vector in one pass of `int.to_bytes` and one
 `int.from_bytes`, multiplied by CPython's `int` (Karatsuba) and read back
-with `struct.iter_unpack`, so no number is turned into text; large ones
-are packed in decimal text and multiplied by libmpdec through `decimal`,
-which switches to a number-theoretic transform on huge operands, and their
-text is read back by `struct.iter_unpack` as well.  Both routes are exact.
+with `struct.iter_unpack`, so no number is turned into text.  A byte-route
+product whose smaller packed operand has at least _GMP_MIN_BITS bits goes
+to libgmp through `ctypes` where the library loads: it is looked up by its
+soname `libgmp.so.10`, then through `ctypes.util.find_library`, once, at
+the first such product and never at import.  libgmp multiplies the same
+integers exactly, so every result is identical with it and without it.
+On a host without libgmp, large operands are packed in decimal text and
+multiplied by libmpdec through `decimal`, which switches to a
+number-theoretic transform on huge operands, and their text is read back
+by `struct.iter_unpack` as well; where libgmp loads, every packed sum
+takes the byte route.  All routes are exact.
 """
 
 import sys
@@ -66,15 +73,97 @@ def as_rational(x):
 # and 2-5x at n = 32..64), and lost at n = 16.
 _PACK_THRESHOLD = 20
 
-# Packed operands of at least this many decimal digits (coefficients times
-# slot width, of the shorter operand) go through libmpdec; below it the
-# byte packing and CPython's Karatsuba are faster.  Both sweeps in
-# BENCH_binary_pack.json (scripts/mul_crossover.py) put the crossover
-# here; at 24576 digits the byte route still beat libmpdec by about 7%.
+# Where libgmp does not load, packed operands of at least this many decimal
+# digits (coefficients times slot width, of the shorter operand) go through
+# libmpdec; below it the byte packing and CPython's Karatsuba are faster.
+# Both sweeps in BENCH_binary_pack.json (scripts/mul_crossover.py) put the
+# crossover here; at 24576 digits the byte route still beat libmpdec by
+# about 7%.
 _DECIMAL_THRESHOLD = 32256
 
 # Integers only, at any size: a result that would need rounding raises.
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+# Byte-route products whose smaller packed operand has at least this many
+# bits go through libgmp where it loads; below it CPython's `int` is
+# faster, since a product through ctypes costs about 15 us more.  Both
+# sweeps of scripts/mul_crossover.py in BENCH_gmp_kernel.json (libgmp
+# 6.2.1) put the crossover here: libgmp lost a timing at 6078 bits and won
+# every one from 7133 on, by about 6x at 0.1 Mbit and 26x at 2.5 Mbit.
+_GMP_MIN_BITS = 7133
+
+_LIBGMP = []  # after the first call of _gmp: [(libgmp, its mpz type) or None]
+
+
+def _gmp():
+    """(libgmp, its mpz_t) through ctypes, or None where it does not load.
+
+    The first call loads the library, by its soname and then by
+    `ctypes.util.find_library`, and declares the argument and result types
+    of the functions `_multiply` calls; later calls return what it found.
+    """
+    if not _LIBGMP:
+        import ctypes
+        from ctypes import POINTER, c_char_p, c_int, c_size_t, c_void_p
+
+        class Mpz(ctypes.Structure):  # mpz_t of gmp.h
+            _fields_ = [("alloc", c_int), ("size", c_int), ("limbs", c_void_p)]
+
+        z, words = POINTER(Mpz), [c_size_t, c_int, c_size_t, c_int, c_size_t]
+        signatures = {  # words: count, order, size, endian, nails
+            "__gmpz_init": ([z], None),
+            "__gmpz_clear": ([z], None),
+            "__gmpz_import": ([z, *words, c_char_p], None),
+            "__gmpz_mul": ([z, z, z], None),
+            "__gmpz_sizeinbase": ([z, c_int], c_size_t),
+            "__gmpz_export": ([c_void_p, POINTER(c_size_t), *words[1:], z], c_void_p),
+        }
+        try:
+            try:
+                lib = ctypes.CDLL("libgmp.so.10")
+            except OSError:
+                import ctypes.util  # its import alone takes milliseconds
+
+                lib = ctypes.CDLL(ctypes.util.find_library("gmp") or "libgmp.so")
+            for name, (argtypes, restype) in signatures.items():
+                function = getattr(lib, name)
+                function.argtypes, function.restype = argtypes, restype
+            _LIBGMP.append((lib, Mpz))
+        except (OSError, AttributeError):
+            _LIBGMP.append(None)
+    return _LIBGMP[0]
+
+
+def _multiply(x, y):
+    """x * y for ints, exactly; passing one object twice squares it.
+
+    When the smaller factor has at least _GMP_MIN_BITS bits and libgmp
+    loads, the magnitudes go to libgmp as bytes, it multiplies them, and the
+    product comes back through one buffer with its sign restored; otherwise
+    CPython's `int` multiplies.
+    """
+    gmp = _gmp() if min(x.bit_length(), y.bit_length()) >= _GMP_MIN_BITS else None
+    if gmp is None:
+        return x * y
+    from ctypes import create_string_buffer
+
+    lib, mpz = gmp
+    product, *factors = [mpz() for _ in range(2 if x is y else 3)]
+    for z in (product, *factors):
+        lib.__gmpz_init(z)
+    try:
+        for z, v in zip(factors, (x, y)):
+            size = (v.bit_length() + 7) // 8
+            # least significant byte first; the bytes are dropped once read
+            lib.__gmpz_import(z, size, -1, 1, 0, 0, abs(v).to_bytes(size, "little"))
+        lib.__gmpz_mul(product, factors[0], factors[-1])  # one factor: a squaring
+        out = create_string_buffer((lib.__gmpz_sizeinbase(product, 2) + 7) // 8)
+        lib.__gmpz_export(out, None, -1, 1, 0, 0, product)
+    finally:
+        for z in (product, *factors):
+            lib.__gmpz_clear(z)
+    value = int.from_bytes(out, "little")
+    return -value if (x < 0) != (y < 0) else value
 
 
 def _schoolbook_convolve(a, b, n):
@@ -99,14 +188,16 @@ def _packed_sum(terms, n, offset, base, width):
     and raises OverflowError on a slot that does not fit its width.
     """
     if base == 256:
-        zero, shift = 0, lambda v, k: v << 8 * width * k  # v * x**k
+        # shift(v, k) is v * x**k
+        zero, shift, multiply = 0, lambda v, k: v << 8 * width * k, _multiply
 
         def parse(vals):
             slots = map(int.to_bytes, vals, repeat(width), repeat("big"))
             return int.from_bytes(b"".join(slots), "big")
 
     else:
-        zero, shift, fmt = Decimal(0), lambda v, k: v.scaleb(width * k), f"%0{width}d"
+        zero, shift, multiply = Decimal(0), lambda v, k: v.scaleb(width * k), mul
+        fmt = f"%0{width}d"
 
         def parse(vals):
             vals = tuple(vals)
@@ -141,9 +232,9 @@ def _packed_sum(terms, n, offset, base, width):
     total = None
     with localcontext(_DECIMAL):
         for c, a, lo_a, b, lo_b in terms:
-            # multiply the packed operands first: int and libmpdec both
-            # square faster when handed one object twice
-            product = pack(a, lo_a) * pack(b, lo_b)
+            # multiply the packed operands first: int, libgmp and libmpdec
+            # all square faster when handed one object twice
+            product = multiply(pack(a, lo_a), pack(b, lo_b))
             if c != 1:
                 product *= c
             total = product if total is None else total + product
@@ -187,8 +278,8 @@ def _convolve_sum(terms, n):
     two operands are merged, since a * b = b * a.  Short results use the
     schoolbook loop; longer ones one Kronecker substitution for the whole
     sum, with slots as wide as the range its coefficients can span, in
-    bytes below _DECIMAL_THRESHOLD packed digits and in decimal from there
-    on.
+    bytes, or, where libgmp does not load, in decimal from
+    _DECIMAL_THRESHOLD packed digits on.
     A vector passed more than once (a squaring) is cut and packed once.
     """
     pairs = {}
@@ -238,8 +329,13 @@ def _convolve_sum(terms, n):
         digits -= 1
     limit = sys.get_int_max_str_digits()
     # A slot wider than the int/str conversion limit cannot be written or
-    # read as decimal text, so such sums stay binary.
-    if short * digits >= _DECIMAL_THRESHOLD and (not limit or digits <= limit):
+    # read as decimal text, so such sums stay binary; and so does every sum
+    # where libgmp loads, since it multiplies large operands faster.
+    if (
+        short * digits >= _DECIMAL_THRESHOLD
+        and (not limit or digits <= limit)
+        and _gmp() is None
+    ):
         return _packed_sum(live, n, offset, 10, digits)
     return _packed_sum(live, n, offset, 256, (bits + 7) // 8)
 

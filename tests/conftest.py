@@ -32,8 +32,26 @@ def _route_widths(monkeypatch, base):
 
 
 @pytest.fixture
-def decimal_route_widths(monkeypatch):
-    """Slot widths of every product that takes the decimal route, in order."""
+def without_gmp(monkeypatch):
+    """The kernel as on a host where libgmp does not load: its loader finds
+    nothing, so large sums take the decimal route and CPython's `int` does
+    every byte-route product."""
+    monkeypatch.setattr(qseries, "_gmp", lambda: None)
+
+
+@pytest.fixture
+def with_gmp():
+    """libgmp's functions; the test is skipped where it does not load."""
+    gmp = qseries._gmp()
+    if gmp is None:
+        pytest.skip("libgmp does not load on this host")
+    return gmp
+
+
+@pytest.fixture
+def decimal_route_widths(monkeypatch, without_gmp):
+    """Slot widths of every product that takes the decimal route, in order,
+    on a host without libgmp (with it, no product takes that route)."""
     return _route_widths(monkeypatch, 10)
 
 

@@ -81,6 +81,43 @@ def test_tau_table_strategies_write_identical_csv(tmp_path, capsys):
         assert files[strategy] == files["product"], strategy
 
 
+def test_output_does_not_depend_on_libgmp(tmp_path, capsys, monkeypatch, request, with_gmp):
+    # every product is exact, so tau-table (which at 2048 takes the decimal
+    # route without libgmp) and verify print and write the same bytes
+    # whether libgmp multiplies or not
+    def outputs():
+        monkeypatch.setattr(tauforms.forms, "_STORE", {})  # multiply afresh
+        files = []
+        for strategy in TAU_STRATEGIES:
+            out_path = tmp_path / f"{strategy}.csv"
+            argv = ["tau-table", "--max-n", "2048", "--strategy", strategy, "--out", str(out_path)]
+            files.append((run(capsys, *argv), out_path.read_bytes()))
+        argv = ["verify", "--identity", "all", "--max-n", "300", "--format", "json"]
+        return files, run(capsys, *argv)
+
+    loaded = outputs()
+    request.getfixturevalue("without_gmp")
+    assert outputs() == loaded
+
+
+def test_start_does_not_import_ctypes():
+    # libgmp and ctypes load at the first large product, never at start-up
+    src = str(Path(tauforms.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = (
+        "import sys\n"
+        "import tauforms, tauforms.cli\n"
+        "tauforms.builtin_registry()\n"
+        "print('ctypes' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_tau_table_json(tmp_path, capsys):
     out_path = tmp_path / "tau.json"
     code, _, _ = run(
@@ -254,6 +291,18 @@ def test_eval_non_decimal_digit_is_a_syntax_error(capsys, digit):
     code, _, err = run(capsys, "eval", "--expr", f"E4 + {digit}", "--trunc", "4")
     assert code == 2
     assert "syntax error at offset 5: expected" in err
+
+
+def test_eval_integer_past_the_str_limit_is_a_syntax_error(capsys):
+    # int() would refuse the run; the parser names its offset instead
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, _, err = run(capsys, "eval", "--expr", f"[E4,E6]_{'9' * 5000}", "--trunc", "4")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert "syntax error at offset 8: expected an integer of at most 4300 digits" in err
 
 
 _USAGE_ERRORS = [

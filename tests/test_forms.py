@@ -160,6 +160,29 @@ def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch, decimal_rou
     assert tau_cross_check(4096) == tau_range(4096, "product")
 
 
+def test_delta_routes_agree_through_libgmp(monkeypatch, with_gmp):
+    # the check above with libgmp loaded: the large products go through it
+    # and no sum takes the decimal route, so the four tau strategies are
+    # cross-checked on both kernels
+    monkeypatch.setattr(forms, "_STORE", {})
+    bases, bits = [], []
+    packed_sum, multiply = qseries._packed_sum, qseries._multiply
+
+    def spy_sum(terms, n, offset, base, width):
+        bases.append(base)
+        return packed_sum(terms, n, offset, base, width)
+
+    def spy_multiply(x, y):
+        bits.append(min(x.bit_length(), y.bit_length()))
+        return multiply(x, y)
+
+    monkeypatch.setattr(qseries, "_packed_sum", spy_sum)
+    monkeypatch.setattr(qseries, "_multiply", spy_multiply)
+    assert delta_product(4096) == delta_from_eisenstein(4096)
+    assert tau_cross_check(4096) == tau_range(4096, "product")
+    assert set(bases) == {256} and max(bits) >= qseries._GMP_MIN_BITS
+
+
 def test_delta_from_eisenstein_rejects_a_remainder(bend_sigma5):
     bend_sigma5(3)
     # sigma5(3) + 1 leaves (S5^2)_3 as it is (sigma5 has no q^0 term) and

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -14,10 +15,12 @@ from tauforms import GradedForm, QSeries, delta_product, eisenstein, quasi_brack
 from tauforms import qseries
 from tauforms.qseries import (
     _DECIMAL_THRESHOLD,
+    _GMP_MIN_BITS,
     _PACK_THRESHOLD,
     _coefficient_int,
     _convolve_int,
     _convolve_sum,
+    _multiply,
     _schoolbook_convolve,
     as_rational,
 )
@@ -257,9 +260,11 @@ def _random_ints(rnd, length, digits, signed=True):
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
-@settings(max_examples=4, deadline=None)
+@settings(
+    max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(data=st.data())
-def test_packed_routes_match_schoolbook(side, data):
+def test_packed_routes_match_schoolbook(side, data, without_gmp):
     digits = 40
     length = _lengths_around_crossover(digits)[side]
     rnd = data.draw(st.randoms(use_true_random=False))
@@ -270,9 +275,11 @@ def test_packed_routes_match_schoolbook(side, data):
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
-@settings(max_examples=3, deadline=None)
+@settings(
+    max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(data=st.data())
-def test_rational_products_match_schoolbook(side, data):
+def test_rational_products_match_schoolbook(side, data, without_gmp):
     digits = 80
     length = data.draw(_lengths_around_crossover(digits)[side])
     rnd = data.draw(st.randoms(use_true_random=False))
@@ -287,9 +294,11 @@ def test_rational_products_match_schoolbook(side, data):
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["int-route", "decimal-route"])
-@settings(max_examples=4, deadline=None)
+@settings(
+    max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(data=st.data())
-def test_squaring_matches_product_of_copies(side, data):
+def test_squaring_matches_product_of_copies(side, data, without_gmp):
     digits = 40
     rnd = data.draw(st.randoms(use_true_random=False))
     x = _random_ints(
@@ -321,7 +330,7 @@ def test_route_follows_packed_size(decimal_route_widths):
         assert decimal_route_widths == ([width(length)] if taken else []), length
 
 
-def test_packed_convolution_edge_cases():
+def test_packed_convolution_edge_cases(without_gmp):
     # 40-digit coefficients give slots of over 80 digits, so `long` packs
     # above the decimal route's crossover.
     long = [(-1) ** i * (10 ** 40 + i) for i in range(_DECIMAL_THRESHOLD // 80 + 100)]
@@ -519,6 +528,69 @@ def test_byte_route_skips_only_zero_sums(byte_route_widths):
     assert byte_route_widths == []
 
 
+@pytest.mark.parametrize("bits", [_GMP_MIN_BITS - 1, _GMP_MIN_BITS, 5 * _GMP_MIN_BITS + 3])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_multiply_matches_the_cpython_product(with_gmp, bits, signs):
+    # the smaller factor on both sides of _GMP_MIN_BITS, of every sign
+    rnd = random.Random(bits)
+    x = signs[0] * (rnd.getrandbits(bits) | 1 << bits - 1)
+    y = signs[1] * (rnd.getrandbits(bits + 77) | 1 << bits + 76)
+    assert _multiply(x, y) == x * y == _multiply(y, x)
+    assert _multiply(x, x) == x * x
+    assert _multiply(x, 0) == 0 == _multiply(0, y)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """(bits of the smaller factor, squared as one object, a factor
+    negative) for every product of the byte route."""
+    seen = []
+    real = qseries._multiply
+
+    def spy(x, y):
+        seen.append((min(x.bit_length(), y.bit_length()), x is y, x < 0 or y < 0))
+        return real(x, y)
+
+    monkeypatch.setattr(qseries, "_multiply", spy)
+    return seen
+
+
+def _lengths_around_gmp_bits(slot_bits):
+    """Operand lengths whose packed slots of about slot_bits bits put them
+    below and above _GMP_MIN_BITS."""
+    cross = _GMP_MIN_BITS // slot_bits
+    below = st.integers(_PACK_THRESHOLD + 1, max(_PACK_THRESHOLD + 1, cross * 2 // 3))
+    above = st.integers(cross * 3 // 2 + 1, cross * 3 + 1)
+    return below, above
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["cpython-int", "libgmp"])
+@settings(
+    max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_kernel_sums_through_libgmp(side, data, with_gmp, factors, monkeypatch):
+    # a negative packed operand (its top coefficient is negative), squarings
+    # passed as one object and terms with multipliers other than 1
+    digits = 2 if side == 0 else 12  # slots of about 32 and 96 bits
+    length = data.draw(_lengths_around_gmp_bits(32 if side == 0 else 96)[side])
+    rnd = data.draw(st.randoms(use_true_random=False))
+    top = 10 ** digits
+    # full-size top coefficients fix the packed operands' bit lengths
+    x = _random_ints(rnd, length - 1, digits) + [-top]
+    y = _random_ints(rnd, length - 1, digits, signed=data.draw(st.booleans())) + [top]
+    terms = [(3, x, y), (-2, y, y), (5, x, x), (1, y, x)]
+    n = length - 1 + data.draw(st.integers(0, 3))
+    factors.clear()
+    total = _convolve_sum(terms, n)
+    assert total == _summed_schoolbook(terms, n)
+    assert any(square for _, square, _ in factors) and any(neg for _, _, neg in factors)
+    assert all((bits >= _GMP_MIN_BITS) == bool(side) for bits, _, _ in factors)
+    with monkeypatch.context() as without:
+        without.setattr(qseries, "_gmp", lambda: None)
+        assert _convolve_sum(terms, n) == total
+
+
 def _mul_crossover_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "mul_crossover.py"
     spec = importlib.util.spec_from_file_location("mul_crossover", path)
@@ -532,7 +604,9 @@ def test_mul_crossover_script_measures_both_routes():
     # schoolbook cutoff by name; one small row of each keeps it in step
     # with the kernel
     script = _mul_crossover_script()
-    row = script.measure(3, 64)
+    loader = qseries._gmp
+    row = script.measure(3, 64)  # the decimal sweep takes libgmp away, then back
+    assert qseries._gmp is loader
     assert row["coefficients"] == 64 and row["packed_digits"] == 64 * row["slot_digits"]
     keys = ("binary_s", "decimal_s", "binary_square_s", "decimal_square_s")
     assert all(row[key] > 0 for key in keys)
@@ -543,6 +617,16 @@ def test_mul_crossover_script_measures_both_routes():
     assert all(row[key] > 0 for key in keys)
     assert qseries._PACK_THRESHOLD == _PACK_THRESHOLD
     assert script.crossover([row], "n", "schoolbook", "packed") in (8, None)
+    # the libgmp sweep times CPython's int and libgmp on the same packed
+    # operands, and puts the threshold back
+    if script.gmp_version() is None:
+        pytest.skip("libgmp does not load on this host: the script times no libgmp row")
+    row = script.measure_gmp(3, 16)
+    assert row["coefficients"] == 16 and row["packed_bits"] > 8 * row["slot_bytes"] * 15
+    keys = ("int_s", "gmp_s", "int_square_s", "gmp_square_s")
+    assert all(row[key] > 0 for key in keys)
+    assert qseries._GMP_MIN_BITS == _GMP_MIN_BITS
+    assert script.crossover([row], "packed_bits", "int", "gmp") in (row["packed_bits"], None)
 
 
 def test_mul_crossover_ignores_a_loss_within_its_margin():

@@ -2,9 +2,18 @@
 
 A value class names its fields once, in order, as
 ``__slots__ = __match_args__ = (...)`` (extra slots, such as a cache, stay
-out of ``__match_args__``), and its own ``__init__`` validates the
-arguments and stores each field with ``object.__setattr__``.  Value
-compares, hashes and prints those fields as a frozen dataclass does,
+out of ``__match_args__``), and values for its last fields, if any, as
+``_defaults``.  Value's one constructor stores the fields from positional
+arguments, then keywords, then those defaults, with
+``object.__setattr__``, and raises a TypeError naming the class for a
+missing, unknown, repeated or extra argument.  A class that validates its
+arguments or keeps a derived slot (``BracketSpec``, ``CongruenceRecord``,
+``Registry``, ``EvalContext``) checks or adds to them around a call to it.
+``GradedForm`` alone writes its constructor out: a session builds more of
+them than of any other value, and the direct stores skip this one's
+argument matching.
+
+Value compares, hashes and prints the fields as a frozen dataclass does,
 refuses assignment and deletion, and copies, pickles and rebuilds with
 fields changed (``_replace``) through the constructor, with no code
 generated when a class is defined.
@@ -14,6 +23,32 @@ generated when a class is defined.
 class Value:
     __slots__ = ()
     __match_args__ = ()
+    _defaults = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if not kwargs and len(args) == len(names):
+            return
+        # the fields after the positional ones, from keywords, then defaults
+        cls, rest = type(self).__name__, names[len(args) :]
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() got {len(args)} positional arguments for the fields {names}")
+        for name in kwargs:
+            if name not in rest:
+                kind = "argument {!r} twice" if name in names else "an unexpected argument {!r}"
+                raise TypeError(f"{cls}() got " + kind.format(name))
+        defaults = self._defaults
+        first_default = len(rest) - len(defaults)
+        for i, name in enumerate(rest):
+            if name in kwargs:
+                value = kwargs[name]
+            elif i >= first_default:
+                value = defaults[i - first_default]
+            else:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
 
     def _astuple(self):
         return tuple(getattr(self, name) for name in self.__match_args__)

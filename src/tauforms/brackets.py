@@ -55,11 +55,7 @@ class BracketSpec(Value):
                 raise ValueError(f"{side} weight must be even and >= 2, got {w}")
             if not 0 <= s <= w // 2:
                 raise ValueError(f"{side} depth {s} outside 0..{w // 2}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "left_weight", left_weight)
-        object.__setattr__(self, "left_depth", left_depth)
-        object.__setattr__(self, "right_weight", right_weight)
-        object.__setattr__(self, "right_depth", right_depth)
+        super().__init__(order, left_weight, left_depth, right_weight, right_depth)
 
     @property
     def result_weight(self):

@@ -63,31 +63,17 @@ class EvalError(TypeError):
 class Lit(Value):
     __slots__ = __match_args__ = ("value",)  # a Fraction
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
 
 class Atom(Value):
     __slots__ = __match_args__ = ("name",)  # one of ATOMS
-
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
 
 
 class Deriv(Value):
     __slots__ = __match_args__ = ("times", "child")
 
-    def __init__(self, times, child):
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "child", child)
-
 
 class _Binary(Value):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
@@ -105,25 +91,11 @@ class Mul(_Binary):
 class Bracket(Value):
     __slots__ = __match_args__ = ("left", "right", "order")
 
-    def __init__(self, left, right, order):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "order", order)
-
 
 class Phi(Value):
     __slots__ = __match_args__ = (
         "order", "left", "left_weight", "left_depth", "right", "right_weight", "right_depth"
     )
-
-    def __init__(self, order, left, left_weight, left_depth, right, right_weight, right_depth):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "left_weight", left_weight)
-        object.__setattr__(self, "left_depth", left_depth)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "right_weight", right_weight)
-        object.__setattr__(self, "right_depth", right_depth)
 
 
 class _Parser:

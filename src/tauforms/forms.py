@@ -161,10 +161,6 @@ class SigmaTable(Value):
 
     __slots__ = __match_args__ = ("k", "values")
 
-    def __init__(self, k, values):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "values", values)
-
     @property
     def limit(self):
         return len(self.values) - 1
@@ -248,8 +244,8 @@ def delta_product(truncation):
     square is summed over pairs of those terms, one dense squaring gives
     the 12th power (`_eta_twelve`), and Delta is q times its square.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
     return _largest(("Delta", "product"), truncation, _delta_product).truncate(truncation)
 
 
@@ -299,7 +295,10 @@ def delta_from_eisenstein(truncation):
     InternalInconsistency.  Since 65520 and 762048 are both 566 mod 691,
     an exact quotient is also congruent to sigma11(n) mod 691.
     """
-    form = _largest(("Delta", "eisenstein"), truncation, _delta_from_eisenstein)
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    # built from q^1 at least, since the sigma tables start at sigma(1)
+    form = _largest(("Delta", "eisenstein"), max(truncation, 1), _delta_from_eisenstein)
     return form.truncate(truncation)
 
 

@@ -209,12 +209,7 @@ class ClosedTerm(Value):
     The coefficient is a Fraction, affine the pair (a, b) or None."""
 
     __slots__ = __match_args__ = ("coefficient", "n_power", "sigma", "affine")
-
-    def __init__(self, coefficient, n_power, sigma, affine=None):
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "n_power", n_power)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "affine", affine)
+    _defaults = (None,)
 
     def monomials(self):
         """Expand the affine factor: [(coefficient, power, sigma)] pieces."""
@@ -238,13 +233,6 @@ class ConvolutionTerm(Value):
 
     __slots__ = __match_args__ = ("coefficient", "n_divisor", "poly", "left", "right")
 
-    def __init__(self, coefficient, n_divisor, poly, left, right):
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "n_divisor", n_divisor)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
     def describe(self):
         body = f"sum {self.poly!r} * {_sigma_name(self.left)}(m)*{_sigma_name(self.right)}(n-m)"
         if self.n_divisor:
@@ -267,10 +255,7 @@ class Side(Value):
 
     __slots__ = ("closed", "conv", "__dict__")
     __match_args__ = ("closed", "conv")
-
-    def __init__(self, closed=(), conv=()):
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "conv", conv)
+    _defaults = ((), ())
 
     def denominator(self):
         """Least common multiple of the coefficient denominators of terms(0)."""
@@ -358,13 +343,7 @@ class IdentityRecord(Value):
     """lhs(n) = rhs(n), as stated by anchor."""
 
     __slots__ = __match_args__ = ("id", "anchor", "lhs", "rhs", "status")
-
-    def __init__(self, id, anchor, lhs, rhs, status=EXPECTED_TRUE):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "status", status)
+    _defaults = (EXPECTED_TRUE,)
 
 
 class CongruenceRecord(Value):
@@ -381,13 +360,7 @@ class CongruenceRecord(Value):
             prod *= f
         if prod != modulus:
             raise ValueError(f"{id}: stated factorisation {modulus_factors} != {modulus}")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "modulus_factors", modulus_factors)
-        object.__setattr__(self, "gcd_condition", gcd_condition)
+        super().__init__(id, anchor, lhs, rhs, modulus, modulus_factors, gcd_condition)
 
 
 class Registry(Value):
@@ -397,8 +370,7 @@ class Registry(Value):
     __match_args__ = ("identities", "congruences")
 
     def __init__(self, identities, congruences):
-        object.__setattr__(self, "identities", identities)
-        object.__setattr__(self, "congruences", congruences)
+        super().__init__(identities, congruences)
         object.__setattr__(
             self, "by_id", {r.id: r for r in identities} | {r.id: r for r in congruences}
         )
@@ -408,7 +380,10 @@ class Registry(Value):
 
 
 class VerificationReport(Value):
-    """The outcome of a range check, a congruence check or certification."""
+    """The outcome of a range check, a congruence check or certification.
+
+    status is verified, certified, failed or audit-flagged; first_failure,
+    when there is one, is (n, lhs value, rhs value)."""
 
     __slots__ = __match_args__ = (
         "identity_id",
@@ -419,24 +394,7 @@ class VerificationReport(Value):
         "certification_bound",
         "detail",
     )
-
-    def __init__(
-        self,
-        identity_id,
-        status,  # verified | certified | failed | audit-flagged
-        limit=None,
-        first_failure=None,  # (n, lhs value, rhs value)
-        certified=None,
-        certification_bound=None,
-        detail="",
-    ):
-        object.__setattr__(self, "identity_id", identity_id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "first_failure", first_failure)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "certification_bound", certification_bound)
-        object.__setattr__(self, "detail", detail)
+    _defaults = (None, None, None, None, "")
 
 
 class EvalContext(Value):
@@ -449,7 +407,7 @@ class EvalContext(Value):
     __match_args__ = ("limit",)
 
     def __init__(self, limit):
-        object.__setattr__(self, "limit", limit)
+        super().__init__(limit)
         object.__setattr__(self, "_sources", {})
 
     def source(self, key):
@@ -1061,22 +1019,12 @@ class FittedCoefficient(Value):
 
     __slots__ = __match_args__ = ("description", "stated", "fitted")
 
-    def __init__(self, description, stated, fitted):
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "stated", stated)
-        object.__setattr__(self, "fitted", fitted)
-
 
 class FitResult(Value):
     """The outcome of fit_identity: a FittedCoefficient per unknown."""
 
     __slots__ = __match_args__ = ("identity_id", "success", "coefficients", "detail")
-
-    def __init__(self, identity_id, success, coefficients=(), detail=""):
-        object.__setattr__(self, "identity_id", identity_id)
-        object.__setattr__(self, "success", success)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "detail", detail)
+    _defaults = ((), "")
 
     @property
     def discrepancies(self):
@@ -1149,50 +1097,22 @@ class AuditFinding(Value):
 
     __slots__ = __match_args__ = ("id", "claimed", "computed", "detail")
 
-    def __init__(self, id, claimed, computed, detail):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "detail", detail)
-
 
 class AuditEntry(Value):
     """One catalogue record's audit: its VerificationReports, and the
-    FitResult of a record that failed."""
+    FitResult of a record that failed.  status is verified, failed or
+    audit-flagged."""
 
     __slots__ = __match_args__ = (
         "id", "anchor", "expected_status", "status", "range_report", "certify_report", "fit"
     )
-
-    def __init__(
-        self,
-        id,
-        anchor,
-        expected_status,
-        status,  # verified | failed | audit-flagged
-        range_report,
-        certify_report=None,
-        fit=None,
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "expected_status", expected_status)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "range_report", range_report)
-        object.__setattr__(self, "certify_report", certify_report)
-        object.__setattr__(self, "fit", fit)
+    _defaults = (None, None)
 
 
 class AuditReport(Value):
     """audit_all's AuditEntry tuples and AuditFinding tuple."""
 
     __slots__ = __match_args__ = ("limit", "entries", "congruences", "findings")
-
-    def __init__(self, limit, entries, congruences, findings):
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "congruences", congruences)
-        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self):

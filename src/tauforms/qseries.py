@@ -94,6 +94,13 @@ _GMP_MIN_BITS = 7133
 
 _LIBGMP = []  # after the first call of _gmp: [(libgmp, its mpz type) or None]
 
+# D^k of a series truncated at N multiplies a_m by m^k, about
+# k * (N+1) * N.bit_length() bits in all; `QSeries.derive` refuses more than
+# this.  On a 2-core host the slowest D^k(E4) it admits took 1.5 s (N = 7;
+# 1.1 s at N = 3, at most 0.6 s end to end from N = 256 to 131072); tests,
+# demos and benchmark stay below 1.5 * 10^6 bits.
+MAX_DERIVE_BITS = 2 ** 25
+
 
 def _gmp():
     """(libgmp, its mpz_t) through ctypes, or None where it does not load.
@@ -547,6 +554,13 @@ class QSeries:
         """Apply the coefficient-scaling derivation: a_n -> n^times * a_n."""
         if times < 0:
             raise ValueError("cannot integrate, only derive")
+        n = self.truncation
+        bits = times * (n + 1) * n.bit_length()
+        if bits > MAX_DERIVE_BITS:
+            raise ValueError(
+                f"D^{times} at truncation {n} would take about {bits} bits, "
+                f"above the maximum {MAX_DERIVE_BITS}"
+            )
         if times == 0:
             return self
         return _from_results(_derived(self._coeffs, times))

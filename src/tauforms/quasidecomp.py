@@ -51,21 +51,12 @@ class BasisElement(Value):
 
     __slots__ = __match_args__ = ("label", "form")
 
-    def __init__(self, label, form):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "form", form)
-
 
 class DecompositionRecord(Value):
     """Coordinates of a form over the weight-k graded generators:
     coordinates is ((label, Fraction), ...) in generator order."""
 
     __slots__ = __match_args__ = ("weight", "depth", "coordinates")
-
-    def __init__(self, weight, depth, coordinates):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "coordinates", coordinates)
 
     def nonzero(self):
         return {label: c for label, c in self.coordinates if c != 0}

@@ -118,6 +118,27 @@ def test_start_does_not_import_ctypes():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_derivation_past_the_bit_bound_exits_at_once():
+    # D^k multiplies the q^m coefficient by m^k; without the bound this ran
+    # past 10 s raising every index to the 3*10^8-th power
+    src = str(Path(tauforms.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["eval", "--expr", "D^300000000(E4)", "--trunc", "64", "--coeff", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tauforms.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: D^300000000 at truncation 64 would take about {300000000 * 65 * 7} bits, "
+        "above the maximum 33554432\n"
+    )
+
+
 def test_tau_table_json(tmp_path, capsys):
     out_path = tmp_path / "tau.json"
     code, _, _ = run(
@@ -278,6 +299,11 @@ def test_eval_command(capsys):
     assert code == 0 and out.strip() == "-264"
     code, out, _ = run(capsys, "eval", "--expr", "E12 - E8*E4", "--trunc", "4")
     assert code == 0 and "weight: 12" in out
+    # every atom evaluates at truncation 0; Delta's q^0 coefficient is 0
+    assert run(capsys, "eval", "--expr", "Delta", "--trunc", "0") == (
+        0, "weight: 12, depth bound: 0\n0\n", ""
+    )
+    assert run(capsys, "eval", "--expr", "E12", "--trunc", "0", "--coeff", "0") == (0, "1\n", "")
 
 
 def test_eval_parse_error_exit_code(capsys):
@@ -348,6 +374,8 @@ _USAGE_ERRORS = [
      "offset 8: expected an order of at most 4, found '3000'"),
     (("eval", "--expr", "Phi(5; E2, 2, 1; E2, 2, 1)", "--trunc", "2"), "an order of at most 4"),
     (("decompose", "--expr", "E4", "--weight", "-2"), "minimum"),
+    # D^k is refused by its size before any power is taken
+    (("decompose", "--expr", "D^300000000(E4)", "--weight", "12"), "above the maximum 33554432"),
 ]
 
 

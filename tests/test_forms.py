@@ -151,6 +151,20 @@ def test_delta_product_matches_euler_oracle():
     assert delta_product(2049) == delta_from_eisenstein(2049)
 
 
+def test_delta_routes_agree_from_truncation_zero(monkeypatch):
+    # Delta's q^0 coefficient is 0, so truncation 0 is known; from an empty
+    # store the Eisenstein route needs no sigma table that stops at q^0
+    monkeypatch.setattr(forms, "_STORE", {})
+    assert delta_product(0) == delta_from_eisenstein(0) == GradedForm(QSeries.zero(0), 12)
+    reference = delta_euler(40)
+    for n in range(41):
+        assert delta_product(n) == delta_from_eisenstein(n), n
+        assert list(delta_from_eisenstein(n).series.coefficients) == reference[: n + 1], n
+    for build in (delta_product, delta_from_eisenstein):
+        with pytest.raises(ValueError, match="truncation must be non-negative"):
+            build(-1)
+
+
 def test_delta_routes_agree_above_the_decimal_crossover(monkeypatch, decimal_route_widths):
     # an empty store, so both constructions multiply here
     monkeypatch.setattr(forms, "_STORE", {})

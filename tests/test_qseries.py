@@ -91,6 +91,16 @@ def test_derive_rejects_negative():
         QSeries([1]).derive(-1)
 
 
+def test_derive_refuses_more_bits_than_the_maximum(monkeypatch):
+    # truncation 3: D^k makes about k * 4 * 2 bits, counted before any power
+    monkeypatch.setattr(qseries, "MAX_DERIVE_BITS", 64)
+    f = QSeries([3, 1, 4, 1])
+    assert f.derive(8).coefficients == (0, 1, 4 * 2 ** 8, 3 ** 8)
+    with pytest.raises(ValueError, match="D\\^9 at truncation 3 would take about 72 bits"):
+        f.derive(9)
+    assert QSeries([5]).derive(10 ** 9) == QSeries([0])
+
+
 def test_coefficient_range_errors():
     f = QSeries([1, 2, 3])
     assert f.coefficient(2) == 3

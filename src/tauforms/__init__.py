@@ -5,74 +5,35 @@ form, Ramanujan's tau by four independent strategies, Rankin-Cohen and
 quasimodular brackets, graded decompositions, and a catalogue of
 tau/divisor-sum identities that is verified, certified and audited with
 zero tolerance.
+
+Each public name is declared once, in its module's ``__all__``: on first use
+(PEP 562) the package imports the modules of ``_MODULES`` in turn until one
+declares it, and keeps it, so ``tau`` loads ``forms`` but not the catalogue.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .qseries import QSeries, Rational, as_rational
-from .forms import (
-    TAU_STRATEGIES,
-    GradedForm,
-    InternalInconsistency,
-    SigmaTable,
-    TauStrategyDisagreement,
-    bernoulli,
-    delta_from_eisenstein,
-    delta_product,
-    dim_modular,
-    eisenstein,
-    sigma_series,
-    sigma_table,
-    tau,
-    tau_cross_check,
-    tau_range,
-)
-from .brackets import (
-    BracketSpec,
-    binomial,
-    e2_bracket_family,
-    is_cuspidal,
-    quasi_bracket,
-    rc_bracket,
-)
-from .quasidecomp import (
-    BasisElement,
-    DecompositionRecord,
-    InconsistentSystem,
-    LinearSolveError,
-    NotInGradedSpace,
-    RankDeficientSystem,
-    decompose,
-    generator_count,
-    graded_generators,
-    modular_basis,
-    recompose,
-    solve_exact,
-)
-from .identities import (
-    AUDIT_FLAGGED,
-    EXPECTED_TRUE,
-    AuditFinding,
-    AuditReport,
-    ClosedTerm,
-    CongruenceRecord,
-    ConvolutionTerm,
-    EvalContext,
-    FitResult,
-    IdentityRecord,
-    PolyMN,
-    Registry,
-    Side,
-    VerificationReport,
-    audit_all,
-    builtin_registry,
-    certify,
-    check_congruence,
-    evaluate,
-    fit_identity,
-    make_context,
-    verify_range,
-)
-from .expr import EvalError, ParseError, eval_expr, parse, print_expr
+# in dependency order, so that a search imports no module it does not need
+_MODULES = ("qseries", "forms", "quasidecomp", "brackets", "expr", "identities")
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")  # which binds it here
+    modules = map(__getattr__, _MODULES)
+    if name == "__all__":
+        value = [*_MODULES, *(n for module in modules for n in module.__all__)]
+    else:
+        # no private or dunder name is exported: probing one imports nothing
+        found = not name.startswith("_") and next((m for m in modules if name in m.__all__), None)
+        if not found:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(found, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -15,26 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .expr import EvalError, eval_expr, parse
-from .forms import (
-    TAU_STRATEGIES,
-    InternalInconsistency,
-    sigma_table,
-    tau,
-    tau_range,
-)
-from .identities import (
-    AUDIT_FLAGGED,
-    audit_all,
-    builtin_registry,
-    certification_limit,
-    certify,
-    check_congruence,
-    in_turn,
-    make_context,
-    verify_range,
-)
-from .quasidecomp import NotInGradedSpace, decompose
+# each command imports what else it runs, so tau, tau-table and sigma load no more
+from .forms import TAU_STRATEGIES, InternalInconsistency, sigma_table, tau, tau_range
 
 DEFAULT_TRUNCATION = 64
 DEFAULT_RANGE = 500
@@ -52,16 +34,9 @@ def _rat(x):
     return str(Fraction(x))
 
 
-def _report_json(truncation, results):
-    return {
-        "tool-version": __version__,
-        "truncation": truncation,
-        "results": results,
-    }
-
-
 def _shown_status(record, report):
     """The report's status; an audit-flagged record's failure is shown as such."""
+    from .identities import AUDIT_FLAGGED
     if report.status == "failed" and record.status == AUDIT_FLAGGED:
         return AUDIT_FLAGGED
     return report.status
@@ -79,10 +54,6 @@ def _result_entry(record, report):
         "status": _shown_status(record, report),
         "first_failure": first,
     }
-
-
-def _emit(payload):
-    print(json.dumps(payload, indent=2))
 
 
 def _select_identities(registry, key):
@@ -185,16 +156,17 @@ def cmd_sigma(args):
 
 
 def cmd_verify(args):
+    from .identities import builtin_registry, in_turn, make_context, verify_range
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(args.max_n)
     reports = [verify_range(r, args.max_n, ctx) for r in in_turn(records, ctx)]
     results = [_result_entry(r, rep) for r, rep in zip(records, reports)]
     if args.format == "json":
-        _emit(_report_json(args.max_n, [
-            dict(entry, failures=[] if entry["first_failure"] is None else [entry["first_failure"]])
-            for entry in results
-        ]))
+        for entry in results:
+            entry["failures"] = [entry["first_failure"]] if entry["first_failure"] else []
+        payload = {"tool-version": __version__, "truncation": args.max_n, "results": results}
+        print(json.dumps(payload, indent=2))
     else:
         for entry in results:
             line = f"{entry['id']}: {entry['status']}"
@@ -207,6 +179,7 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
+    from .identities import builtin_registry, certification_limit, certify, in_turn, make_context
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(max(certification_limit(r) for r in records))
@@ -223,6 +196,7 @@ def cmd_certify(args):
 
 
 def cmd_congruences(args):
+    from .identities import builtin_registry, check_congruence, in_turn, make_context
     registry = builtin_registry()
     ctx = make_context(args.max_n)
     failures = 0
@@ -241,6 +215,7 @@ def cmd_congruences(args):
 
 
 def cmd_audit(args):
+    from .identities import audit_all
     report = audit_all(args.max_n)
     for entry in report.entries:
         line = f"{entry.id}: {entry.status}"
@@ -262,6 +237,8 @@ def cmd_audit(args):
 
 
 def cmd_decompose(args):
+    from .expr import EvalError, eval_expr, parse
+    from .quasidecomp import NotInGradedSpace, decompose
     try:
         form = eval_expr(parse(args.expr), args.trunc)
         record = decompose(form, args.weight, args.depth)
@@ -277,6 +254,7 @@ def cmd_decompose(args):
 
 
 def cmd_eval(args):
+    from .expr import EvalError, eval_expr, parse
     try:
         form = eval_expr(parse(args.expr), args.trunc)
         if args.coeff is not None:

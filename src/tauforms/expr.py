@@ -11,7 +11,8 @@ Grammar (whitespace insensitive; juxtaposition multiplies):
     atom     := E2 | E4 | E6 | E8 | E10 | E12 | Delta
 
 Syntax errors carry the byte offset and the set of expected tokens.  A
-bracket or Phi order above MAX_ORDER is one.
+bracket or Phi order above MAX_ORDER is one, and so is an expression more
+than MAX_DEPTH levels deep.
 """
 
 import sys
@@ -44,6 +45,12 @@ ATOMS = ("E2", "E4", "E6", "E8", "E10", "E12", "Delta")
 # Bracket and Phi orders above this are refused: the paper, tests, demos and
 # benchmark use at most 4, and a bracket's work grows with its order.
 MAX_ORDER = 4
+
+# The parser recurses four times through each nesting (a parenthesis, D,
+# bracket or Phi) and eval_expr once through each tree level (a D, bracket,
+# Phi or operator): Python's recursion limit stops them at 248 nestings or 992
+# chained operators (3.10-3.13).  The tests, demos and benchmark use at most 8.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -102,6 +109,25 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # nestings open around the node being parsed
+        self.height = 0  # tree levels in the node parsed last
+
+    def level(self, height):
+        """Note the height of the node just parsed, refusing it or the nesting past MAX_DEPTH."""
+        level = max(height, self.depth)
+        if level > MAX_DEPTH:
+            raise ParseError(self.pos, {f"at most {MAX_DEPTH} levels"}, f"level {level}")
+        self.height = height
+
+    def inner(self):
+        """An operand of a parenthesis, D, bracket or Phi; keeps the highest sibling's height."""
+        height = self.height
+        self.depth += 1
+        self.level(0)
+        node = self.parse_expr()
+        self.depth -= 1
+        self.height = max(height, self.height)
+        return node
 
     def error(self, expected):
         found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
@@ -167,25 +193,23 @@ class _Parser:
         node = self.parse_term()
         if negate:
             node = Sub(Lit(Fraction(0)), node)
-        while True:
-            if self.accept("+"):
-                node = Add(node, self.parse_term())
-            elif self.accept("-"):
-                node = Sub(node, self.parse_term())
-            else:
-                return node
+            self.level(self.height + 1)
+        while (op := Add if self.accept("+") else Sub if self.accept("-") else None):
+            height = self.height
+            node = op(node, self.parse_term())
+            self.level(max(height, self.height) + 1)
+        return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while True:
-            if self.accept("*"):
-                node = Mul(node, self.parse_factor())
-            elif self.starts_factor():
-                node = Mul(node, self.parse_factor())
-            else:
-                return node
+        while self.accept("*") or self.starts_factor():
+            height = self.height
+            node = Mul(node, self.parse_factor())
+            self.level(max(height, self.height) + 1)
+        return node
 
     def parse_factor(self):
+        self.height = 0
         ch = self.peek()
         if ch.isdecimal():
             num = self.integer()
@@ -197,17 +221,18 @@ class _Parser:
             return Lit(Fraction(num))
         if ch == "(":
             self.expect("(")
-            node = self.parse_expr()
+            node = self.inner()
             self.expect(")")
             return node
         if ch == "[":
             self.expect("[")
-            left = self.parse_expr()
+            left = self.inner()
             self.expect(",")
-            right = self.parse_expr()
+            right = self.inner()
             self.expect("]")
             self.expect("_")
             order = self.order()
+            self.level(self.height + 1)
             return Bracket(left, right, order)
         if ch.isalpha():
             mark = self.pos
@@ -217,26 +242,22 @@ class _Parser:
                 if self.accept("^"):
                     times = self.integer()
                 self.expect("(")
-                node = self.parse_expr()
+                node = self.inner()
                 self.expect(")")
+                self.level(self.height + 1)
                 return Deriv(times, node)
             if name == "Phi":
                 self.expect("(")
-                order = self.order()
-                self.expect(";")
-                left = self.parse_expr()
-                self.expect(",")
-                lw = self.integer()
-                self.expect(",")
-                ld = self.integer()
-                self.expect(";")
-                right = self.parse_expr()
-                self.expect(",")
-                rw = self.integer()
-                self.expect(",")
-                rd = self.integer()
+                fields = [self.order()]
+                for _side in ("left", "right"):
+                    self.expect(";")
+                    fields.append(self.inner())
+                    for _field in ("weight", "depth"):
+                        self.expect(",")
+                        fields.append(self.integer())
                 self.expect(")")
-                return Phi(order, left, lw, ld, right, rw, rd)
+                self.level(self.height + 1)
+                return Phi(*fields)
             if name in ATOMS:
                 return Atom(name)
             self.pos = mark
@@ -264,12 +285,9 @@ def print_expr(node):
     if isinstance(node, Deriv):
         head = "D" if node.times == 1 else f"D^{node.times}"
         return f"{head}({print_expr(node.child)})"
-    if isinstance(node, Add):
-        return f"({print_expr(node.left)} + {print_expr(node.right)})"
-    if isinstance(node, Sub):
-        return f"({print_expr(node.left)} - {print_expr(node.right)})"
-    if isinstance(node, Mul):
-        return f"({print_expr(node.left)} * {print_expr(node.right)})"
+    if isinstance(node, _Binary):
+        op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+        return f"({print_expr(node.left)} {op} {print_expr(node.right)})"
     if isinstance(node, Bracket):
         return f"[{print_expr(node.left)}, {print_expr(node.right)}]_{node.order}"
     if isinstance(node, Phi):
@@ -317,14 +335,11 @@ def eval_expr(node, truncation):
     if isinstance(node, Phi):
         left = eval_expr(node.left, truncation)
         right = eval_expr(node.right, truncation)
-        for declared, form, side in (
-            ((node.left_weight, node.left_depth), left, "left"),
-            ((node.right_weight, node.right_depth), right, "right"),
-        ):
-            if form.weight is not None and form.weight != declared[0]:
-                raise EvalError(
-                    f"declared {side} weight {declared[0]} but the operand has weight {form.weight}"
-                )
+        declared = (("left", left, node.left_weight), ("right", right, node.right_weight))
+        for side, form, weight in declared:
+            if form.weight is not None and form.weight != weight:
+                found = f"but the operand has weight {form.weight}"
+                raise EvalError(f"declared {side} weight {weight} {found}")
         try:
             return quasi_bracket(
                 node.order,

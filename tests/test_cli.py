@@ -21,7 +21,7 @@ from tauforms import (
     sigma_table,
     tau_range,
 )
-from tauforms.cli import build_parser, main
+from tauforms.cli import MAX_SIZE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -121,22 +121,47 @@ def test_start_does_not_import_ctypes():
 def test_a_derivation_past_the_bit_bound_exits_at_once():
     # D^k multiplies the q^m coefficient by m^k; without the bound this ran
     # past 10 s raising every index to the 3*10^8-th power
+    proc = _cli("eval", "--expr", "D^300000000(E4)", "--trunc", "64", "--coeff", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: D^300000000 at truncation 64 would take about {300000000 * 65 * 7} bits, "
+        "above the maximum 33554432\n"
+    )
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, at Python's default recursion limit."""
     src = str(Path(tauforms.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = ["eval", "--expr", "D^300000000(E4)", "--trunc", "64", "--coeff", "1"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tauforms.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=30,
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        f"error: D^300000000 at truncation 64 would take about {300000000 * 65 * 7} bits, "
-        "above the maximum 33554432\n"
-    )
+
+
+# (too deep, as deep as admitted, q^1 coefficient of the admitted one)
+_DEEP = {
+    "parentheses": ("(" * 5000 + "E4" + ")" * 5000, "(" * 100 + "E4" + ")" * 100, "240"),
+    "D": ("D(" * 3000 + "E4" + ")" * 3000, "D(" * 100 + "E4" + ")" * 100, "240"),
+    "chain": ("E4" + "-E4" * 2999, "E4" + "-E4" * 100, str(240 * -99)),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP)
+def test_a_deep_expression_is_a_usage_error_not_a_traceback(shape):
+    # these raised RecursionError in the parser or in eval_expr, exit 1
+    refused, admitted, coefficient = _DEEP[shape]
+    for command in (["eval"], ["decompose", "--weight", "4"]):
+        proc = _cli(*command, "--expr", refused, "--trunc", "3")
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
+        assert "Traceback" not in proc.stderr
+        assert "expected at most 100 levels, found 'level 101'" in proc.stderr
+    proc = _cli("eval", "--expr", admitted, "--trunc", "3", "--coeff", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, coefficient + "\n", "")
 
 
 def test_tau_table_json(tmp_path, capsys):
@@ -420,6 +445,100 @@ def test_eval_decompose_exit_codes(capsys, command, expr, trunc, coeff, weight, 
         form = eval_expr(parse(expr), 64 if trunc is None else trunc)
         with pytest.raises(NotInGradedSpace):
             decompose(form, weight, depth)
+
+
+# Expression text from the grammar, nested or chained past the depth bound,
+# or garbage.  D exponents stay at most 3, and MAX_DEPTH admits at most 100
+# factors, so that each case takes milliseconds.  That leaves out a known
+# defect: nested D^k with large k, and long products of such factors, pass
+# every per-node guard (qseries.MAX_DERIVE_BITS sees one D at a time) and can
+# run for minutes; the size budget item of ROADMAP.md would bound the tree.
+_LEAVES = st.sampled_from(("E2", "E4", "E6", "E8", "E10", "E12", "Delta", "0", "2", "3/4", "1/0"))
+
+
+def _grown(inner):
+    small = st.integers(0, 6)
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(("+", "-", "*", " ")), inner).map("".join),
+        inner.map("-{}".format) | inner.map("({})".format),
+        st.tuples(st.integers(0, 3), inner).map("D^{0[0]}({0[1]})".format),
+        st.tuples(inner, inner, small).map("[{0[0]}, {0[1]}]_{0[2]}".format),
+        st.tuples(small, inner, st.integers(0, 12), small, inner, st.integers(0, 12), small).map(
+            "Phi({0[0]}; {0[1]}, {0[2]}, {0[3]}; {0[4]}, {0[5]}, {0[6]})".format
+        ),
+    )
+
+
+# while a test runs, hypothesis sets the recursion limit 2000 frames above the
+# caller, so only thousands of levels reach it here
+_LEVELS = st.sampled_from((1, 50, 100, 101, 400, 5000))
+_NESTING = st.sampled_from((("(", ")"), ("D(", ")"), ("D^3(", ")"), ("[", ", E4]_1"), ("-(", ")")))
+_EXPRESSIONS = st.one_of(
+    st.recursive(_LEAVES, _grown, max_leaves=8),
+    st.tuples(_NESTING, _LEVELS, _LEAVES).map(
+        lambda t: t[0][0] * t[1] + t[2] + t[0][1] * t[1]
+    ),
+    st.tuples(_LEAVES, st.sampled_from(("+", "-", "*", " ")), _LEVELS).map(
+        lambda t: t[0] + (t[1] + t[0]) * t[2]
+    ),
+    st.text(alphabet="()[]^_,;+-*/ 0123456789DEPhilta\u00b2", max_size=40),
+)
+_SIZES = st.sampled_from((*map(str, range(-1, 41)), "x", "", "1.5", str(MAX_SIZE + 1)))
+_TRUNCATIONS = st.sampled_from((*map(str, range(-1, 17)), "x", str(MAX_SIZE + 1)))
+_WEIGHTS = st.sampled_from((*map(str, range(0, 25, 2)), "-1", "5", "x"))
+_STRATEGIES = st.sampled_from((*TAU_STRATEGIES, "nope"))
+_OUT = st.sampled_from(("{tmp}/out.csv", "{tmp}/out.json", "{tmp}", "{tmp}/missing/out.csv"))
+_IDS = st.sampled_from(("all", "nope", "eq1.1", "thm2.1.i", "thm2.7.i", "cor2.8.i"))
+_OPTIONS = {
+    "tau": {"--n": _SIZES, "--strategy": _STRATEGIES},
+    "tau-table": {
+        "--max-n": _SIZES,
+        "--out": _OUT,
+        "--format": st.sampled_from(("csv", "json", "xml")),
+        "--strategy": _STRATEGIES,
+    },
+    "sigma": {"--k": _SIZES | st.just("5000"), "--max-n": _SIZES, "--out": _OUT},
+    "verify": {
+        "--identity": _IDS,
+        "--max-n": _SIZES,
+        "--format": st.sampled_from(("json", "text")),
+    },
+    "certify": {"--identity": _IDS},
+    "audit": {"--max-n": _SIZES},
+    "congruences": {"--max-n": _SIZES},
+    "decompose": {
+        "--expr": _EXPRESSIONS,
+        "--weight": _WEIGHTS,
+        "--depth": _SIZES,
+        "--trunc": _TRUNCATIONS,
+    },
+    "eval": {"--expr": _EXPRESSIONS, "--trunc": _TRUNCATIONS, "--coeff": _TRUNCATIONS},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values in _OPTIONS[command].items():
+        if draw(st.integers(0, 7)):  # most requests give each option
+            argv.append(f"{option}={draw(values)}")  # so that a value may start with "-"
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(("--bogus", "-h", "extra", "--n", "--"))))
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_argvs())
+def test_every_argv_exits_0_1_or_2_without_a_traceback(capsys, tmp_path, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

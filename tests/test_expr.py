@@ -13,7 +13,7 @@ from tauforms import (
     print_expr,
 )
 from tauforms import qseries
-from tauforms.expr import Atom, Bracket, Deriv, Lit, Mul, Phi, Sub
+from tauforms.expr import MAX_DEPTH, Atom, Bracket, Deriv, Lit, Mul, Phi, Sub
 
 
 def test_parse_shapes():
@@ -60,6 +60,76 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as info:
         parse("E4 E6)")
     assert info.value.offset == 5
+
+
+# expressions k levels deep, by shape: each parenthesis, D, bracket and Phi
+# nests a level, and each D, bracket, Phi and operator is a level of the tree
+NESTED = {
+    "parens": lambda k: "(" * k + "E4" + ")" * k,
+    "D": lambda k: "D(" * k + "E4" + ")" * k,
+    "bracket": lambda k: "[" * k + "E4" + ", 1]_0" * k,
+    "Phi": lambda k: "Phi(0; " * k + "E4" + ", 4, 0; 1, 0, 0)" * k,
+    "sum": lambda k: "E4" + " - E4" * k,
+    "product": lambda k: "E4" + "*1" * k,
+    "juxtaposed": lambda k: "E4" + " 1" * k,
+    "negated": lambda k: "(-" * k + "E4" + ")" * k,
+    # a high first operand, then a chain over it: k/2 + k/2 tree levels
+    "high then chained": lambda k: "D(" * (k // 2) + "E4" + ")" * (k // 2) + "+E4" * (k - k // 2),
+    "chained inside": lambda k: "D(" * (k // 2) + "E4" + "*E4" * (k - k // 2) + ")" * (k // 2),
+}
+
+
+def _height(node):
+    """Levels of eval_expr's recursion below node, without recursing."""
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        children = [v for v in node._astuple() if hasattr(v, "_astuple")]
+        stack.extend((child, depth + 1) for child in children)
+    return deepest
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_past_max_depth_is_a_syntax_error(shape):
+    assert MAX_DEPTH == 100
+    make = NESTED[shape]
+    node = parse(make(MAX_DEPTH))
+    assert _height(node) == (0 if shape == "parens" else MAX_DEPTH)
+    assert parse(print_expr(node)) == node
+    with pytest.raises(ParseError) as info:
+        parse(make(MAX_DEPTH + 1))
+    assert f"at most {MAX_DEPTH} levels" in str(info.value)
+    assert info.value.found == f"level {MAX_DEPTH + 1}"
+    # far past the bound, the parser stops as soon as it passes it
+    with pytest.raises(ParseError) as deeper:
+        parse(make(5000))
+    assert deeper.value.found == f"level {MAX_DEPTH + 1}"
+
+
+def test_the_deepest_admitted_expressions_evaluate():
+    assert eval_expr(parse(NESTED["parens"](MAX_DEPTH)), 3).coefficient(1) == 240
+    assert eval_expr(parse(NESTED["D"](MAX_DEPTH)), 3).coefficient(2) == 2160 * 2**MAX_DEPTH
+    assert eval_expr(parse(NESTED["sum"](MAX_DEPTH)), 3).coefficient(1) == 240 * (1 - MAX_DEPTH)
+    # a parenthesis is no level of the tree, so a chain inside as many
+    # parentheses is admitted, and prints as one nesting per operator
+    full = "(" * MAX_DEPTH + "E4" + "-E4" * MAX_DEPTH + ")" * MAX_DEPTH
+    assert eval_expr(parse(full), 3).coefficient(1) == 240 * (1 - MAX_DEPTH)
+    assert print_expr(parse(full)).startswith("(" * MAX_DEPTH + "E4 - E4)")
+
+
+def test_depth_is_refused_where_it_is_reached():
+    # the offset of the level past MAX_DEPTH: an opening on the way down, or
+    # the end of the operand that lifts a chain past it
+    with pytest.raises(ParseError) as info:
+        parse("(" * 101 + "E4" + ")" * 101)
+    assert info.value.offset == 101
+    with pytest.raises(ParseError) as info:
+        parse("E4" + "-E4" * 101)
+    assert info.value.offset == 2 + 3 * 101
+    with pytest.raises(ParseError) as info:
+        parse("[E4, " + "(" * 100 + "E6" + ")" * 100 + "]_1")
+    assert info.value.offset == 5 + 100
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u2460"])  # superscript two, circled one

@@ -501,7 +501,6 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
         return real_verify(record, limit, ctx)
 
     monkeypatch.setattr(identities, "verify_range", verify)
-    monkeypatch.setattr(cli, "verify_range", verify)
     monkeypatch.setattr(
         identities, "_convolve_int", lambda a, b, n: built.append(n) or real_convolve(a, b, n)
     )
@@ -720,7 +719,6 @@ def test_certify_shares_one_context(registry, monkeypatch):
         seen.append(ctx)
         return certify(record, ctx)
 
-    monkeypatch.setattr(cli, "certify", spy)
     monkeypatch.setattr(identities, "certify", spy)
     assert cli.main(["certify"]) == 0
     assert len(seen) == len(registry.identities) and len({id(c) for c in seen}) == 1

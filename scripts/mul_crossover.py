@@ -26,11 +26,14 @@ A route loses a timing only when it is slower by more than `LOSS_MARGIN`:
 two sweeps of one tree on an idle host differ by a few percent at a size,
 and a single such row would otherwise move the crossover.
 
-Run from the repository root:
+Run from the repository root; --sweep names the sweeps to run (cutoff,
+bytes, gmp), and without it all three run:
 
     PYTHONPATH=src python3 scripts/mul_crossover.py > sweep.json
+    PYTHONPATH=src python3 scripts/mul_crossover.py --sweep gmp > gmp.json
 """
 
+import argparse
 import ctypes
 import json
 import platform
@@ -204,22 +207,28 @@ def sweep(measure_row, sizes):
     return rows
 
 
-def main():
-    cutoff = sweep(measure_cutoff, CUTOFF_SIZES)
-    rows = sweep(measure, SIZES)
-    version = gmp_version()
-    gmp_rows = [] if version is None else sweep(measure_gmp, GMP_SIZES)
-    report = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cutoff_rows": cutoff,
-        "crossover_pack_n": crossover(cutoff, "n", "schoolbook", "packed"),
-        "rows": rows,
-        "crossover_packed_digits": crossover(rows, "packed_digits", "binary", "decimal"),
-        "gmp_version": version,
-        "gmp_rows": gmp_rows,
-        "crossover_gmp_bits": crossover(gmp_rows, "packed_bits", "int", "gmp"),
-    }
+SWEEPS = ("cutoff", "bytes", "gmp")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweep", choices=SWEEPS, action="append", help="repeat for several")
+    chosen = parser.parse_args(argv).sweep or SWEEPS
+    report = {"python": platform.python_version(), "machine": platform.machine()}
+    if "cutoff" in chosen:
+        cutoff = sweep(measure_cutoff, CUTOFF_SIZES)
+        report["cutoff_rows"] = cutoff
+        report["crossover_pack_n"] = crossover(cutoff, "n", "schoolbook", "packed")
+    if "bytes" in chosen:
+        rows = sweep(measure, SIZES)
+        report["rows"] = rows
+        report["crossover_packed_digits"] = crossover(rows, "packed_digits", "binary", "decimal")
+    if "gmp" in chosen:
+        version = gmp_version()
+        gmp_rows = [] if version is None else sweep(measure_gmp, GMP_SIZES)
+        report["gmp_version"] = version
+        report["gmp_rows"] = gmp_rows
+        report["crossover_gmp_bits"] = crossover(gmp_rows, "packed_bits", "int", "gmp")
     json.dump(report, sys.stdout, indent=1)
     print()
 

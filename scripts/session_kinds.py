@@ -6,8 +6,9 @@ kinds.  This script replays one pass of the same seeded request stream
 request with the benchmark worker's own `handle`, checks each answer with
 the workload's oracles, and prints every kind's count, mean latency in
 raw milliseconds, and failed checks; tau requests are also split by
-strategy.  As in the benchmark, the pass starts with an empty named-form
-store and the catalogue built.  Run from the repository root:
+strategy, and the exit status is 1 when any answer fails its check.  As
+in the benchmark, the pass starts with an empty named-form store and the
+catalogue built.  Run from the repository root:
 
     python3 scripts/session_kinds.py --seed 1 > kinds.json
     python3 scripts/session_kinds.py --src ../parent/src --pass-index 3
@@ -74,7 +75,8 @@ def main(argv=None):
     }
     json.dump(result, sys.stdout, indent=2)
     print()
+    return 1 if any(e["failed"] for e in kinds.values()) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,8 +11,8 @@ s+t.  Binomials C(a, b) vanish outside 0 <= b <= a, keeping both formulas
 literal for every r.
 
 A bracket is one `qseries._product_sum` over its v+1 binomial terms: the
-operands are cleared of denominators once and every product is summed in
-one kernel call, as a series product is.  The six brackets of E2's
+operands' integer numerators go to one kernel call that sums every
+product, as a series product's do.  The six brackets of E2's
 derivatives (`e2_bracket_family`) share their products: three in all.
 """
 
@@ -21,7 +21,7 @@ from operator import mul
 
 from ._value import Value
 from .forms import GradedForm, eisenstein
-from .qseries import _convolve_int, _derived, _from_canonical, _product_sum
+from .qseries import _convolve_int, _derived, _product_sum, _series
 
 __all__ = [
     "BracketSpec",
@@ -150,6 +150,6 @@ def e2_bracket_family(truncation):
         weights = [0, 0, 0]
         for c, r, s in spec.terms:
             weights[min(a + r, b + s)] += c
-        series = _from_canonical([sum(map(mul, weights, p)) for p in zip(*products)])
+        series = _series([sum(map(mul, weights, p)) for p in zip(*products)])
         family[key] = GradedForm(series, spec.result_weight, spec.result_depth)
     return family

@@ -18,7 +18,7 @@ from math import comb, isqrt
 
 from ._value import Value
 from .qseries import (
-    QSeries, _coefficient_int, _convolve_int, _derived, _from_canonical, as_rational
+    QSeries, _coefficient_int, _convolve_int, _derived, _series, as_rational
 )
 
 __all__ = [
@@ -210,7 +210,7 @@ def _sigma_sieve(k, limit):
 
 def sigma_series(k, truncation):
     """The generating series sum_{n>=1} sigma_k(n) q^n."""
-    return QSeries(sigma_table(k, max(truncation, 1)).values[: truncation + 1])
+    return _series(sigma_table(k, max(truncation, 1)).values[: truncation + 1])
 
 
 def _eisenstein_coefficient(k):
@@ -250,7 +250,7 @@ def delta_product(truncation):
 
 
 def _delta_product(truncation):
-    twelve = _from_canonical(_eta_twelve(truncation))
+    twelve = _series(_eta_twelve(truncation))
     return GradedForm((twelve * twelve).shift(1), 12, 0)
 
 
@@ -307,7 +307,7 @@ def _delta_from_eisenstein(truncation):
     s5s5 = _convolve_int(s5, s5, truncation)
     s11 = _sigma_sieve(11, truncation)
     coeffs = map(_delta_coefficient, s11, s5s5, s5, range(truncation + 1))
-    return GradedForm(_from_canonical(coeffs), 12, 0)
+    return GradedForm(_series(coeffs), 12, 0)
 
 
 def _delta_coefficient(s11, s5s5, s5, i):

@@ -55,7 +55,7 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .qseries import _coefficient_int, _convolve_int, _derived, _from_cleared
+from .qseries import _coefficient_int, _convolve_int, _derived, _series
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -332,7 +332,7 @@ class Side(Value):
         """sum n^extra_power * side(n) q^n, truncated after q^truncation."""
         scale = self.denominator()
         values = self.cleared(ctx, truncation, scale, extra_power)
-        return _from_cleared(values, scale)
+        return _series(values, scale)
 
     @property
     def has_tau(self):

@@ -1,20 +1,18 @@
 """Exact truncated power series in q over arbitrary-precision rationals.
 
-A :class:`QSeries` holds coefficients a_0 .. a_N exactly, as Python ints or
-`fractions.Fraction` values, together with the truncation order N.  Nothing
-beyond index N is known, so binary operations truncate to the shorter
-operand and never invent coefficients.
+A :class:`QSeries` holds coefficients a_0 .. a_N exactly, together with the
+truncation order N.  Nothing beyond index N is known, so binary operations
+truncate to the shorter operand and never invent coefficients.
 
-Coefficients are always kept in canonical form: a `Fraction` with
-denominator 1 is stored as a plain int, and every `Fraction` is reduced
-(that is what `fractions.Fraction` guarantees).  The public constructor
-validates its input; arithmetic results are canonical by construction,
-and only a `Fraction` that may have collapsed to denominator 1 is
-normalised.
+A series is stored as integer numerators over one positive denominator,
+reduced so that gcd(den, *nums) is 1 (den is 1 for an integral series):
+its one canonical form, which `==` and `hash` compare.  Arithmetic runs on
+the numerators with C-level maps, and a `fractions.Fraction` is built only
+when a coefficient is read, by `coefficients` or `coefficient(n)`.
 
-Products clear denominators and convolve integer vectors through one
-kernel, `_convolve_sum`, which sums c * (a * b) over several integer
-pairs at once; a product is its one-term case, and a Rankin-Cohen bracket
+Products hand the numerators to one kernel, `_convolve_sum`, which sums
+c * (a * b) over several integer pairs at once, and multiply the
+denominators; a product is its one-term case, and a Rankin-Cohen bracket
 (`tauforms.brackets`) is one call.  Short vectors use the schoolbook
 double loop.  Longer ones use Kronecker substitution: each vector becomes
 one big number with a fixed-width slot per coefficient, so a single
@@ -26,10 +24,11 @@ packed as bytes, each vector in one pass of `int.to_bytes` and one
 `int.from_bytes`, multiplied by CPython's `int` (Karatsuba) and read back
 with `struct.iter_unpack`, so no number is turned into text.  A byte-route
 product whose smaller packed operand has at least _GMP_MIN_BITS bits goes
-to libgmp through `ctypes` where the library loads: it is looked up by its
-soname `libgmp.so.10`, then through `ctypes.util.find_library`, once, at
-the first such product and never at import.  libgmp multiplies the same
-integers exactly, so every result is identical with it and without it.
+to libgmp through `ctypes` where the library loads, its magnitudes as
+whole 64-bit words: it is looked up by its soname `libgmp.so.10`, then
+through `ctypes.util.find_library`, once, at the first such product and
+never at import.  libgmp multiplies the same integers exactly, so every
+result is identical with it and without it.
 On a host without libgmp, large operands are packed in decimal text and
 multiplied by libmpdec through `decimal`, which switches to a
 number-theoretic transform on huge operands, and their text is read back
@@ -43,9 +42,9 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
-from operator import mul, sub
+from operator import add, floordiv, mul, neg, sub
 from struct import iter_unpack
 
 __all__ = ["Rational", "QSeries", "as_rational"]
@@ -87,10 +86,11 @@ _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, 
 # Byte-route products whose smaller packed operand has at least this many
 # bits go through libgmp where it loads; below it CPython's `int` is
 # faster, since a product through ctypes costs about 15 us more.  Both
-# sweeps of scripts/mul_crossover.py in BENCH_gmp_kernel.json (libgmp
-# 6.2.1) put the crossover here: libgmp lost a timing at 6078 bits and won
-# every one from 7133 on, by about 6x at 0.1 Mbit and 26x at 2.5 Mbit.
-_GMP_MIN_BITS = 7133
+# libgmp sweeps of scripts/mul_crossover.py in BENCH_common_denominator.json
+# (libgmp 6.2.1, operands passed as whole words) put the crossover here:
+# libgmp lost a timing at 4580 bits and won every one from 6078 on, by
+# about 9x at 0.1 Mbit and 30x at 2.5 Mbit.
+_GMP_MIN_BITS = 6078
 
 _LIBGMP = []  # after the first call of _gmp: [(libgmp, its mpz type) or None]
 
@@ -122,7 +122,6 @@ def _gmp():
             "__gmpz_clear": ([z], None),
             "__gmpz_import": ([z, *words, c_char_p], None),
             "__gmpz_mul": ([z, z, z], None),
-            "__gmpz_sizeinbase": ([z, c_int], c_size_t),
             "__gmpz_export": ([c_void_p, POINTER(c_size_t), *words[1:], z], c_void_p),
         }
         try:
@@ -145,9 +144,9 @@ def _multiply(x, y):
     """x * y for ints, exactly; passing one object twice squares it.
 
     When the smaller factor has at least _GMP_MIN_BITS bits and libgmp
-    loads, the magnitudes go to libgmp as bytes, it multiplies them, and the
-    product comes back through one buffer with its sign restored; otherwise
-    CPython's `int` multiplies.
+    loads, the magnitudes go to libgmp as whole 64-bit words, it multiplies
+    them, and the product comes back through one buffer of the factors'
+    words together, with its sign restored; otherwise CPython's `int` does.
     """
     gmp = _gmp() if min(x.bit_length(), y.bit_length()) >= _GMP_MIN_BITS else None
     if gmp is None:
@@ -159,13 +158,13 @@ def _multiply(x, y):
     for z in (product, *factors):
         lib.__gmpz_init(z)
     try:
-        for z, v in zip(factors, (x, y)):
-            size = (v.bit_length() + 7) // 8
-            # least significant byte first; the bytes are dropped once read
-            lib.__gmpz_import(z, size, -1, 1, 0, 0, abs(v).to_bytes(size, "little"))
+        words = [(v.bit_length() + 63) // 64 for v in (x, y)]
+        for z, v, count in zip(factors, (x, y), words):
+            # least significant word first; the bytes are dropped once read
+            lib.__gmpz_import(z, count, -1, 8, -1, 0, abs(v).to_bytes(8 * count, "little"))
         lib.__gmpz_mul(product, factors[0], factors[-1])  # one factor: a squaring
-        out = create_string_buffer((lib.__gmpz_sizeinbase(product, 2) + 7) // 8)
-        lib.__gmpz_export(out, None, -1, 1, 0, 0, product)
+        out = create_string_buffer(8 * sum(words))  # zeroed past the product's words
+        lib.__gmpz_export(out, None, -1, 8, -1, 0, product)
     finally:
         for z in (product, *factors):
             lib.__gmpz_clear(z)
@@ -364,55 +363,54 @@ def _coefficient_int(a, b, n):
     return sum(map(mul, a[lo : n + 1], reversed(b[: n + 1 - lo])))
 
 
-def _clear_denominators(coeffs):
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return list(coeffs), 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _ratio(v, den):
+    """v / den for integers v and den > 0: an int, or a reduced Fraction."""
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
 
 
-def _from_canonical(coeffs):
-    """A QSeries over coefficients that are canonical already."""
+def _times(nums, m):
+    """The integers nums times m, lazily; nums itself when m is 1."""
+    return nums if m == 1 else map(mul, nums, repeat(m))
+
+
+def _series(nums, den=1):
+    """The QSeries nums[i] / den for integers nums and den > 0, reduced so
+    that gcd(den, *nums) is 1: the one internal constructor."""
+    nums = tuple(nums)
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(map(floordiv, nums, repeat(g)))
     out = object.__new__(QSeries)
-    out._coeffs = tuple(coeffs)
+    out._nums, out._den = nums, den
     return out
-
-
-def _from_results(values):
-    """A QSeries over int/Fraction arithmetic results: a Fraction sum or
-    product may have collapsed to denominator 1, nothing else changes."""
-    return _from_canonical(
-        [v if type(v) is int or v.denominator != 1 else v.numerator for v in values]
-    )
-
-
-def _from_cleared(ints, den):
-    """The QSeries with coefficients ints[i] / den, for an integer den > 0."""
-    if den == 1:
-        return _from_canonical(ints)
-    return _from_canonical([v // den if v % den == 0 else Fraction(v, den) for v in ints])
 
 
 def _derived(values, k):
     """D^k of a coefficient vector, D: a_m -> m a_m: [m^k * values[m]], and
     values itself when k is 0.  The one place that applies D to a vector."""
-    return [m ** k * v for m, v in enumerate(values)] if k else values
+    return list(map(mul, map(pow, range(len(values)), repeat(k)), values)) if k else values
+
+
+def _linear(op, f, g):
+    """op(f, g) for op `add` or `sub` over the least common denominator;
+    `map` stops at the shorter operand, which is the truncation rule."""
+    den = lcm(f._den, g._den)
+    return _series(map(op, _times(f._nums, den // f._den), _times(g._nums, den // g._den)), den)
 
 
 def _product_sum(f, g, terms):
     """sum c * D^i f * D^j g over (c, i, j) in terms, D: a_n -> n a_n, as a
-    QSeries cut after the shorter operand.  Each operand is cleared of
-    denominators once, equal ones (two objects too) only once, so a square
-    hands the kernel one vector twice; each D^i is taken once on integers,
-    and one `_convolve_sum` call sums every product."""
+    QSeries cut after the shorter operand.  The kernel gets the operands'
+    numerators, equal ones (two objects too) as one vector, so a square
+    hands it one vector twice; each D^i is taken once, one `_convolve_sum`
+    call sums every product, and the denominators multiply."""
     n = min(f.truncation, g.truncation)
-    a, da = _clear_denominators(f._coeffs[: n + 1])
-    b, db = (a, da) if g == f else _clear_denominators(g._coeffs[: n + 1])
-    memo = {}  # (id of a cleared vector, i) -> D^i of it
+    a, b = f._nums[: n + 1], g._nums[: n + 1]
+    b = a if b == a else b
+    memo = {}  # (id of a vector, i) -> D^i of it
 
     def derived(v, i):
         if (id(v), i) not in memo:
@@ -420,7 +418,7 @@ def _product_sum(f, g, terms):
         return memo[id(v), i]
 
     total = _convolve_sum([(c, derived(a, i), derived(b, j)) for c, i, j in terms], n)
-    return _from_cleared(total, da * db)
+    return _series(total, f._den * g._den)
 
 
 class QSeries:
@@ -432,22 +430,27 @@ class QSeries:
     (4, 6)
     >>> (f * f).coefficients   # (1+2q)^2, q^2 unknown at truncation 1
     (1, 4)
+    >>> QSeries([Fraction(1, 2), Fraction(1, 3)]).scale(6).coefficients
+    (3, 2)
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs, truncation=None):
         coeffs = [as_rational(c) for c in coeffs]
-        if truncation is not None:
-            if truncation < 0:
-                raise ValueError("truncation must be non-negative")
-            if len(coeffs) > truncation + 1:
-                coeffs = coeffs[: truncation + 1]
-            else:
-                coeffs += [0] * (truncation + 1 - len(coeffs))
-        elif not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(coeffs)
+        if truncation is None:
+            if not coeffs:
+                raise ValueError("a series needs at least its constant coefficient")
+            truncation = len(coeffs) - 1
+        elif truncation < 0:
+            raise ValueError("truncation must be non-negative")
+        del coeffs[truncation + 1 :]
+        # reduced already, since every coefficient is
+        den = lcm(*(c.denominator for c in coeffs))
+        if den != 1:
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._nums = tuple(coeffs) + (0,) * (truncation + 1 - len(coeffs))
+        self._den = den
 
     @classmethod
     def zero(cls, truncation):
@@ -463,21 +466,21 @@ class QSeries:
 
     @property
     def truncation(self):
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coefficients(self):
-        return self._coeffs
+        """(a_0, .., a_N) as ints and reduced Fractions, built at each read;
+        the numerators themselves when the denominator is 1."""
+        if self._den == 1:
+            return self._nums
+        return tuple(map(_ratio, self._nums, repeat(self._den)))
 
     def truncate(self, truncation):
-        """The series cut after q^truncation, 0 <= truncation <= its own.
-
-        The coefficients are canonical already, so they are shared, not
-        validated again.
-        """
+        """The series cut after q^truncation, 0 <= truncation <= its own."""
         if not 0 <= truncation <= self.truncation:
             raise ValueError(f"cannot cut a series known to q^{self.truncation} at q^{truncation}")
-        return _from_canonical(self._coeffs[: truncation + 1])
+        return _series(self._nums[: truncation + 1], self._den)
 
     def coefficient(self, n):
         """The exact coefficient of q^n; IndexError outside 0..truncation."""
@@ -485,40 +488,37 @@ class QSeries:
             raise IndexError(
                 f"coefficient index {n} outside known range 0..{self.truncation}"
             )
-        return self._coeffs[n]
+        return _ratio(self._nums[n], self._den)
 
     @property
     def is_zero(self):
-        return not any(self._coeffs)
+        return not any(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __neg__(self):
-        return _from_canonical([-c for c in self._coeffs])
+        return _series(map(neg, self._nums), self._den)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        # zip stops at the shorter operand, which is the truncation rule
-        return _from_results([x + y for x, y in zip(self._coeffs, other._coeffs)])
+        return _linear(add, self, other)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return _from_results([x - y for x, y in zip(self._coeffs, other._coeffs)])
+        return _linear(sub, self, other)
 
     def scale(self, c):
         """Multiply every coefficient by the exact rational c."""
         c = as_rational(c)
-        if c == 0:
-            return QSeries.zero(self.truncation)
-        return _from_results([c * x for x in self._coeffs])
+        return _series(_times(self._nums, c.numerator), self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -563,19 +563,19 @@ class QSeries:
             )
         if times == 0:
             return self
-        return _from_results(_derived(self._coeffs, times))
+        return _series(_derived(self._nums, times), self._den)
 
     def shift(self, k=1):
         """Multiply by q^k, keeping the truncation (top coefficients drop off)."""
         if k < 0:
             raise ValueError("negative shifts would create a Laurent tail")
         n = self.truncation
-        return _from_canonical(([0] * k + list(self._coeffs))[: n + 1])
+        return _series(((0,) * min(k, n + 1) + self._nums)[: n + 1], self._den)
 
     def to_text(self, max_terms=None):
         """Render as '1 - 24*q + 252*q^2 - ...' for display purposes."""
         pieces = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(map(_ratio, self._nums, repeat(self._den))):
             if max_terms is not None and len(pieces) >= max_terms:
                 pieces.append("...")
                 break
@@ -597,6 +597,6 @@ class QSeries:
         return " ".join(pieces)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self._coeffs[:6])
+        head = ", ".join(str(_ratio(v, self._den)) for v in self._nums[:6])
         tail = ", ..." if self.truncation >= 6 else ""
         return f"QSeries(N={self.truncation}; {head}{tail})"

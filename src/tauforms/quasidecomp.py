@@ -9,12 +9,15 @@ decomposition is deliberately overdetermined: four guard rows beyond the
 generator count, plus a final check of every known coefficient, turn
 silent truncation bugs into loud inconsistencies.
 
-The linear algebra runs on integers.  The system is solved by fraction-free
-elimination (each row cleared of denominators once, cf. E. H. Bareiss,
-Math. Comp. 22, 1968), and only the solution is built as Fractions.
-Combinations of generators -- the final check, `recompose`, the
-echelonised basis -- clear coordinates and columns to one common
-denominator and take one integer multiply-add pass per coordinate.
+The linear algebra runs on integers.  A series holds integer numerators
+over one denominator, and the systems are set up on the numerators: a
+column scaled by its denominator keeps its zero pattern, so the pivots and
+the inconsistent row are those of the rational system.  It is solved by
+fraction-free elimination (cf. E. H. Bareiss, Math. Comp. 22, 1968), and
+only the solution is built as Fractions.  Combinations of generators --
+the final check, `recompose`, the echelonised basis -- clear the
+coordinates to one common denominator and take one integer multiply-add
+pass over the numerators per coordinate.
 
 Each weight's basis and generators are kept in the store of named forms
 (`tauforms.forms`), cut from the largest build requested so far.
@@ -22,10 +25,11 @@ Each weight's basis and generators are kept in the store of named forms
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from ._value import Value
 from .forms import GradedForm, InternalInconsistency, _largest, dim_modular, eisenstein
-from .qseries import QSeries, _clear_denominators, _from_cleared, as_rational
+from .qseries import QSeries, _series, _times, as_rational
 
 __all__ = [
     "BasisElement",
@@ -147,27 +151,17 @@ def solve_exact(rows, rhs):
 
 def _combine(coords, columns, length):
     """(acc, den) with acc[i] / den = sum_j coords[j] * columns[j][i] for
-    i < length, all integers.
+    i < length, for integer columns and int or Fraction coordinates.
 
-    The coordinate and column denominators are cleared to one common
-    denominator, then each nonzero coordinate takes one integer
-    multiply-add pass.
+    The coordinates are cleared to one common denominator, then each
+    nonzero coordinate takes one integer multiply-add pass.
     """
-    terms = []
-    for c, column in zip(coords, columns):
-        if c != 0:
-            ints, d = _clear_denominators(column[:length])
-            terms.append((as_rational(c), ints, d))
-    den = lcm(*(c.denominator * d for c, _, d in terms))
+    terms = [(c, column) for c, column in zip(coords, columns) if c]
+    den = lcm(*(c.denominator for c, _ in terms))
     acc = [0] * length
-    for c, ints, d in terms:
-        m = c.numerator * (den // (c.denominator * d))
-        acc = [a + m * v for a, v in zip(acc, ints)]
+    for c, column in terms:
+        acc = list(map(add, acc, _times(column, c.numerator * (den // c.denominator))))
     return acc, den
-
-
-def _combined_series(coords, columns, length):
-    return _from_cleared(*_combine(coords, columns, length))
 
 
 def _require_truncation(k, truncation, last):
@@ -207,7 +201,7 @@ def _echelon_basis(k, truncation):
     e4 = eisenstein(4, truncation).series
     e6 = eisenstein(6, truncation).series
     monomials = [
-        (e4 ** a * e6 ** ((k - 4 * a) // 6)).coefficients
+        (e4 ** a * e6 ** ((k - 4 * a) // 6))._nums
         for a in range(k // 4, -1, -1)
         if (k - 4 * a) % 6 == 0
     ]
@@ -218,7 +212,7 @@ def _echelon_basis(k, truncation):
             x = solve_exact(rows, [int(i == j) for i in range(dim)])
         except LinearSolveError as exc:
             raise InternalInconsistency(f"weight-{k} modular basis: {exc}") from exc
-        series = _combined_series(x, monomials, truncation + 1)
+        series = _series(*_combine(x, monomials, truncation + 1))
         if dim == 1:
             label = f"E{k}"
         elif k == 12:
@@ -286,34 +280,37 @@ def decompose(f, k=None, s=None):
     rows_needed = count + GUARD_ROWS  # highest coefficient index used
     _require_truncation(k, f.truncation, rows_needed)
     gens = graded_generators(k, f.truncation)
-    columns = [g.form.series.coefficients for _, g in gens]
+    # numerators against numerators: solution j is coordinate j times the
+    # target's denominator over generator j's
+    columns = [g.form.series._nums for _, g in gens]
     rows = [[column[i] for column in columns] for i in range(rows_needed + 1)]
-    coeffs = f.series.coefficients
+    target, tden = f.series._nums, f.series._den
     try:
-        solution = solve_exact(rows, coeffs[: rows_needed + 1])
+        solution = solve_exact(rows, target[: rows_needed + 1])
     except InconsistentSystem as exc:
         raise NotInGradedSpace(
             f"not in the weight-{k} graded space: coefficient {exc.row} is inconsistent",
             index=exc.row,
         ) from exc
-    # the guard: the solved combination must reproduce *every* known
-    # coefficient; acc / den against target / tden, crosswise in integers
+    # the guard: the solved combination, acc / den, must reproduce *every*
+    # known numerator of the target
     acc, den = _combine(solution, columns, f.truncation + 1)
-    target, tden = _clear_denominators(coeffs)
-    for i, (a, b) in enumerate(zip(acc, target)):
-        if a * tden != b * den:
-            raise NotInGradedSpace(
-                f"not in the weight-{k} graded space: first mismatch at coefficient {i}",
-                index=i,
-            )
-    for (depth, element), c in zip(gens, solution):
+    expected = list(_times(target, den))
+    if acc != expected:
+        i = next(i for i, (a, b) in enumerate(zip(acc, expected)) if a != b)
+        raise NotInGradedSpace(
+            f"not in the weight-{k} graded space: first mismatch at coefficient {i}", index=i
+        )
+    coordinates = []
+    for (depth, element), x in zip(gens, solution):
+        c = Fraction(x.numerator * element.form.series._den, x.denominator * tden)
         if depth > s and c != 0:
             raise NotInGradedSpace(
                 f"declared depth bound {s} violated: generator {element.label} "
                 f"(depth {depth}) carries coordinate {c}"
             )
-    coordinates = tuple((element.label, sol) for (_, element), sol in zip(gens, solution))
-    return DecompositionRecord(weight=k, depth=s, coordinates=coordinates)
+        coordinates.append((element.label, c))
+    return DecompositionRecord(weight=k, depth=s, coordinates=tuple(coordinates))
 
 
 def recompose(record, truncation):
@@ -321,14 +318,15 @@ def recompose(record, truncation):
     needed = generator_count(record.weight) + GUARD_ROWS
     truncation = max(truncation, needed)
     table = {
-        element.label: element.form.series.coefficients
+        element.label: element.form.series
         for _, element in graded_generators(record.weight, truncation)
     }
-    columns = []
-    for label, _ in record.coordinates:
+    coords, columns = [], []
+    for label, c in record.coordinates:
         if label not in table:
             raise LookupError(f"unknown basis label {label!r} in weight {record.weight}")
-        columns.append(table[label])
-    coords = [c for _, c in record.coordinates]
-    series = _combined_series(coords, columns, truncation + 1)
+        # c times a generator is c / (its denominator) times its numerators
+        coords.append(Fraction(as_rational(c), table[label]._den))
+        columns.append(table[label]._nums)
+    series = _series(*_combine(coords, columns, truncation + 1))
     return GradedForm(series, record.weight, record.depth)

@@ -18,6 +18,10 @@ The van der Pol and Niebur formulas for tau(n) are summed over m as
 printed, on divisor sums from the additive sieve; the library reads them
 off squarings of D-weighted sigma tables.
 
+A truncated q-series is a plain list of `Fraction` coefficients (the
+`plain_*` functions), one `Fraction` per coefficient and no common
+denominator; the library keeps integer numerators over one denominator.
+
 Divisor sums come from the additive sieve (every d adds d^k to each of
 its multiples); the library sieves multiplicatively over smallest prime
 factors.  Linear systems are solved by Gauss-Jordan elimination on
@@ -195,3 +199,48 @@ def solve_fraction(rows, rhs):
     for i, col in enumerate(pivot_cols):
         solution[col] = aug[i][ncols]
     return solution
+
+
+def plain_add(a, b):
+    """a + b, cut to the shorter series."""
+    return [Fraction(x) + y for x, y in zip(a, b)]
+
+
+def plain_sub(a, b):
+    return [Fraction(x) - y for x, y in zip(a, b)]
+
+
+def plain_neg(a):
+    return [-Fraction(x) for x in a]
+
+
+def plain_scale(a, c):
+    return [Fraction(c) * x for x in a]
+
+
+def plain_mul(a, b):
+    """a * b by the schoolbook double loop, cut to the shorter series."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * b[j]
+    return out
+
+
+def plain_pow(a, k):
+    """a ** k as k products, from the series 1."""
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = plain_mul(out, a)
+    return out
+
+
+def plain_derive(a, k):
+    """D^k a, D: a_n -> n a_n."""
+    return [Fraction(n) ** k * x for n, x in enumerate(a)]
+
+
+def plain_shift(a, k):
+    """q^k a, keeping the length."""
+    return ([Fraction(0)] * k + [Fraction(x) for x in a])[: len(a)]

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -683,6 +684,21 @@ def test_session_kinds_script_replays_the_session_stream():
     assert kinds["tau"]["count"] == sum(kinds[f"tau.{s}"]["count"] for s in TAU_STRATEGIES)
     for entry in kinds.values():
         assert entry["count"] > 0 and entry["mean_ms"] > 0 and entry["failed"] == 0
+
+
+def test_session_kinds_script_exits_1_on_a_failed_check(monkeypatch, capsys):
+    # CI runs the script as a gate on the session's answers
+    path = Path(__file__).resolve().parents[1] / "scripts" / "session_kinds.py"
+    spec = importlib.util.spec_from_file_location("session_kinds", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for problems, code in (([], 0), (["coefficient 3 differs"], 1)):
+        answers = [("expr", 0.001, []), ("tau.vdp", 0.002, problems)]
+        monkeypatch.setattr(script, "replay", lambda seed, pass_index: iter(answers))
+        assert script.main([]) == code
+        kinds = json.loads(capsys.readouterr().out)["kinds"]
+        assert kinds["tau"]["failed"] == kinds["tau.vdp"]["failed"] == code
 
 
 def test_library_invariants_survive_optimize_flag():

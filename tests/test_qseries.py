@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -11,6 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import (
+    plain_add,
+    plain_derive,
+    plain_mul,
+    plain_neg,
+    plain_pow,
+    plain_scale,
+    plain_shift,
+    plain_sub,
+)
 from tauforms import GradedForm, QSeries, delta_product, eisenstein, quasi_bracket
 from tauforms import qseries
 from tauforms.qseries import (
@@ -214,6 +225,64 @@ def test_every_arithmetic_result_is_canonical(f, g, c, k):
     results.append(quasi_bracket(2, GradedForm(f, 4, 0), GradedForm(f, 4, 0)).series)
     for result in results:
         _assert_canonical(result)
+
+
+def _assert_reduced(s):
+    """The stored form: integer numerators over one positive denominator,
+    gcd(den, *nums) == 1, and den == 1 for the zero series."""
+    assert all(type(v) is int for v in s._nums) and type(s._den) is int and s._den > 0
+    assert gcd(s._den, *s._nums) == 1
+    assert s._den == 1 or not s.is_zero
+
+
+# mixed ints and Fractions, negative and zero entries, truncations 0..40
+_plain = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    ),
+    min_size=1,
+    max_size=41,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _plain,
+    _plain,
+    st.one_of(st.just(0), st.integers(-20, 20), st.fractions(max_denominator=30)),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_arithmetic_matches_the_plain_fraction_oracle(a, b, c, power, k, data):
+    f, g = QSeries(a), QSeries(b)
+    shift = data.draw(st.integers(0, len(a) + 1))
+    cut = data.draw(st.integers(0, len(a) - 1))
+    cases = [
+        (f, [Fraction(x) for x in a]),
+        (f + g, plain_add(a, b)),
+        (f - g, plain_sub(a, b)),
+        (-f, plain_neg(a)),
+        (f.scale(c), plain_scale(a, c)),
+        (c * f, plain_scale(a, c)),
+        (f * g, plain_mul(a, b)),
+        (f * f, plain_mul(a, a)),
+        (f ** power, plain_pow(a, power)),
+        (f.derive(k), plain_derive(a, k)),
+        (f.shift(shift), plain_shift(a, shift)),
+        (f.truncate(cut), [Fraction(x) for x in a[: cut + 1]]),
+    ]
+    for result, expected in cases:
+        _assert_reduced(result)
+        _assert_canonical(result)
+        assert result.coefficients == tuple(expected)
+        assert [result.coefficient(n) for n in range(len(expected))] == expected
+        # the same series built from the oracle's Fractions is equal, and
+        # hashes equal
+        rebuilt = QSeries(expected)
+        assert result == rebuilt and hash(result) == hash(rebuilt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,6 +619,18 @@ def test_multiply_matches_the_cpython_product(with_gmp, bits, signs):
     assert _multiply(x, 0) == 0 == _multiply(0, y)
 
 
+@pytest.mark.parametrize("extra", [0, 1, 500])
+def test_multiply_fills_every_word_of_its_buffer(with_gmp, extra):
+    # magnitudes of all-ones 64-bit words: a product of w and v such words
+    # takes all w + v words of the export buffer, and one more bit would not
+    # fit; from the fewest words that reach _GMP_MIN_BITS on
+    words = -(-_GMP_MIN_BITS // 64) + extra
+    x = (1 << 64 * words) - 1
+    y = (1 << 64 * (words + 3)) - 1
+    for a, b in ((x, y), (-x, y), (y, -x), (x, x), (-y, -y)):
+        assert _multiply(a, b) == a * b
+
+
 @pytest.fixture
 def factors(monkeypatch):
     """(bits of the smaller factor, squared as one object, a factor
@@ -637,6 +718,27 @@ def test_mul_crossover_script_measures_both_routes():
     assert all(row[key] > 0 for key in keys)
     assert qseries._GMP_MIN_BITS == _GMP_MIN_BITS
     assert script.crossover([row], "packed_bits", "int", "gmp") in (row["packed_bits"], None)
+
+
+def test_mul_crossover_runs_only_the_named_sweeps(monkeypatch, capsys):
+    script = _mul_crossover_script()
+    ran = []
+    monkeypatch.setattr(script, "sweep", lambda measure_row, sizes: ran.append(measure_row) or [])
+    monkeypatch.setattr(script, "gmp_version", lambda: "6.2.1")
+    named = {"cutoff": script.measure_cutoff, "bytes": script.measure, "gmp": script.measure_gmp}
+    keys = {"cutoff": "cutoff_rows", "bytes": "rows", "gmp": "gmp_rows"}
+    for argv, expected in (
+        ([], ["cutoff", "bytes", "gmp"]),
+        (["--sweep", "gmp"], ["gmp"]),
+        (["--sweep", "bytes", "--sweep", "cutoff"], ["cutoff", "bytes"]),
+    ):
+        ran.clear()
+        script.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert ran == [named[name] for name in expected]
+        assert {key for key in keys.values() if key in report} == {keys[n] for n in expected}
+    with pytest.raises(SystemExit):
+        script.main(["--sweep", "decimal"])
 
 
 def test_mul_crossover_ignores_a_loss_within_its_margin():

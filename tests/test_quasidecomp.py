@@ -30,7 +30,7 @@ from tauforms import (
     sigma_table,
     solve_exact,
 )
-from tauforms import forms
+from tauforms import forms, quasidecomp
 
 
 def test_modular_basis_dimensions_and_labels():
@@ -420,3 +420,32 @@ def test_recompose_inverts_decompose_for_rational_forms(n):
         forms += [f.scale(Fraction(2, 13)) for f in e2_bracket_family(n).values()]
     for form in forms:
         assert recompose(decompose(form), n).series == form.series
+
+
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_generators_over_a_denominator_decompose_and_recompose(monkeypatch, k):
+    # the stored generators have integer coefficients; scaled ones carry
+    # denominators, which decompose and recompose read with the numerators
+    n = 40
+    rng = random.Random(k)
+    gens = graded_generators(k, n)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in gens]
+    total = QSeries.zero(n)
+    for c, (_, el) in zip(coeffs, gens):
+        total = total + el.form.series.scale(c)
+    scales = [Fraction(j + 2, 2 * j + 3) for j in range(len(gens))]
+    real = quasidecomp.graded_generators
+
+    def scaled(weight, truncation):
+        return tuple(
+            (depth, quasidecomp.BasisElement(el.label, el.form.scale(s)))
+            for s, (depth, el) in zip(scales, real(weight, truncation))
+        )
+
+    monkeypatch.setattr(quasidecomp, "graded_generators", scaled)
+    assert any(el.form.series._den > 1 for _, el in scaled(k, n))
+    record = decompose(GradedForm(total.scale(Fraction(5, 3)), k, k // 2))
+    assert [c for _, c in record.coordinates] == [
+        Fraction(5, 3) * c / s for c, s in zip(coeffs, scales)
+    ]
+    assert recompose(record, n).series == total.scale(Fraction(5, 3))

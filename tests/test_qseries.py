@@ -607,10 +607,15 @@ def test_byte_route_skips_only_zero_sums(byte_route_widths):
     assert byte_route_widths == []
 
 
-@pytest.mark.parametrize("bits", [_GMP_MIN_BITS - 1, _GMP_MIN_BITS, 5 * _GMP_MIN_BITS + 3])
+# the crossover, and fixed sizes that stay put when it moves: about it
+# when it sat at 7133 bits (from byte-sized operands), and five times that
+@pytest.mark.parametrize(
+    "bits", [_GMP_MIN_BITS - 1, _GMP_MIN_BITS, 5 * _GMP_MIN_BITS + 3, 7132, 7133, 35668]
+)
 @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
 def test_multiply_matches_the_cpython_product(with_gmp, bits, signs):
-    # the smaller factor on both sides of _GMP_MIN_BITS, of every sign
+    # the smaller factor on both sides of _GMP_MIN_BITS and above it, of
+    # every sign
     rnd = random.Random(bits)
     x = signs[0] * (rnd.getrandbits(bits) | 1 << bits - 1)
     y = signs[1] * (rnd.getrandbits(bits + 77) | 1 << bits + 76)

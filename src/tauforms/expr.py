@@ -47,9 +47,10 @@ ATOMS = ("E2", "E4", "E6", "E8", "E10", "E12", "Delta")
 MAX_ORDER = 4
 
 # The parser recurses four times through each nesting (a parenthesis, D,
-# bracket or Phi) and eval_expr once through each tree level (a D, bracket,
-# Phi or operator): Python's recursion limit stops them at 248 nestings or 992
-# chained operators (3.10-3.13).  The tests, demos and benchmark use at most 8.
+# bracket or Phi) and eval_expr once through each tree level (a chain of D, a
+# bracket, Phi or operator): Python's recursion limit stops them at 248
+# nestings or 992 chained operators (3.10-3.13).  The tests, demos and
+# benchmark use at most 8.
 MAX_DEPTH = 100
 
 
@@ -313,7 +314,12 @@ def eval_expr(node, truncation):
             return delta_product(truncation)
         return eisenstein(int(node.name[1:]), truncation)
     if isinstance(node, Deriv):
-        return eval_expr(node.child, truncation).derive(node.times)
+        # a chain D^a(D^b(...x)) is one D^(a+b+...), so that the size bound
+        # of QSeries.derive sees the whole exponent
+        times = 0
+        while isinstance(node, Deriv):
+            times, node = times + node.times, node.child
+        return eval_expr(node, truncation).derive(times)
     if isinstance(node, (Add, Sub)):
         left = eval_expr(node.left, truncation)
         right = eval_expr(node.right, truncation)

@@ -20,7 +20,10 @@ Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
 
 The "(" poly ")" prefix is the affine factor a*n+b of a closed term; a
 convolution takes no n^p or affine prefix.  "mod M = f1*...*fk" states a
-factorisation that must multiply out to M; "n odd" means gcd(n,2)=1.
+factorisation that must multiply out to M; "n odd" means gcd(n,2)=1.  A
+congruence is a statement about integers: each of its terms must have an
+integer coefficient and must not divide by n (a closed term's net power
+of n is at least 0, a convolution has no 1/n^d), or ValueError is raised.
 
 Residuals are exact rationals, so "holds" means residual identically 0 - no
 tolerances anywhere.  A side expands (Side.terms) into coefficients times
@@ -29,7 +32,8 @@ a convolution with equal sigmas is rewritten through squarings by Waring's
 formula.  Sides are evaluated as integers after clearing denominators
 (L * n^d * side(n), L the lcm of the expanded coefficients' denominators),
 and a range check streams L * n^d * (lhs(n) - rhs(n)), so pointwise checks
-are integer comparisons.
+are integer comparisons; a congruence check reduces the same stream, at
+d = 0, mod L times its modulus.
 
 Three checks are available per identity: pointwise residuals over a range
 of n; certification, which checks that the same integer vectors agree
@@ -102,8 +106,8 @@ FIT_EXTRA_ROWS = 6  # equations fit_identity solves beyond one per unknown
 
 
 class IdentityStructureError(Exception):
-    """A term evaluated to something structurally impossible (e.g. a
-    non-integral value inside a congruence)."""
+    """A record has a shape its check cannot take (e.g. a refit of an
+    identity whose left side is not a bare tau(n))."""
 
 
 class PolyMN:
@@ -123,25 +127,10 @@ class PolyMN:
         return cls({(0, 0): c})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = PolyMN.const(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
         return PolyMN(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyMN({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PolyMN.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -245,12 +234,11 @@ class Side(Value):
 
     `terms` expands it into sources, each convolution a product of two
     weighted sigma tables (equal sigmas through squarings).  Every
-    evaluation goes through `stream`: the integers
+    evaluation goes through `cleared`: the integers
     scale * n^power * side(n), with scale a multiple of every coefficient
-    denominator of `terms` and power at least the largest n-divisor.
-    `cleared` lists them, and `value`, `bulk` and `series` divide that one
-    vector back out.  The expansion is made on first use and kept (in
-    `__dict__`).
+    denominator of `terms` and power at least the largest n-divisor, as
+    one list that `value`, `bulk` and `series` divide back out.  The
+    expansion is made on first use and kept (in `__dict__`).
     """
 
     __slots__ = ("closed", "conv", "__dict__")
@@ -305,13 +293,9 @@ class Side(Value):
                     out.append(((l, i, l, i), e + alpha - 2 * i, Fraction(c * w, 2)))
         return tuple(out)
 
-    def stream(self, ctx, limit, scale, power):
-        """scale * n^power * side(n) for n = 0..limit, lazily (see _horner)."""
-        return _horner(ctx, limit, self.terms(power), scale)
-
     def cleared(self, ctx, limit, scale, power):
         """[scale * n^power * side(n) for n = 0..limit], all exact integers."""
-        return list(self.stream(ctx, limit, scale, power))
+        return list(_horner(ctx, limit, self.terms(power), scale))
 
     def value(self, n, ctx):
         """side(n) as an exact Fraction, for n >= 1."""
@@ -348,7 +332,9 @@ class IdentityRecord(Value):
 
 class CongruenceRecord(Value):
     """lhs(n) == rhs(n) mod modulus for n prime to gcd_condition, as stated
-    by anchor; modulus_factors multiply out to the modulus."""
+    by anchor; modulus_factors multiply out to the modulus.  Every term has
+    an integer coefficient and no division by n, so both sides are integers
+    at every n."""
 
     __slots__ = __match_args__ = (
         "id", "anchor", "lhs", "rhs", "modulus", "modulus_factors", "gcd_condition"
@@ -360,6 +346,13 @@ class CongruenceRecord(Value):
             prod *= f
         if prod != modulus:
             raise ValueError(f"{id}: stated factorisation {modulus_factors} != {modulus}")
+        for term in lhs.closed + lhs.conv + rhs.closed + rhs.conv:
+            divides = term.n_power < 0 if isinstance(term, ClosedTerm) else term.n_divisor > 0
+            if term.coefficient.denominator != 1 or divides:
+                raise ValueError(
+                    f"{id}: congruence term {term!r} is not integral: a congruence"
+                    " takes integer coefficients and no division by n"
+                )
         super().__init__(id, anchor, lhs, rhs, modulus, modulus_factors, gcd_condition)
 
 
@@ -681,8 +674,10 @@ class _AnchorParser(_Parser):
 
 def parse_record(key, anchor, status=EXPECTED_TRUE):
     """The IdentityRecord (with `status`) or CongruenceRecord that `anchor`
-    states.  Raises ParseError (offset, expected tokens) on malformed text
-    and ValueError on a factorisation that is not the modulus."""
+    states.  Raises ParseError (offset, expected tokens) on malformed text,
+    and ValueError on a factorisation that is not the modulus or on a
+    congruence term that is not integral (a coefficient that is not an
+    integer, or a division by n)."""
     return _AnchorParser(anchor).record(key, status)
 
 
@@ -852,13 +847,21 @@ def evaluate(record, n, ctx):
 
 def verify_range(record, limit, ctx=None):
     """Residuals for 1 <= n <= limit; reports success or the first failure."""
+    return _walk(record, limit, ctx, compress)
+
+
+def _walk(record, limit, ctx, failing):
+    """The report of record for 1 <= n <= limit, in ctx (a new context to
+    limit when None): failed at the first n of failing(ns, diff), with
+    diff the stream of L * n^d * (lhs(n) - rhs(n)) (see _difference) for
+    ns = 1..limit, or verified when there is none."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if ctx is None:
         ctx = make_context(limit)
     # every source is 0 at n = 0, so the sides can only differ from n = 1 on
     diff = islice(_difference(record, ctx, limit), 1, None)
-    n = next(compress(range(1, limit + 1), diff), None)
+    n = next(failing(range(1, limit + 1), diff), None)
     if n is None:
         return VerificationReport(record.id, status="verified", limit=limit)
     return VerificationReport(
@@ -964,50 +967,22 @@ def _failure_detail(record, ctx, truncation, weight, d):
 
 
 def check_congruence(record, limit, ctx=None):
-    """lhs == rhs mod modulus for every n <= limit with gcd(n, g) = 1."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    if ctx is None:
-        ctx = make_context(limit)
-    g = record.gcd_condition
-    modulus = record.modulus
-    scale, power = _clearing(record)
-    failure = None
-    if scale == 1 and power == 0:
-        # the difference is lhs - rhs itself: one pass finds the n at which
-        # it is not 0 mod the modulus
-        diff = islice(_difference(record, ctx, limit), 1, None)
-        off = compress(range(1, limit + 1), map(mod, diff, repeat(modulus)))
-        n = next((n for n in off if gcd(n, g) == 1), None)
-        if n is not None:
-            failure = (n, record.lhs.value(n, ctx), record.rhs.value(n, ctx))
-    else:
-        sides = zip(
-            record.lhs.stream(ctx, limit, scale, power),
-            record.rhs.stream(ctx, limit, scale, power),
-        )
-        for n, (lhs, rhs) in enumerate(islice(sides, 1, None), 1):
-            if g != 1 and gcd(n, g) != 1:
-                continue
-            den = scale * n ** power
-            lv, lr = divmod(lhs, den)
-            rv, rr = divmod(rhs, den)
-            if lr or rr:
-                raise IdentityStructureError(
-                    f"{record.id}: non-integral congruence side at n={n}"
-                )
-            if (lv - rv) % modulus:
-                failure = (n, Fraction(lv), Fraction(rv))
-                break
-    if failure is None:
-        return VerificationReport(record.id, status="verified", limit=limit)
-    return VerificationReport(
-        record.id,
-        status="failed",
-        limit=limit,
-        first_failure=failure,
-        detail=f"mod {modulus}",
-    )
+    """lhs == rhs mod modulus for every n <= limit with gcd(n, g) = 1.
+
+    The sides are integers (see CongruenceRecord) and the clearing power
+    is 0, so the difference stream is L * (lhs(n) - rhs(n)), L being 2
+    where Waring's 1/2 enters an equal-sigma convolution and 1 otherwise;
+    it is 0 mod L * modulus exactly where the sides agree mod modulus.
+    """
+    g, modulus = record.gcd_condition, record.modulus
+    scaled = _clearing(record)[0] * modulus
+
+    def failing(ns, diff):
+        off = compress(ns, map(mod, diff, repeat(scaled)))
+        return (n for n in off if gcd(n, g) == 1)
+
+    report = _walk(record, limit, ctx, failing)
+    return report if report.status == "verified" else report._replace(detail=f"mod {modulus}")
 
 
 # --------------------------------------------------------------------------

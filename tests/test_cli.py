@@ -130,6 +130,18 @@ def test_a_derivation_past_the_bit_bound_exits_at_once():
     )
 
 
+def test_nested_derivations_are_bounded_as_one():
+    # each D^4000000 alone is admitted at truncation 3; nested 8 deep they
+    # ran until a timeout stopped them, one derivation at a time
+    expr = "D^4000000(" * 8 + "E4" + ")" * 8
+    proc = _cli("eval", "--expr", expr, "--trunc", "3", "--coeff", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: D^32000000 at truncation 3 would take about 256000000 bits, "
+        "above the maximum 33554432\n"
+    )
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, at Python's default recursion limit."""
     src = str(Path(tauforms.__file__).resolve().parents[1])
@@ -451,9 +463,9 @@ def test_eval_decompose_exit_codes(capsys, command, expr, trunc, coeff, weight, 
 # Expression text from the grammar, nested or chained past the depth bound,
 # or garbage.  D exponents stay at most 3, and MAX_DEPTH admits at most 100
 # factors, so that each case takes milliseconds.  That leaves out a known
-# defect: nested D^k with large k, and long products of such factors, pass
-# every per-node guard (qseries.MAX_DERIVE_BITS sees one D at a time) and can
-# run for minutes; the size budget item of ROADMAP.md would bound the tree.
+# defect: long products of D^k factors with large k pass every per-node guard
+# (qseries.MAX_DERIVE_BITS sees one chain of nested D at a time) and can run
+# for minutes; the size budget item of ROADMAP.md would bound the tree.
 _LEAVES = st.sampled_from(("E2", "E4", "E6", "E8", "E10", "E12", "Delta", "0", "2", "3/4", "1/0"))
 
 

@@ -188,6 +188,16 @@ def test_eval_weight_bookkeeping():
     assert inhomogeneous.weight is None
 
 
+def test_nested_derivations_are_one_derivation():
+    nested = eval_expr(parse("D^2(D(D^3(E2)))"), 16)
+    assert nested == eval_expr(parse("D^6(E2)"), 16)
+    assert (nested.weight, nested.depth) == (14, 7)
+    # the size bound sees the whole exponent: one D^4000000 is admitted at
+    # truncation 3 (4000000 * 4 * 2 bits), two nested are not
+    with pytest.raises(ValueError, match=r"D\^8000000 at truncation 3"):
+        eval_expr(parse("D^4000000(D^4000000(E4))"), 3)
+
+
 def test_eval_phi_matches_bracket_family():
     fam = e2_bracket_family(24)
     form = eval_expr(parse("Phi(3; D(E2), 4, 2; E2, 2, 1)"), 24)

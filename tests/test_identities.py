@@ -33,7 +33,6 @@ from tauforms import qseries
 from tauforms.expr import ParseError
 from tauforms.identities import (
     CongruenceRecord,
-    IdentityStructureError,
     _certification,
     certification_limit,
     certification_weight,
@@ -772,11 +771,10 @@ def test_congruence_examples(registry, ctx120):
     assert check_congruence(rec, 120, ctx120).status == "verified"
 
 
-def test_congruence_rejects_non_integral_side(ctx120):
+def test_congruence_rejects_non_integral_side():
     half = Side(closed=(ClosedTerm(Fraction(1, 2), 0, 1),))
-    record = CongruenceRecord("half", "", half, Side(), 2, (2,))
-    with pytest.raises(IdentityStructureError, match="n=1"):
-        check_congruence(record, 10, ctx120)
+    with pytest.raises(ValueError, match=r"half: congruence term .*Fraction\(1, 2\)"):
+        CongruenceRecord("half", "", half, Side(), 2, (2,))
 
 
 def test_congruence_gcd_condition_skips(registry, ctx120):
@@ -805,9 +803,30 @@ def test_congruence_gcd_condition_skips(registry, ctx120):
         ("2*tau(n) == n^2*sigma(n) + n^2*sigma5(n) mod 192 = 64*3", 1, 5),
         # cor2.12.i at twice its modulus: n = 2, 3, 4 fail but are skipped
         ("(6n-5)*sigma(n) == sigma3(n) mod 48 = 16*3, gcd(n,6)=1", 1, 5),
-        # scale 2 takes the dividing loop, failing and holding
-        ("2*tau(n) == 1/2*n^2*sigma(n) + 1/2*n^2*sigma(n) + n^2*sigma5(n) mod 192", 2, 5),
-        ("tau(n) == 1/2*sigma11(n) + 1/2*sigma11(n) mod 691", 2, None),
+        # an equal-sigma convolution with an odd m-power: Waring's 1/2 makes
+        # the scale 2, and the sides hold or fail as at scale 1
+        pytest.param(
+            "sum m*sigma(m)*sigma(n-m) == n^2*sigma(n) - n*sigma(n) mod 5", 2, None,
+            id="scale 2 mod 5 holds",
+        ),
+        pytest.param(
+            "sum m*sigma(m)*sigma(n-m) == n^2*sigma(n) - n*sigma(n) mod 25", 2, 2,
+            id="scale 2 mod 25 fails",
+        ),
+        # lhs - rhs is -5 at n = 2, and 2*(lhs - rhs) is 0 mod 10: the check
+        # must reduce mod 2*10
+        pytest.param(
+            "sum m*sigma(m)*sigma(n-m) == n^2*sigma(n) - n*sigma(n) mod 10 = 2*5", 2, 2,
+            id="scale 2 mod 10 fails",
+        ),
+        pytest.param(
+            "sum m*sigma(m)*sigma(n-m) == 5*n*sigma(n) - 2*n^2*sigma(n) + 4*n*sigma3(n) mod 7",
+            2, None, id="scale 2 mod 7 holds",
+        ),
+        pytest.param(
+            "sum m*sigma(m)*sigma(n-m) == 5*n*sigma(n) - 2*n^2*sigma(n) + 4*n*sigma3(n)"
+            " mod 35 = 5*7", 2, 1, id="scale 2 mod 35 fails",
+        ),
     ],
 )
 def test_congruence_reports_match_the_oracle(anchor, scale, n, ctx120):
@@ -818,6 +837,105 @@ def test_congruence_reports_match_the_oracle(anchor, scale, n, ctx120):
     assert report.first_failure == expected
     assert report.status == ("verified" if expected is None else "failed")
     assert (expected and expected[0]) == n
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        "2*tau(n) == 1/2*n^2*sigma(n) + 1/2*n^2*sigma(n) + n^2*sigma5(n) mod 192",
+        "tau(n) == 1/2*sigma11(n) + 1/2*sigma11(n) mod 691",
+        "sigma3(n)/n == sigma(n) mod 2",
+        "2*sum m*sigma(m)*sigma(n-m) == 1/n*sum m^2*sigma(m)*sigma(n-m) mod 3",
+    ],
+)
+def test_congruence_anchor_with_a_non_integral_term_is_refused(anchor):
+    # a congruence is a statement about integers, so these are refused when
+    # parsed, whatever their values at each n would be
+    with pytest.raises(ValueError, match="probe: congruence term"):
+        parse_record("probe", anchor)
+
+
+_integers = st.integers(-40, 40).map(Fraction)
+_integral_closed = st.builds(
+    ClosedTerm,
+    _integers,
+    st.integers(0, 3),
+    st.sampled_from((0, 1, 3, 5)),
+    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+# odd coefficients, so that Waring's 1/2 survives in most equal-sigma terms
+_integral_conv = st.builds(
+    lambda c, poly, sigmas: ConvolutionTerm(c, 0, poly, *sigmas),
+    st.integers(-20, 19).map(lambda k: Fraction(2 * k + 1)),
+    _polys,
+    st.sampled_from(((1, 1), (3, 3), (1, 3))),
+)
+
+
+@st.composite
+def _integral_congruences(draw):
+    """A congruence row whose right side restates the left's terms, each
+    coefficient moved by a multiple of the modulus, plus a closed term t
+    that may break it: c*t; (modulus // 2)*t, whose breaks are odd
+    multiples of modulus/2, which a scale-2 check must keep; or c*t_j -
+    c*t_k on two sigmas, equal at n = 1, so that a break comes later.
+    Every term is integral."""
+    modulus = draw(st.integers(2, 60))
+    closed = draw(st.lists(_integral_closed, max_size=3))
+    conv = (draw(_integral_conv),) if draw(st.integers(0, 2)) else ()
+
+    def moved(terms):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=len(terms), max_size=len(terms)))
+        return tuple(t._replace(coefficient=t.coefficient + modulus * k) for t, k in zip(terms, ks))
+
+    t, kind = draw(_integral_closed), draw(st.sampled_from(("none", "c", "half", "pair")))
+    extra = {
+        "none": (),
+        "c": (t,),
+        "half": (t._replace(coefficient=Fraction(modulus // 2)),),
+        "pair": (t, t._replace(coefficient=-t.coefficient, sigma=2 * t.sigma + 1)),
+    }[kind]
+    lhs = Side(tuple(closed), conv)
+    rhs = Side(moved(closed) + extra, moved(conv))
+    g = draw(st.sampled_from((1, 2, 3, 6, 10)))
+    return CongruenceRecord("random", "", lhs, rhs, modulus, (modulus,), g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(record=_integral_congruences())
+def test_one_integer_pass_matches_the_oracle(record, ctx120):
+    report = check_congruence(record, 60, ctx120)
+    expected = congruence_failure(record, 60, ctx120)
+    assert report.first_failure == expected
+    assert report.status == ("verified" if expected is None else "failed")
+
+
+_non_integers = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 36)).filter(
+    lambda c: c.denominator != 1
+)
+_non_integral_terms = st.one_of(
+    st.builds(ClosedTerm, _non_integers, st.integers(-2, 3), st.sampled_from((0, 1, 3))),
+    st.builds(ClosedTerm, _integers, st.integers(-3, -1), st.sampled_from((0, 1, 3))),
+    st.builds(ConvolutionTerm, _rationals, st.integers(1, 2), _polys, st.just(1), st.just(3)),
+    st.builds(ConvolutionTerm, _non_integers, st.just(0), _polys, st.just(1), st.just(1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    closed=st.lists(_integral_closed, max_size=2),
+    conv=st.lists(_integral_conv, max_size=1),
+    bad=_non_integral_terms,
+    on_left=st.booleans(),
+)
+def test_a_non_integral_congruence_term_is_refused(closed, conv, bad, on_left):
+    if isinstance(bad, ClosedTerm):
+        odd = Side(tuple(closed) + (bad,), tuple(conv))
+    else:
+        odd = Side(tuple(closed), tuple(conv) + (bad,))
+    sides = (odd, Side(tuple(closed))) if on_left else (Side(tuple(closed)), odd)
+    with pytest.raises(ValueError, match="random: congruence term"):
+        CongruenceRecord("random", "", *sides, 7, (7,))
 
 
 def test_catalogue_congruences_at_a_wider_modulus_match_the_oracle(registry, ctx120):

@@ -1,8 +1,9 @@
 """Catalogue of tau / divisor-function identities with exact verification.
 
 Each entry is its anchor, the statement as printed, parsed into closed terms
-c * n^p * (a*n+b) * sigma_j(n) (sigma exponent 0 standing for tau itself)
-and convolution terms c/n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n-m).
+c * n^p * sigma_j(n) (sigma exponent 0 standing for tau itself) and
+convolution terms c/n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n-m),
+the weight P kept as its monomial tuple.
 Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
 
     record := side "=" side | side "==" side "mod" int ["=" int ("*" int)*]
@@ -18,9 +19,13 @@ Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
     mono   := factor (["*"] factor)*
     factor := (int | "m" | "n" | "(" poly ")") ["^" int]
 
-The "(" poly ")" prefix is the affine factor a*n+b of a closed term; a
-convolution takes no n^p or affine prefix.  "mod M = f1*...*fk" states a
-factorisation that must multiply out to M; "n odd" means gcd(n,2)=1.  A
+The "(" poly ")" prefix is a factor a*n+b of a closed term, expanded when
+the anchor is parsed: c*n^p*(a*n+b)*sigma_j(n) is stated as the closed terms
+c*a*n^(p+1)*sigma_j(n) and c*b*n^p*sigma_j(n), in that order, a part whose
+factor is 0 left out.  A convolution takes no n^p or (a*n+b) prefix, and
+parentheses nest at most expr.MAX_DEPTH deep.  "mod M = f1*...*fk" states a
+factorisation that must multiply out to M; "n odd" means gcd(n,2)=1; M and
+the g of gcd(n,g)=1 are at least 1, or ValueError is raised.  A
 congruence is a statement about integers: each of its terms must have an
 integer coefficient and must not divide by n (a closed term's net power
 of n is at least 0, a convolution has no 1/n^d), or ValueError is raised.
@@ -71,7 +76,6 @@ from .quasidecomp import (
 )
 
 __all__ = [
-    "PolyMN",
     "ClosedTerm",
     "ConvolutionTerm",
     "Side",
@@ -110,73 +114,32 @@ class IdentityStructureError(Exception):
     identity whose left side is not a bare tau(n))."""
 
 
-class PolyMN:
-    """Integer-coefficient polynomial in the convolution index m and n."""
+def _poly_mul(p, q):
+    """The product of two weights in m and n, as {(a, b): c} dicts of the
+    monomials c * m^a * n^b."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def variables(cls):
-        return cls({(1, 0): 1}), cls({(0, 1): 1})
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return PolyMN(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyMN({k: v * other for k, v in self.terms.items()})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return PolyMN(out)
-
-    __rmul__ = __mul__
-
-    def monomials(self):
-        return tuple(sorted(self.terms.items()))
-
-    def __call__(self, m_value, n_value):
-        return sum(
-            c * m_value ** a * n_value ** b for (a, b), c in self.terms.items()
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMN) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.monomials())
-
-    def __repr__(self):
-        def mono(a, b, c):
-            parts = []
-            if abs(c) != 1 or (a == 0 and b == 0):
-                parts.append(str(abs(c)))
-            if a:
-                parts.append("m" if a == 1 else f"m^{a}")
-            if b:
-                parts.append("n" if b == 1 else f"n^{b}")
-            return "*".join(parts)
-
-        pieces = []
-        for (a, b), c in sorted(self.terms.items(), reverse=True):
-            body = mono(a, b, c)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces) if pieces else "0"
+def _poly_text(poly):
+    """A weight written out, highest monomial first: "2*n^2 - 9*m*n + 9*m^2"."""
+    pieces = []
+    for (a, b), c in reversed(poly):
+        parts = [str(abs(c))] if abs(c) != 1 or (a == 0 and b == 0) else []
+        if a:
+            parts.append("m" if a == 1 else f"m^{a}")
+        if b:
+            parts.append("n" if b == 1 else f"n^{b}")
+        body = "*".join(parts)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) if pieces else "0"
 
 
 def _sigma_name(j):
@@ -193,44 +156,29 @@ def _closed_shape_name(p, j):
 
 
 class ClosedTerm(Value):
-    """c * n^power * (a*n + b) * sigma_j(n); sigma exponent 0 denotes tau(n).
+    """c * n^n_power * sigma_j(n), c a Fraction; sigma exponent 0 denotes tau(n)."""
 
-    The coefficient is a Fraction, affine the pair (a, b) or None."""
-
-    __slots__ = __match_args__ = ("coefficient", "n_power", "sigma", "affine")
-    _defaults = (None,)
-
-    def monomials(self):
-        """Expand the affine factor: [(coefficient, power, sigma)] pieces."""
-        if self.affine is None:
-            return ((self.coefficient, self.n_power, self.sigma),)
-        a, b = self.affine
-        out = []
-        if a:
-            out.append((self.coefficient * a, self.n_power + 1, self.sigma))
-        if b:
-            out.append((self.coefficient * b, self.n_power, self.sigma))
-        return tuple(out)
-
-    def describe(self):
-        return [_closed_shape_name(p, j) for _, p, j in self.monomials()]
+    __slots__ = __match_args__ = ("coefficient", "n_power", "sigma")
 
 
 class ConvolutionTerm(Value):
     """c / n^divisor * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m), with
-    c a Fraction and P a PolyMN."""
+    c a Fraction and the weight P its monomials c' * m^a' * n^b', as the
+    sorted tuple of ((a', b'), c') with c' a nonzero integer."""
 
     __slots__ = __match_args__ = ("coefficient", "n_divisor", "poly", "left", "right")
 
     def describe(self):
-        body = f"sum {self.poly!r} * {_sigma_name(self.left)}(m)*{_sigma_name(self.right)}(n-m)"
+        sigmas = f"{_sigma_name(self.left)}(m)*{_sigma_name(self.right)}(n-m)"
+        body = f"sum {_poly_text(self.poly)} * {sigmas}"
         if self.n_divisor:
             body += "/n" if self.n_divisor == 1 else f"/n^{self.n_divisor}"
         return body
 
 
 class Side(Value):
-    """A sum of closed and convolution terms, evaluated exactly.
+    """A sum of closed terms c * n^p * sigma_j(n) and convolution terms,
+    evaluated exactly.
 
     `terms` expands it into sources, each convolution a product of two
     weighted sigma tables (equal sigmas through squarings).  Every
@@ -251,12 +199,7 @@ class Side(Value):
 
     def clearing_power(self):
         """Smallest d >= 0 with no negative n-power left in n^d * side(n)."""
-        d = 0
-        for t in self.closed:
-            d = max(d, -min((p for _, p, _ in t.monomials()), default=t.n_power))
-        for t in self.conv:
-            d = max(d, t.n_divisor)
-        return d
+        return max([0, *(-t.n_power for t in self.closed), *(t.n_divisor for t in self.conv)])
 
     def terms(self, power):
         """(source, e, c) triples with n^power * side(n) = sum c * n^e * source[n].
@@ -280,10 +223,10 @@ class Side(Value):
     @cached_property
     def _terms(self):
         """terms(0) as a tuple, expanded once per side."""
-        out = [(j, p, c) for t in self.closed for c, p, j in t.monomials()]
+        out = [(t.sigma, t.n_power, t.coefficient) for t in self.closed]
         for t in self.conv:
             l, r = t.left, t.right
-            for (alpha, beta), c in t.poly.monomials():
+            for (alpha, beta), c in t.poly:
                 e, c = beta - t.n_divisor, t.coefficient * c
                 if l != r:
                     out.append(((l, alpha, r, 0), e, c))
@@ -332,15 +275,19 @@ class IdentityRecord(Value):
 
 class CongruenceRecord(Value):
     """lhs(n) == rhs(n) mod modulus for n prime to gcd_condition, as stated
-    by anchor; modulus_factors multiply out to the modulus.  Every term has
-    an integer coefficient and no division by n, so both sides are integers
-    at every n."""
+    by anchor; modulus and gcd_condition are at least 1, and modulus_factors
+    multiply out to the modulus.  Every term has an integer coefficient and
+    no division by n, so both sides are integers at every n."""
 
     __slots__ = __match_args__ = (
         "id", "anchor", "lhs", "rhs", "modulus", "modulus_factors", "gcd_condition"
     )
 
     def __init__(self, id, anchor, lhs, rhs, modulus, modulus_factors, gcd_condition=1):
+        if modulus < 1 or gcd_condition < 1:
+            raise ValueError(
+                f"{id}: modulus {modulus} and gcd condition {gcd_condition} must be at least 1"
+            )
         prod = 1
         for f in modulus_factors:
             prod *= f
@@ -561,14 +508,16 @@ class _AnchorParser(_Parser):
     def side(self):
         if self.accept("0"):
             return Side()
-        terms = self.signed_sum(self.term)
+        terms = [t for parts in self.signed_sum(self.term) for t in parts]
         return Side(
             tuple(t for t in terms if isinstance(t, ClosedTerm)),
             tuple(t for t in terms if isinstance(t, ConvolutionTerm)),
         )
 
     def term(self, sign):
-        coefficient, power, affine = Fraction(sign), 0, None
+        """The terms one anchor term states: a convolution, or a closed term
+        per nonzero part a*n^(p+1), b*n^p of its (a*n+b) prefix, in that order."""
+        coefficient, power, parts = Fraction(sign), 0, None
         if self.peek().isdecimal():
             coefficient *= self.integer()
             if self.accept("/"):
@@ -583,17 +532,17 @@ class _AnchorParser(_Parser):
                 self.expect(")")
             elif self.peek() == "n":
                 power += self.n_power()
-            elif affine is None:
-                affine = self.affine()
+            elif parts is None:
+                parts = self.affine()
             else:
                 self.error({"tau", "sigma", "n"})
             self.expect("*")
         start = self.pos
         if self.accept("sum"):
-            if power > 0 or affine is not None:
+            if power > 0 or parts is not None:
                 self.pos = start
                 self.error({"tau", "sigma"})
-            return ConvolutionTerm(coefficient, -power, *self.convolution())
+            return (ConvolutionTerm(coefficient, -power, *self.convolution()),)
         if self.accept("tau"):
             j = 0
             self.expect("(n)")
@@ -603,7 +552,9 @@ class _AnchorParser(_Parser):
             self.error({"tau", "sigma", "sum", "n", "("})
         if self.accept("/"):
             power -= self.n_power()
-        return ClosedTerm(coefficient, power, j, affine)
+        if parts is None:
+            return (ClosedTerm(coefficient, power, j),)
+        return tuple(ClosedTerm(coefficient * x, power + e, j) for e, x in parts if x)
 
     def n_power(self):
         self.expect("n")
@@ -619,27 +570,32 @@ class _AnchorParser(_Parser):
         return k
 
     def affine(self):
-        """(a*n + b) as (a, b)."""
+        """(a*n + b) as its parts ((1, a), (0, b)), n-power and factor."""
         start = self.pos
-        terms = self.poly_factor().terms
-        if not terms.keys() <= {(0, 1), (0, 0)}:
+        poly = {k: c for k, c in self.poly_factor().items() if c}
+        if not poly.keys() <= {(0, 1), (0, 0)}:
             self.pos = start
             self.error({"(a*n+b)"})
-        return terms.get((0, 1), 0), terms.get((0, 0), 0)
+        return (1, poly.get((0, 1), 0)), (0, poly.get((0, 0), 0))
 
     def convolution(self):
-        """(P, a, b) of sum[_{m=1}^{n-1}] [P*]sigma_a(m)*sigma_b(n-m)."""
+        """(P, a, b) of sum[_{m=1}^{n-1}] [P*]sigma_a(m)*sigma_b(n-m), the
+        weight P as its sorted nonzero monomials ((a', b'), c')."""
         self.accept("_{m=1}^{n-1}")
-        poly = PolyMN.const(1)
+        poly = {(0, 0): 1}
         if self.peek() != "s":
             poly = self.monomial()
             self.expect("*")
         left = self.sigma("(m)")
         self.expect("*")
-        return poly, left, self.sigma("(n-m)")
+        return tuple(sorted((k, c) for k, c in poly.items() if c)), left, self.sigma("(n-m)")
 
     def polynomial(self):
-        return sum(self.signed_sum(lambda sign: sign * self.monomial()), PolyMN({}))
+        out = {}
+        for sign, poly in self.signed_sum(lambda sign: (sign, self.monomial())):
+            for k, c in poly.items():
+                out[k] = out.get(k, 0) + sign * c
+        return out
 
     def monomial(self):
         """Factors joined by "*" or juxtaposition; a "*" that is not followed
@@ -652,32 +608,37 @@ class _AnchorParser(_Parser):
             if not (ch.isdecimal() or ch in ("m", "n", "(")):
                 self.pos = mark
                 return poly
-            poly = poly * self.poly_factor()
+            poly = _poly_mul(poly, self.poly_factor())
 
     def poly_factor(self):
+        """A factor [^k] of a weight, each "(" counted in the nesting depth."""
         ch = self.peek()
         if ch.isdecimal():
-            base = PolyMN.const(self.integer())
+            base = {(0, 0): self.integer()}
         elif ch in ("m", "n"):
             self.pos += 1
-            base = PolyMN({(1, 0) if ch == "m" else (0, 1): 1})
+            base = {(1, 0) if ch == "m" else (0, 1): 1}
         elif self.accept("("):
+            self.depth += 1
+            self.level(0)
             base = self.polynomial()
+            self.depth -= 1
             self.expect(")")
         else:
             self.error({"integer", "m", "n", "("})
-        poly = PolyMN.const(1)
+        poly = {(0, 0): 1}
         for _ in range(self.integer() if self.accept("^") else 1):
-            poly = poly * base
+            poly = _poly_mul(poly, base)
         return poly
 
 
 def parse_record(key, anchor, status=EXPECTED_TRUE):
     """The IdentityRecord (with `status`) or CongruenceRecord that `anchor`
     states.  Raises ParseError (offset, expected tokens) on malformed text,
-    and ValueError on a factorisation that is not the modulus or on a
-    congruence term that is not integral (a coefficient that is not an
-    integer, or a division by n)."""
+    parentheses included that nest past expr.MAX_DEPTH, and ValueError on a
+    modulus or gcd condition below 1, a factorisation that is not the
+    modulus, or a congruence term that is not integral (a coefficient that
+    is not an integer, or a division by n)."""
     return _AnchorParser(anchor).record(key, status)
 
 
@@ -1029,11 +990,11 @@ def fit_identity(record, ctx):
     def column(label, stated, unit):
         table[label] = (table.get(label, (0,))[0] + stated, unit)
 
-    monomials = [m for t in record.rhs.closed for m in t.monomials()]
     for shift in (0, 1):  # the stated shapes, then their n-shifted variants
-        for c, p, j in monomials:
-            unit = Side(closed=(ClosedTerm(Fraction(1), p + shift, j),))
-            column(_closed_shape_name(p + shift, j), 0 if shift else c, unit)
+        for t in record.rhs.closed:
+            p, j = t.n_power + shift, t.sigma
+            unit = Side(closed=(ClosedTerm(Fraction(1), p, j),))
+            column(_closed_shape_name(p, j), 0 if shift else t.coefficient, unit)
     for t in record.rhs.conv:
         term = ConvolutionTerm(Fraction(1), t.n_divisor, t.poly, t.left, t.right)
         column(term.describe(), t.coefficient, Side(conv=(term,)))

@@ -1,11 +1,11 @@
 """Naive references for the tests.
 
 Identity sides are evaluated per n by the direct reading of each term's
-definition: a closed term c * n^p * (a*n + b) * sigma_j(n), and a
-convolution term as the O(n) sum
-c / n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m), all in
-`Fraction` arithmetic.  That shares nothing with the library's cleared
-integer path except the raw sigma and tau tables of the context.
+definition: a closed term c * n^p * sigma_j(n), and a convolution term
+as the O(n) sum c / n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n - m),
+P(m, n) summed from its monomials at each m, all in `Fraction` arithmetic.
+That shares nothing with the library's cleared integer path except the raw
+sigma and tau tables of the context.
 
 Delta is expanded as its Euler product, one factor (1 - q^j) at a time,
 and raised to the 24th power by schoolbook products on plain lists; the
@@ -42,9 +42,6 @@ def closed_value(term, n, ctx):
         v *= n ** p
     elif p < 0:
         v = v / Fraction(n ** (-p))
-    if term.affine is not None:
-        a, b = term.affine
-        v *= a * n + b
     return Fraction(v)
 
 
@@ -53,7 +50,8 @@ def convolution_value(term, n, ctx):
     sb = ctx.source(term.right)
     acc = 0
     for m in range(1, n):
-        acc += term.poly(m, n) * sa[m] * sb[n - m]
+        weight = sum(c * m ** a * n ** b for (a, b), c in term.poly)
+        acc += weight * sa[m] * sb[n - m]
     v = term.coefficient * acc
     if term.n_divisor:
         v = v / Fraction(n ** term.n_divisor)

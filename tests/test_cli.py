@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -274,6 +275,28 @@ def test_congruences_command(capsys):
     code, out, _ = run(capsys, "congruences", "--max-n", "200")
     assert code == 0
     assert out.count("verified") == 15
+
+
+# SHA-256 of the whole stdout of each catalogue command, taken before
+# (a*n+b) prefixes were expanded when parsed and weights kept as monomial
+# tuples; each command exits 0 and writes nothing to stderr
+CATALOGUE_OUTPUT_DIGESTS = {
+    ("certify", "--identity", "all"):
+        "7e5d1f4b065581cef74759c37b1c95d4c0cd59f82cbe000c73812336342a3743",
+    ("audit", "--max-n", "60"):
+        "b0ffbaed6106af54213e1c4e7c65bf9bc04434f8374a9679de101df011bf4d30",
+    ("congruences", "--max-n", "200"):
+        "d07338701e74ccab6428ca2d89d51b19b7b13a10010f5ed52e59a5e357e781aa",
+    ("verify", "--identity", "all", "--max-n", "60", "--format", "json"):
+        "9c2f00a04ffb6d21e33ebc0b887dfad2e81c439ca8df9624a9013f938ee2a59c",
+}
+
+
+@pytest.mark.parametrize("argv", list(CATALOGUE_OUTPUT_DIGESTS), ids=" ".join)
+def test_catalogue_command_output_is_pinned(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOGUE_OUTPUT_DIGESTS[argv], out
 
 
 # `audit --max-n 60` from its findings header on, byte for byte
@@ -624,6 +647,23 @@ _CAPPED_VERIFY = (
 )
 
 
+def _capped(argv, cap_mb, timeout):
+    """The exit code, stdout and stderr of the CLI run on argv in a fresh
+    interpreter whose address space may grow cap_mb MB past the imported
+    catalogue."""
+    src = Path(tauforms.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_VERIFY.format(cap_mb=cap_mb), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
 def test_verify_all_runs_under_an_address_space_cap(capsys, monkeypatch):
     # At N = 10000 verify --identity all grows the address space by about
@@ -634,17 +674,18 @@ def test_verify_all_runs_under_an_address_space_cap(capsys, monkeypatch):
     argv = ["verify", "--identity", "all", "--max-n", "10000"]
     monkeypatch.setattr(tauforms.forms, "_STORE", {})  # keep no table at N after the test
     code, stdout, err = run(capsys, *argv)
-    src = Path(tauforms.__file__).resolve().parents[1]
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_VERIFY.format(cap_mb=20), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, err) == (0, stdout, "")
+    assert _capped(argv, 20, 120) == (code, stdout, err) == (0, stdout, "")
+
+
+@pytest.mark.ceiling
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_verify_all_at_the_size_ceiling_runs_under_an_address_space_cap():
+    # At the CLI ceiling N = 131072 the run grows the address space by
+    # about 170 MB past the imported catalogue and takes 10-16 s with
+    # libgmp (CPython 3.11, x86-64 Linux); 165 MB is refused.
+    code, out, err = _capped(["verify", "--identity", "all", "--max-n", "131072"], 200, 300)
+    assert (code, err) == (0, "")
+    assert out.count(": verified") == 43 and out.count(": audit-flagged") == 2
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

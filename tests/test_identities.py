@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -16,7 +17,6 @@ from tauforms import (
     ConvolutionTerm,
     IdentityRecord,
     InternalInconsistency,
-    PolyMN,
     Side,
     VerificationReport,
     audit_all,
@@ -30,7 +30,7 @@ from tauforms import (
     verify_range,
 )
 from tauforms import qseries
-from tauforms.expr import ParseError
+from tauforms.expr import MAX_DEPTH, ParseError
 from tauforms.identities import (
     CongruenceRecord,
     _certification,
@@ -39,6 +39,8 @@ from tauforms.identities import (
     parse_record,
 )
 
+
+_UNIT_WEIGHT = (((0, 0), 1),)  # the weight 1 of sum sigma_a(m)*sigma_b(n-m)
 
 # E14 = E4*E10 read coefficient-wise: a weight-14 row outside the catalogue
 _E14_ROW = (
@@ -58,14 +60,8 @@ def _canonical_dump(record):
     """A record's anchor and evaluated structure as one line of JSON."""
 
     def side(s):
-        closed = [
-            [str(t.coefficient), t.n_power, t.sigma, t.affine]
-            for t in s.closed
-        ]
-        conv = [
-            [str(t.coefficient), t.n_divisor, t.poly.monomials(), t.left, t.right]
-            for t in s.conv
-        ]
+        closed = [[str(t.coefficient), t.n_power, t.sigma] for t in s.closed]
+        conv = [[str(t.coefficient), t.n_divisor, t.poly, t.left, t.right] for t in s.conv]
         return [closed, conv]
 
     return json.dumps([
@@ -81,9 +77,11 @@ def _canonical_dump(record):
     ])
 
 
-# SHA-256 of the dump of every record as hand-built term literals produced
-# it, before the catalogue was parsed from its anchor text
-REGISTRY_DIGEST = "ea50eb2505e89446b565de03fa96cb3078088811cfcb09961d740933a0fb0781"
+# SHA-256 of the dump of every record, taken while an (a*n+b) prefix was
+# still a field of its closed term: each such term dumped as its two
+# expanded rows, each weight as its sorted monomials.  The hand-built term
+# literals that preceded parsing dumped to the same records.
+REGISTRY_DIGEST = "ec3608dce65f60e4962462f63c2f882622af2f06b01057ca76872d2cc4aca13f"
 
 
 def test_registry_structure_pinned(registry):
@@ -113,13 +111,40 @@ def test_malformed_anchor_is_rejected(anchor, offset):
         assert info.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "anchor, field",
+    [
+        ("tau(n) == tau(n) mod 0", "modulus 0"),
+        # gcd(n, 0) = n, so only n = 1 would be checked
+        ("tau(n) == sigma11(n) mod 691, gcd(n,0)=1", "gcd condition 0"),
+    ],
+)
+def test_congruence_modulus_and_condition_below_one_are_refused(anchor, field):
+    with pytest.raises(ValueError, match=f"^bad: .*{field}") as info:
+        parse_record("bad", anchor)
+    assert not isinstance(info.value, ParseError)
+
+
+@pytest.mark.parametrize("levels", [1, MAX_DEPTH, MAX_DEPTH + 1, 2000])
+def test_anchor_nesting_is_bounded(levels):
+    head = "tau(n) = sum "
+    anchor = head + "(" * levels + "m" + ")" * levels + "*sigma(m)*sigma(n-m)"
+    if levels <= MAX_DEPTH:
+        assert parse_record("deep", anchor).rhs.conv[0].poly == (((1, 0), 1),)
+    else:
+        # refused just past the parenthesis that opens level MAX_DEPTH + 1
+        with pytest.raises(ParseError) as info:
+            parse_record("deep", anchor)
+        assert info.value.offset == len(head) + MAX_DEPTH + 1
+
+
 def test_registry_key_contents(registry):
     thm = registry.by_id["thm2.1.i"]
     assert thm.rhs.conv[0].coefficient == -540
     cor = registry.by_id["cor2.10"]
     assert cor.rhs == Side()
     eq = registry.by_id["eq1.1"]
-    assert eq.rhs.conv[0].poly.monomials() == (((0, 2), 2), ((1, 1), -9), ((2, 0), 9))
+    assert eq.rhs.conv[0].poly == (((0, 2), 2), ((1, 1), -9), ((2, 0), 9))
 
 
 def test_registry_statuses(registry):
@@ -132,15 +157,22 @@ def test_registry_statuses(registry):
 
 def test_every_coefficient_appears_in_anchor(registry):
     for record in registry:
+        # a closed term from an (a*n+b)*sigma_j(n) prefix carries c*a or
+        # c*b, where c is printed in the anchor (or 1); every other term
+        # carries c itself
+        factors = {}
+        for prefix, name in re.findall(
+            r"\((\d*n[+-]\d+|\d+[+-]\d*n)\)\*(tau|sigma\d*)\(n\)", record.anchor
+        ):
+            j = 0 if name == "tau" else int(name[5:] or 1)
+            factors.setdefault(j, set()).update(map(int, re.findall(r"\d+", prefix)))
         for side in (record.lhs, record.rhs):
             for term in side.closed:
                 c = abs(term.coefficient)
-                if c != 1:
-                    assert str(c) in record.anchor, (record.id, c)
-                if term.affine is not None:
-                    for value in term.affine:
-                        if abs(value) != 1:
-                            assert str(abs(value)) in record.anchor, (record.id, value)
+                assert any(
+                    c / x == 1 or str(c / x) in record.anchor
+                    for x in {1, *factors.get(term.sigma, ())}
+                ), (record.id, c)
             for term in side.conv:
                 c = abs(term.coefficient)
                 if c != 1:
@@ -207,13 +239,12 @@ _rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36))
 _closed_terms = st.builds(
     ClosedTerm,
     _rationals,
-    st.integers(-2, 3),
+    st.integers(-2, 4),
     st.sampled_from((0,) + _SIGMAS),
-    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
 )
 _polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-5, 5), min_size=1, max_size=3
-).map(PolyMN)
+).map(lambda poly: tuple(sorted((k, c) for k, c in poly.items() if c)))
 _conv_terms = st.builds(
     ConvolutionTerm,
     _rationals,
@@ -274,6 +305,31 @@ def test_first_failure_matches_oracle(lhs, parts, extra, ctx120):
     assert report.status == ("verified" if expected is None else "failed")
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    c=_rationals.filter(bool),
+    p=st.integers(-2, 3),
+    j=st.sampled_from((0,) + _SIGMAS),
+    a=st.integers(-6, 6),
+    b=st.integers(-6, 6),
+)
+def test_an_affine_prefix_is_expanded_when_parsed(c, p, j, a, b, ctx120):
+    # c*n^p*(a*n+b)*sigma_j(n) is stated as c*a*n^(p+1)*sigma_j(n) then
+    # c*b*n^p*sigma_j(n), a part whose factor is 0 left out, and takes the
+    # value of the prefix multiplied out at each n
+    sign, npow = "-" if c < 0 else "", f"n^{p}" if p >= 0 else f"(1/n^{-p})"
+    affine = f"({a}*n {'-' if b < 0 else '+'} {abs(b)})"
+    name = f"sigma{j}(n)" if j else "tau(n)"
+    side = parse_record("affine", f"{sign}{abs(c)}*{npow}*{affine}*{name} = 0").lhs
+    assert side.closed == tuple(
+        ClosedTerm(c * x, p + e, j) for e, x in ((1, a), (0, b)) if x
+    )
+    values = ctx120.source(j)
+    assert side.bulk(ctx120, 40)[1:] == [
+        c * Fraction(n) ** p * (a * n + b) * values[n] for n in range(1, 41)
+    ]
+
+
 def test_flagged_first_failures_pinned(registry, ctx120):
     for limit in (120, 2):  # at 2 the failure is the last n checked
         report = verify_range(registry.by_id["thm2.7.i"], limit, ctx120)
@@ -293,7 +349,7 @@ def test_context_convolution_without_weight_is_a_squaring(monkeypatch):
     values = ctx.source((3, 0, 3, 0))
     [[(_, a, b)]] = calls
     assert a is b is ctx.source(3)
-    term = ConvolutionTerm(1, 0, PolyMN.const(1), 3, 3)
+    term = ConvolutionTerm(1, 0, _UNIT_WEIGHT, 3, 3)
     assert [convolution_value(term, n, ctx) for n in (1, 2, 65, 100)] == [
         values[n] for n in (1, 2, 65, 100)
     ]
@@ -323,7 +379,7 @@ def test_equal_sigma_sources_match_the_product(limit):
     for j in (1, 3, 5, 7):
         s = ctx.source(j)
         for alpha in range(5):
-            side = Side(conv=(ConvolutionTerm(Fraction(1), 0, PolyMN({(alpha, 0): 1}), j, j),))
+            side = Side(conv=(ConvolutionTerm(Fraction(1), 0, (((alpha, 0), 1),), j, j),))
             scale = side.denominator()
             assert scale == (2 if alpha else 1)
             u = [m ** alpha * v for m, v in enumerate(s)]
@@ -387,9 +443,8 @@ def test_an_unequal_product_fault_exits_3(monkeypatch, capsys):
 _powered_closed = st.builds(
     ClosedTerm,
     _rationals,
-    st.integers(-2, 4),
+    st.integers(-2, 5),
     st.sampled_from((0,) + _SIGMAS),
-    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
 )
 
 
@@ -608,14 +663,13 @@ def test_equal_statements_merge_to_equal_terms(registry):
 def test_certify_eisenstein_relation_as_record():
     # E8 = E4^2 written coefficient-wise: 480 sigma7(n) on the left,
     # 480 sigma3(n) + 57600 * conv on the right; weight-8 certificate
-    m, n = PolyMN.variables()
     record = IdentityRecord(
         "e8-is-e4-squared",
         "480*sigma7(n) = 480*sigma3(n) + 57600*sum sigma3(m)*sigma3(n-m)",
         Side(closed=(ClosedTerm(Fraction(480), 0, 7),)),
         Side(
             closed=(ClosedTerm(Fraction(480), 0, 3),),
-            conv=(ConvolutionTerm(Fraction(57600), 0, PolyMN.const(1), 3, 3),),
+            conv=(ConvolutionTerm(Fraction(57600), 0, _UNIT_WEIGHT, 3, 3),),
         ),
     )
     report = certify(record)
@@ -859,9 +913,8 @@ _integers = st.integers(-40, 40).map(Fraction)
 _integral_closed = st.builds(
     ClosedTerm,
     _integers,
-    st.integers(0, 3),
+    st.integers(0, 4),
     st.sampled_from((0, 1, 3, 5)),
-    st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
 )
 # odd coefficients, so that Waring's 1/2 survives in most equal-sigma terms
 _integral_conv = st.builds(
@@ -1058,14 +1111,13 @@ def test_substituting_convolution_moments_reproduces_cor211(registry):
         conv = {}
         for sign, side in ((1, record.lhs), (-1, record.rhs)):
             for t in side.closed:
-                for c, p, j in t.monomials():
-                    if j == 0:
-                        tau_c += sign * c
-                    else:
-                        key = (p, j)
-                        closed[key] = closed.get(key, Fraction(0)) + sign * c
+                if t.sigma == 0:
+                    tau_c += sign * t.coefficient
+                else:
+                    key = (t.n_power, t.sigma)
+                    closed[key] = closed.get(key, Fraction(0)) + sign * t.coefficient
             for t in side.conv:
-                for (a, b), c in t.poly.monomials():
+                for (a, b), c in t.poly:
                     key = (a, b - t.n_divisor, t.left, t.right)
                     conv[key] = conv.get(key, Fraction(0)) + sign * t.coefficient * c
         return (
@@ -1077,12 +1129,12 @@ def test_substituting_convolution_moments_reproduces_cor211(registry):
     def moments(record):
         """closed-term replacement for the lhs convolution of a 2.9 entry."""
         (conv_term,) = record.lhs.conv
-        ((alpha, beta),) = [mono for mono, _ in conv_term.poly.monomials()]
+        ((alpha, beta),) = [mono for mono, _ in conv_term.poly]
         assert beta == 0 and conv_term.coefficient == 1
         out = {}
         for t in record.rhs.closed:
-            for c, p, j in t.monomials():
-                out[(p, j)] = out.get((p, j), Fraction(0)) + c
+            key = (t.n_power, t.sigma)
+            out[key] = out.get(key, Fraction(0)) + t.coefficient
         return alpha, out
 
     tau25, closed25, conv25 = canonical(registry.by_id["thm2.5.i"])
@@ -1106,11 +1158,10 @@ def test_substituting_convolution_moments_reproduces_cor211(registry):
 
 def test_2_9_iv_true_form_verifies(ctx120):
     """The refitted variant of the flagged entry holds over the range."""
-    m, n = PolyMN.variables()
     fixed = IdentityRecord(
         "thm2.9.iv-refit",
         "sum m^2*sigma(m)*sigma3(n-m) = -1/240*n^2*sigma(n) - 1/120*n^3*sigma3(n) + 1/80*n^2*sigma5(n)",
-        Side(conv=(ConvolutionTerm(Fraction(1), 0, m * m, 1, 3),)),
+        Side(conv=(ConvolutionTerm(Fraction(1), 0, (((2, 0), 1),), 1, 3),)),
         Side(
             closed=(
                 ClosedTerm(Fraction(-1, 240), 2, 1),
@@ -1132,12 +1183,14 @@ def test_2_7_i_true_form_verifies(ctx120):
         Side(
             closed=(
                 ClosedTerm(Fraction(3455, 9504), 0, 1),
-                ClosedTerm(Fraction(-691, 864), 0, 9, (6, -5)),
+                ClosedTerm(Fraction(-691, 144), 1, 9),  # -691/864*(6n-5)*sigma9(n)
+                ClosedTerm(Fraction(3455, 864), 0, 9),
                 ClosedTerm(Fraction(2275, 1584), 0, 11),
             ),
-            conv=(ConvolutionTerm(Fraction(-3455, 36), 0, PolyMN.const(1), 1, 9),),
+            conv=(ConvolutionTerm(Fraction(-3455, 36), 0, _UNIT_WEIGHT, 1, 9),),
         ),
     )
+    assert parse_record(fixed.id, fixed.anchor) == fixed
     assert verify_range(fixed, 120, ctx120).status == "verified"
     assert certify(fixed).certified
 

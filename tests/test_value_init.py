@@ -24,7 +24,6 @@ from tauforms.identities import (
     FitResult,
     FittedCoefficient,
     IdentityRecord,
-    PolyMN,
     Registry,
     Side,
     VerificationReport,
@@ -58,8 +57,8 @@ SAMPLES = {
     Mul: ((_E4, _E6), ()),
     Bracket: ((_E4, _E6, 1), ()),
     Phi: ((1, Atom("E2"), 2, 1, _E4, 4, 0), ()),
-    ClosedTerm: ((Fraction(-691, 864), 0, 9), (None,)),
-    ConvolutionTerm: ((Fraction(1), 0, PolyMN.const(1), 1, 3), ()),
+    ClosedTerm: ((Fraction(-691, 864), 0, 9), ()),
+    ConvolutionTerm: ((Fraction(1), 0, (((0, 0), 1),), 1, 3), ()),
     Side: ((), ((), ())),
     IdentityRecord: (("eq", "tau = tau", Side(), Side()), (EXPECTED_TRUE,)),
     CongruenceRecord: (("cong", "tau == tau", Side(), Side(), 24, (8, 3)), (1,)),

@@ -46,7 +46,11 @@ def test_reprs_are_pinned(registry):
         "GradedForm(series=QSeries(N=3; 1, 240, 2160, 6720), weight=4, depth=0)"
     )
     assert repr(registry.by_id["thm2.7.i"].rhs.closed[1]) == (
-        "ClosedTerm(coefficient=Fraction(-691, 864), n_power=0, sigma=9, affine=(6, -5))"
+        "ClosedTerm(coefficient=Fraction(-691, 144), n_power=1, sigma=9)"
+    )
+    assert repr(registry.by_id["eq1.2"].rhs.conv[0]) == (
+        "ConvolutionTerm(coefficient=Fraction(-540, 1), n_divisor=0, "
+        "poly=(((1, 1), 1), ((2, 0), -1)), left=3, right=3)"
     )
     assert repr(verify_range(registry.by_id["thm2.7.i"], 40, make_context(40))) == (
         "VerificationReport(identity_id='thm2.7.i', status='failed', limit=40, "

@@ -167,14 +167,14 @@ class _Parser:
             raise ParseError(start, {f"an integer of at most {limit} digits"}, found)
         return int(self.text[start : self.pos])
 
-    def order(self):
-        """A bracket or Phi order: an integer of at most MAX_ORDER."""
+    def bounded(self, limit, name):
+        """An integer of at most limit, refused at its offset as name."""
         self.skip_ws()
         start = self.pos
-        order = self.integer()
-        if order > MAX_ORDER:
-            raise ParseError(start, {f"an order of at most {MAX_ORDER}"}, str(order))
-        return order
+        value = self.integer()
+        if value > limit:
+            raise ParseError(start, {f"{name} of at most {limit}"}, str(value))
+        return value
 
     def identifier(self):
         self.skip_ws()
@@ -232,7 +232,7 @@ class _Parser:
             right = self.inner()
             self.expect("]")
             self.expect("_")
-            order = self.order()
+            order = self.bounded(MAX_ORDER, "an order")
             self.level(self.height + 1)
             return Bracket(left, right, order)
         if ch.isalpha():
@@ -249,7 +249,7 @@ class _Parser:
                 return Deriv(times, node)
             if name == "Phi":
                 self.expect("(")
-                fields = [self.order()]
+                fields = [self.bounded(MAX_ORDER, "an order")]
                 for _side in ("left", "right"):
                     self.expect(";")
                     fields.append(self.inner())

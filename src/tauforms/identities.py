@@ -11,7 +11,7 @@ Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
     side   := "0" | ["-"] term (("+"|"-") term)*
     term   := [int ["/" (int | npow)] "*"] (prefix "*")*
               (("tau" | sigma) "(n)" ["/" npow] | "sum" convolution)
-    prefix := npow | "(1/" npow ")" | "(" poly ")"
+    prefix := "(1/" npow ")" | factor
     convolution := ["_{m=1}^{n-1}"] [mono "*"] sigma "(m)" "*" sigma "(n-m)"
     sigma  := "sigma" [int]                     (sigma alone is sigma_1)
     npow   := "n" ["^" int]
@@ -19,16 +19,18 @@ Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
     mono   := factor (["*"] factor)*
     factor := (int | "m" | "n" | "(" poly ")") ["^" int]
 
-The "(" poly ")" prefix is a factor a*n+b of a closed term, expanded when
-the anchor is parsed: c*n^p*(a*n+b)*sigma_j(n) is stated as the closed terms
-c*a*n^(p+1)*sigma_j(n) and c*b*n^p*sigma_j(n), in that order, a part whose
-factor is 0 left out.  A convolution takes no n^p or (a*n+b) prefix, and
-parentheses nest at most expr.MAX_DEPTH deep.  "mod M = f1*...*fk" states a
-factorisation that must multiply out to M; "n odd" means gcd(n,2)=1; M and
-the g of gcd(n,g)=1 are at least 1, or ValueError is raised.  A
-congruence is a statement about integers: each of its terms must have an
-integer coefficient and must not divide by n (a closed term's net power
-of n is at least 0, a convolution has no 1/n^d), or ValueError is raised.
+The factors of a closed term's prefix, which hold no m, multiply out when
+the anchor is parsed to one polynomial P in n, and c*P(n)*sigma_j(n) is
+stated as a closed term per nonzero monomial of P, highest power of n first;
+a convolution's prefix only divides by n^k.  Parentheses nest at most
+expr.MAX_DEPTH deep, and no exponent, product of factors, or division of a
+term by n^k may take a power of m or n past MAX_POWER.  "mod M = f1*...*fk"
+states a factorisation that must multiply out to M; "n odd" means
+gcd(n,2)=1; M and the g of gcd(n,g)=1 are at least 1, or ValueError is
+raised.  A congruence is a statement about integers: each of its terms
+must have an integer coefficient and must not divide by n (a closed term's
+net power of n is at least 0, a convolution has no 1/n^d), or ValueError
+is raised.
 
 Residuals are exact rationals, so "holds" means residual identically 0 - no
 tolerances anywhere.  A side expands (Side.terms) into coefficients times
@@ -55,7 +57,7 @@ from math import comb, gcd, lcm
 from operator import add, and_, mod, mul, xor
 
 from ._value import Value
-from .expr import _Parser, eval_expr, parse
+from .expr import ParseError, _Parser, eval_expr, parse
 from .forms import (
     GradedForm,
     InternalInconsistency,
@@ -106,6 +108,11 @@ __all__ = [
 EXPECTED_TRUE = "expected-true"
 AUDIT_FLAGGED = "audit-flagged"
 
+# The highest power of m or n an anchor may state or multiply out to.  The
+# catalogue needs 4, cusp-form rows of weight 16-26 about 12; certify of a
+# failing row at power 16 takes 16-38 ms on a 2-core x86-64 host, at 32 2-5 s.
+MAX_POWER = 16
+
 FIT_EXTRA_ROWS = 6  # equations fit_identity solves beyond one per unknown
 
 
@@ -115,8 +122,8 @@ class IdentityStructureError(Exception):
 
 
 def _poly_mul(p, q):
-    """The product of two weights in m and n, as {(a, b): c} dicts of the
-    monomials c * m^a * n^b."""
+    """The product of two polynomials in m and n (weights, closed-term
+    prefixes), as {(a, b): c} dicts of the monomials c * m^a * n^b."""
     out = {}
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
@@ -322,7 +329,7 @@ class Registry(Value):
 class VerificationReport(Value):
     """The outcome of a range check, a congruence check or certification.
 
-    status is verified, certified, failed or audit-flagged; first_failure,
+    status is verified, certified or failed; first_failure,
     when there is one, is (n, lhs value, rhs value)."""
 
     __slots__ = __match_args__ = (
@@ -516,33 +523,33 @@ class _AnchorParser(_Parser):
 
     def term(self, sign):
         """The terms one anchor term states: a convolution, or a closed term
-        per nonzero part a*n^(p+1), b*n^p of its (a*n+b) prefix, in that order."""
-        coefficient, power, parts = Fraction(sign), 0, None
+        per nonzero monomial of its prefix, highest power of n first."""
+        self.variables = ("n",)
+        numerator, denominator, power, prefix = sign, 1, 0, {(0, 0): 1}
         if self.peek().isdecimal():
-            coefficient *= self.integer()
+            numerator *= self.integer()
             if self.accept("/"):
                 if self.peek().isdecimal():
-                    coefficient /= self.integer()
+                    denominator = self.integer()
+                    if denominator == 0:
+                        self.error({"nonzero denominator"})
                 else:
-                    power -= self.n_power()
+                    power = self.divide(power)
             self.expect("*")
-        while self.peek() in ("(", "n"):
+        while (ch := self.peek()).isdecimal() or ch in ("(", "n"):
             if self.accept("(1/"):
-                power -= self.n_power()
+                power = self.divide(power)
                 self.expect(")")
-            elif self.peek() == "n":
-                power += self.n_power()
-            elif parts is None:
-                parts = self.affine()
             else:
-                self.error({"tau", "sigma", "n"})
+                prefix = self.times(prefix)
             self.expect("*")
+        parts = sorted(((b, c) for (_, b), c in prefix.items() if c), reverse=True)
         start = self.pos
         if self.accept("sum"):
-            if power > 0 or parts is not None:
+            if parts != [(0, 1)]:
                 self.pos = start
                 self.error({"tau", "sigma"})
-            return (ConvolutionTerm(coefficient, -power, *self.convolution()),)
+            return (ConvolutionTerm(Fraction(numerator, denominator), -power, *self.convolution()),)
         if self.accept("tau"):
             j = 0
             self.expect("(n)")
@@ -551,14 +558,33 @@ class _AnchorParser(_Parser):
         else:
             self.error({"tau", "sigma", "sum", "n", "("})
         if self.accept("/"):
-            power -= self.n_power()
-        if parts is None:
-            return (ClosedTerm(coefficient, power, j),)
-        return tuple(ClosedTerm(coefficient * x, power + e, j) for e, x in parts if x)
+            power = self.divide(power)
+        return tuple(
+            ClosedTerm(Fraction(numerator * c, denominator), power + b, j) for b, c in parts
+        )
 
-    def n_power(self):
+    def divide(self, power):
+        """power less the k of the n^k read next, refused at that n when the
+        term's divisions would pass n^MAX_POWER."""
+        self.skip_ws()
+        start = self.pos
         self.expect("n")
-        return self.integer() if self.accept("^") else 1
+        power -= self.integer() if self.accept("^") else 1
+        self.bound(start, -power)
+        return power
+
+    def bound(self, start, *powers):
+        """Refuse, at offset start, a power of m or n past MAX_POWER."""
+        if max(powers) > MAX_POWER:
+            raise ParseError(start, {f"a power of at most {MAX_POWER}"}, f"power {max(powers)}")
+
+    def times(self, poly):
+        """poly times the factor read next, refused at that factor, before
+        the product is formed, when its power of m or n would pass MAX_POWER."""
+        start = self.pos
+        factor = self.poly_factor()
+        self.bound(start, *map(add, map(max, zip(*poly)), map(max, zip(*factor))))
+        return _poly_mul(poly, factor)
 
     def sigma(self, argument):
         """The exponent k of sigma[k] followed by argument; sigma is sigma_1."""
@@ -569,19 +595,11 @@ class _AnchorParser(_Parser):
         self.expect(argument)
         return k
 
-    def affine(self):
-        """(a*n + b) as its parts ((1, a), (0, b)), n-power and factor."""
-        start = self.pos
-        poly = {k: c for k, c in self.poly_factor().items() if c}
-        if not poly.keys() <= {(0, 1), (0, 0)}:
-            self.pos = start
-            self.error({"(a*n+b)"})
-        return (1, poly.get((0, 1), 0)), (0, poly.get((0, 0), 0))
-
     def convolution(self):
         """(P, a, b) of sum[_{m=1}^{n-1}] [P*]sigma_a(m)*sigma_b(n-m), the
         weight P as its sorted nonzero monomials ((a', b'), c')."""
         self.accept("_{m=1}^{n-1}")
+        self.variables = ("m", "n")
         poly = {(0, 0): 1}
         if self.peek() != "s":
             poly = self.monomial()
@@ -608,14 +626,14 @@ class _AnchorParser(_Parser):
             if not (ch.isdecimal() or ch in ("m", "n", "(")):
                 self.pos = mark
                 return poly
-            poly = _poly_mul(poly, self.poly_factor())
+            poly = self.times(poly)
 
     def poly_factor(self):
-        """A factor [^k] of a weight, each "(" counted in the nesting depth."""
+        """A factor [^k] of a weight or prefix, each "(" counted in the nesting depth."""
         ch = self.peek()
         if ch.isdecimal():
             base = {(0, 0): self.integer()}
-        elif ch in ("m", "n"):
+        elif ch in self.variables:
             self.pos += 1
             base = {(1, 0) if ch == "m" else (0, 1): 1}
         elif self.accept("("):
@@ -625,9 +643,12 @@ class _AnchorParser(_Parser):
             self.depth -= 1
             self.expect(")")
         else:
-            self.error({"integer", "m", "n", "("})
+            self.error({"integer", *self.variables, "("})
+        if not self.accept("^"):
+            return base
         poly = {(0, 0): 1}
-        for _ in range(self.integer() if self.accept("^") else 1):
+        # k * (the highest power of m or n in base) must not pass MAX_POWER
+        for _ in range(self.bounded(MAX_POWER // max(1, *map(max, base)), "a power")):
             poly = _poly_mul(poly, base)
         return poly
 
@@ -635,10 +656,10 @@ class _AnchorParser(_Parser):
 def parse_record(key, anchor, status=EXPECTED_TRUE):
     """The IdentityRecord (with `status`) or CongruenceRecord that `anchor`
     states.  Raises ParseError (offset, expected tokens) on malformed text,
-    parentheses included that nest past expr.MAX_DEPTH, and ValueError on a
-    modulus or gcd condition below 1, a factorisation that is not the
-    modulus, or a congruence term that is not integral (a coefficient that
-    is not an integer, or a division by n)."""
+    parentheses included that nest past expr.MAX_DEPTH and powers of m or n
+    past MAX_POWER, and ValueError on a modulus or gcd condition below 1, a
+    factorisation that is not the modulus, or a congruence term that is not
+    integral (a coefficient that is not an integer, or a division by n)."""
     return _AnchorParser(anchor).record(key, status)
 
 

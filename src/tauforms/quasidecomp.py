@@ -266,7 +266,8 @@ def decompose(f, k=None, s=None):
     The linear system uses coefficients 0..G+4 (G = generator count); the
     solution is then checked against every coefficient up to the form's
     truncation, and coordinates on generators deeper than the declared
-    depth bound must vanish.
+    depth bound must vanish.  k defaults to the form's weight and s to its
+    depth bound; s outside 0..k//2 raises GradedForm's ValueError.
     """
     if k is None:
         k = f.weight
@@ -277,6 +278,7 @@ def decompose(f, k=None, s=None):
     if s is None:
         s = f.depth
     count = generator_count(k)
+    GradedForm(f.series, k, s)  # refuses a depth bound s outside 0..k//2
     rows_needed = count + GUARD_ROWS  # highest coefficient index used
     _require_truncation(k, f.truncation, rows_needed)
     gens = graded_generators(k, f.truncation)

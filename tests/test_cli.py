@@ -437,6 +437,9 @@ _USAGE_ERRORS = [
     (("decompose", "--expr", "E4", "--weight", "-2"), "minimum"),
     # D^k is refused by its size before any power is taken
     (("decompose", "--expr", "D^300000000(E4)", "--weight", "12"), "above the maximum 33554432"),
+    # a depth bound past weight/2 has no generators to recompose from
+    (("decompose", "--expr", "E4*E4", "--weight", "8", "--depth", "9"),
+     "depth bound 9 exceeds weight/2 = 4"),
 ]
 
 

@@ -32,6 +32,7 @@ from tauforms import (
 from tauforms import qseries
 from tauforms.expr import MAX_DEPTH, ParseError
 from tauforms.identities import (
+    MAX_POWER,
     CongruenceRecord,
     _certification,
     certification_limit,
@@ -96,6 +97,7 @@ def test_registry_structure_pinned(registry):
         ("tau(n) = 60*sum (2n-3m*(n-3m)*sigma3(m)*sigma3(n-m)", 29),  # unbalanced (
         ("tau(n) n^2*sigma7(n)", 7),  # no =
         ("tau(n) = 60*sum m*sigma3(m)", 27),  # no *sigma_b(n-m)
+        ("tau(n) = 1/0*sigma(n)", 12),  # a zero denominator, refused after it
         # well-formed, but 8*3*5 is not the modulus
         ("12*tau(n) == 5*n*sigma3(n) + 7*n*sigma5(n) mod 840 = 8*3*5", None),
     ],
@@ -138,6 +140,46 @@ def test_anchor_nesting_is_bounded(levels):
         assert info.value.offset == len(head) + MAX_DEPTH + 1
 
 
+_P = MAX_POWER
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        # "|" marks the offset of the refusal.  Unbounded, m^1000000 would
+        # take 0.44 s to multiply out and verify_range of n^100000 would
+        # crash the interpreter
+        "tau(n) = sum m^|1000000*sigma(m)*sigma(n-m)",
+        "n^|100000*sigma(n) = sigma(n)",
+        "sigma(n)/|n^100000 = sigma(n)",
+        f"tau(n) = (1/n^{_P - 8})*sigma(n)/|n^9",
+        f"tau(n) = n^{_P - 7}*|n^8*sigma(n)",
+        f"tau(n) = (n^4)^|{_P // 4 + 1}*sigma(n)",
+        f"tau(n) = sum (m+n)^{_P - 7}*|(m-n)^8*sigma(m)*sigma(n-m)",
+        f"tau(n) = sum (m^2*n)^{_P // 2}*|m*sigma(m)*sigma(n-m)",
+        "tau(n) = 2*(|m+1)*sigma(n)",  # a closed term's prefix is in n alone
+    ],
+)
+def test_anchor_powers_are_bounded(anchor):
+    with pytest.raises(ParseError) as info:
+        parse_record("power", anchor.replace("|", ""))
+    assert info.value.offset == anchor.index("|")
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        f"n^{_P}*sigma(n) + (1/n^{_P})*sigma3(n) = (n^2)^{_P // 2}*sigma(n) + sigma3(n)/n^{_P}",
+        f"sum m^{_P}*sigma(m)*sigma3(n-m) = sum (n-m)^{_P}*sigma3(m)*sigma(n-m)",
+        f"sum m^{_P}*sigma(m)*sigma(n-m) = sum (n-m)^{_P}*sigma(m)*sigma(n-m)",
+        f"sum (m*n)^{_P}*sigma(m)*sigma3(n-m) = sum m^{_P}*n^{_P}*sigma(m)*sigma3(n-m)",
+        f"1/n^{_P}*sum m*sigma(m)*sigma(n-m) = 1/2*(1/n^{_P - 1})*sum sigma(m)*sigma(n-m)",
+    ],
+)
+def test_the_largest_admitted_powers_parse_and_verify(anchor, ctx120):
+    assert verify_range(parse_record("largest", anchor), 120, ctx120).status == "verified"
+
+
 def test_registry_key_contents(registry):
     thm = registry.by_id["thm2.1.i"]
     assert thm.rhs.conv[0].coefficient == -540
@@ -155,17 +197,31 @@ def test_registry_statuses(registry):
     )
 
 
+def _expanded_coefficients(prefix):
+    """The nonzero coefficients, unsigned, of the product of the (a*n+b)
+    factors in prefix (its n^p factors shift them and change none)."""
+    poly = [1]  # by power of n
+    for factor in re.findall(r"\(([^()]*)\)", prefix):
+        a = b = 0
+        for c, n in re.findall(r"([+-]?\d*)(n?)", factor):
+            if c or n:
+                k = int(c + "1" if c in ("", "+", "-") else c)
+                a, b = (a + k, b) if n else (a, b + k)
+        poly = [b * x + a * y for x, y in zip(poly + [0], [0] + poly)]
+    return {abs(x) for x in poly if x}
+
+
 def test_every_coefficient_appears_in_anchor(registry):
     for record in registry:
-        # a closed term from an (a*n+b)*sigma_j(n) prefix carries c*a or
-        # c*b, where c is printed in the anchor (or 1); every other term
-        # carries c itself
+        # a closed term of sigma_j(n) in a record with a prefix P(n)*sigma_j(n)
+        # may carry c times a coefficient of P expanded, where c is printed
+        # in the anchor (or 1); every other term carries c itself
         factors = {}
         for prefix, name in re.findall(
-            r"\((\d*n[+-]\d+|\d+[+-]\d*n)\)\*(tau|sigma\d*)\(n\)", record.anchor
+            r"((?:(?:\([\dn+-]*\)|n(?:\^\d+)?)\*)+)(tau|sigma\d*)\(n\)", record.anchor
         ):
             j = 0 if name == "tau" else int(name[5:] or 1)
-            factors.setdefault(j, set()).update(map(int, re.findall(r"\d+", prefix)))
+            factors.setdefault(j, set()).update(_expanded_coefficients(prefix))
         for side in (record.lhs, record.rhs):
             for term in side.closed:
                 c = abs(term.coefficient)
@@ -305,29 +361,73 @@ def test_first_failure_matches_oracle(lhs, parts, extra, ctx120):
     assert report.status == ("verified" if expected is None else "failed")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    c=_rationals.filter(bool),
-    p=st.integers(-2, 3),
-    j=st.sampled_from((0,) + _SIGMAS),
-    a=st.integers(-6, 6),
-    b=st.integers(-6, 6),
-)
-def test_an_affine_prefix_is_expanded_when_parsed(c, p, j, a, b, ctx120):
-    # c*n^p*(a*n+b)*sigma_j(n) is stated as c*a*n^(p+1)*sigma_j(n) then
-    # c*b*n^p*sigma_j(n), a part whose factor is 0 left out, and takes the
-    # value of the prefix multiplied out at each n
-    sign, npow = "-" if c < 0 else "", f"n^{p}" if p >= 0 else f"(1/n^{-p})"
-    affine = f"({a}*n {'-' if b < 0 else '+'} {abs(b)})"
-    name = f"sigma{j}(n)" if j else "tau(n)"
-    side = parse_record("affine", f"{sign}{abs(c)}*{npow}*{affine}*{name} = 0").lhs
-    assert side.closed == tuple(
-        ClosedTerm(c * x, p + e, j) for e, x in ((1, a), (0, b)) if x
-    )
+def _prefix_factor(kind, k, a, b):
+    """(text, value at n) of one prefix factor: an integer, n^k, (a*n+b)^k or (1/n^k)."""
+    affine = f"({a}n{b:+d})"
+    return {
+        "int": (str(k), lambda n: k),
+        "npow": ("n" if k == 1 else f"n^{k}", lambda n: n**k),
+        "affine": (affine if k == 1 else f"{affine}^{k}", lambda n: (a * n + b) ** k),
+        "divide": (f"(1/n^{k})", lambda n: Fraction(1, n**k)),
+    }[kind]
+
+
+@st.composite
+def _prefixed_terms(draw):
+    """A closed anchor term c*F1*...*Fr*sigma_j(n)[/n^k], with c = [-]int[/int
+    or /n^k], and its value at n as c*P(n)*sigma_j(n)/n^d.  At most 3 factors,
+    each of n-degree at most 3, and at most 5 divisions of at most n^3 each
+    keep every power within MAX_POWER."""
+    number = draw(st.integers(1, 60))
+    sign = draw(st.sampled_from((1, -1)))
+    text, scale, divided = ("-" if sign < 0 else "") + str(number), Fraction(sign * number), 0
+    lead = draw(st.sampled_from(("", "int", "npow")))
+    if lead == "int":
+        den = draw(st.integers(1, 36))
+        text, scale = f"{text}/{den}", scale / den
+    elif lead == "npow":
+        divided = draw(st.integers(1, 3))
+        text += "/n" if divided == 1 else f"/n^{divided}"
+    factors = draw(st.lists(st.builds(
+        _prefix_factor,
+        st.sampled_from(("int", "npow", "affine", "divide")),
+        st.integers(0, 3),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    ), max_size=3))
+    j = draw(st.sampled_from((0,) + _SIGMAS))
+    text = "*".join([text] + [t for t, _ in factors] + [f"sigma{j}(n)" if j else "tau(n)"])
+    trail = draw(st.integers(0, 3))
+    if trail:
+        text += "/n" if trail == 1 else f"/n^{trail}"
+
+    def value(n):
+        v = scale / n ** (divided + trail)
+        for _, f in factors:
+            v *= f(n)
+        return v
+
+    return text, j, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(term=_prefixed_terms())
+def test_an_affine_prefix_is_expanded_when_parsed(term, ctx120):
+    # every factor of a closed term's prefix multiplies out to one polynomial
+    # in n, stated as one closed term per nonzero monomial, highest power of
+    # n first; e.g. 7*n^4*(12n-5) is 84*n^5 then -35*n^4, and a prefix 0
+    # leaves no term
+    pinned = parse_record("cor2.11", "tau(n) = 7*n^4*(12n-5)*sigma(n) + 2*(n-n)*tau(n)")
+    assert pinned.rhs.closed == (ClosedTerm(84, 5, 1), ClosedTerm(-35, 4, 1))
+    text, j, value = term
+    side = parse_record("prefix", f"{text} = 0").lhs
+    powers = [t.n_power for t in side.closed]
+    assert powers == sorted(set(powers), reverse=True)
+    assert all(t.coefficient and t.sigma == j for t in side.closed)
     values = ctx120.source(j)
-    assert side.bulk(ctx120, 40)[1:] == [
-        c * Fraction(n) ** p * (a * n + b) * values[n] for n in range(1, 41)
-    ]
+    expected = [value(n) * values[n] for n in range(1, 31)]
+    assert [side_value(side, n, ctx120) for n in range(1, 31)] == expected
+    assert side.bulk(ctx120, 30)[1:] == expected
 
 
 def test_flagged_first_failures_pinned(registry, ctx120):

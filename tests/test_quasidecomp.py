@@ -181,6 +181,18 @@ def test_decompose_rejects_non_members():
         decompose(fake)
 
 
+def test_decompose_refuses_a_depth_bound_outside_the_weight():
+    # a record at depth 9 in weight 8 could not be recomposed, and depth -1
+    # is no verdict on the form but a wrong argument
+    f = eisenstein(4, 20) * eisenstein(4, 20)
+    with pytest.raises(ValueError, match=r"^depth bound 9 exceeds weight/2 = 4$"):
+        decompose(f, 8, 9)
+    with pytest.raises(ValueError, match="^depth bound must be non-negative$"):
+        decompose(f, 8, -1)
+    for s in (0, 4):
+        assert recompose(decompose(f, 8, s), 20).series == f.series
+
+
 def test_decompose_depth_bound_assertion():
     e2 = eisenstein(2, 32)
     d3 = e2.derive(3)  # depth 4 in weight 8

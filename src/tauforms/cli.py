@@ -1,12 +1,12 @@
 """Command-line interface: verification, certification, audit, tables.
 
 Exit codes: 0 success; 1 verification or certification failure that is not
-pre-declared audit-flagged; 2 usage or expression parse error (an --out
-file that cannot be written and a result too long to print count as usage
-errors, and a table too long to print writes no file); 3 internal
-inconsistency (a remainder in the Eisenstein route's division by 762048, a
-catalogue squaring of the wrong parity or product of the wrong sum, a
-form-level audit row that does not check out, or another failed invariant).
+pre-declared audit-flagged; 2 usage or expression parse error (an --out file
+that cannot be written and a result too long to print count as usage errors,
+and a table too long to print writes no file); 3 internal inconsistency (a
+remainder in the Eisenstein route's division by 762048, a catalogue squaring of
+the wrong parity or product of the wrong sum, a form-level audit row that does
+not check out, or another failed invariant) or a MemoryError (one error line).
 """
 
 import argparse
@@ -341,6 +341,9 @@ def main(argv=None):
         return args.func(args)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_INTERNAL
     except SystemExit as exc:
         if isinstance(exc.code, str):

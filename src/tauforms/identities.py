@@ -4,7 +4,10 @@ Each entry is its anchor, the statement as printed, parsed into closed terms
 c * n^p * sigma_j(n) (sigma exponent 0 standing for tau itself) and
 convolution terms c/n^d * sum_{m=1}^{n-1} P(m, n) sigma_a(m) sigma_b(n-m),
 the weight P kept as its monomial tuple.
-Anchor grammar (space between tokens is ignored; juxtaposition multiplies):
+Anchor grammar (juxtaposition multiplies).  A token is an integer, a keyword
+(tau, sigma, sum, mod, gcd, odd), one letter, "==" or one other character; a
+quoted string below stands for its tokens, and space between any two tokens
+is ignored, inside (1/n), _{m=1}^{n-1}, (n-m) and gcd(n,g)=1 too:
 
     record := side "=" side | side "==" side "mod" int ["=" int ("*" int)*]
               ["," ("gcd(n," int ")=1" | "n" "odd")]
@@ -57,7 +60,7 @@ from math import comb, gcd, lcm
 from operator import add, and_, mod, mul, xor
 
 from ._value import Value
-from .expr import ParseError, _Parser, eval_expr, parse
+from .expr import _Parser, _token_pattern, eval_expr, parse
 from .forms import (
     GradedForm,
     InternalInconsistency,
@@ -475,6 +478,9 @@ def in_turn(records, ctx):
 class _AnchorParser(_Parser):
     """Recursive descent over the anchor grammar of the module docstring."""
 
+    # a word is a keyword or one letter, so that sigma3, 2n and 13mn split
+    TOKEN = _token_pattern(r"tau|sigma|sum|mod|gcd|odd|[^\W\d_]")
+
     def record(self, key, status):
         lhs = self.side()
         if not self.accept("=="):
@@ -497,9 +503,9 @@ class _AnchorParser(_Parser):
                 self.expect("odd")
                 g = 2
             else:
-                self.expect("gcd(n,")
+                self.expect("gcd", "(", "n", ",")
                 g = self.integer()
-                self.expect(")=1")
+                self.expect(")", "=", "1")
         if self.peek():
             self.error({"end of input"})
         return CongruenceRecord(key, self.text, lhs, rhs, modulus, factors, g)
@@ -529,32 +535,28 @@ class _AnchorParser(_Parser):
         if self.peek().isdecimal():
             numerator *= self.integer()
             if self.accept("/"):
-                if self.peek().isdecimal():
-                    denominator = self.integer()
-                    if denominator == 0:
-                        self.error({"nonzero denominator"})
-                else:
+                if not self.peek().isdecimal():
                     power = self.divide(power)
+                elif (denominator := self.integer()) == 0:
+                    self.error({"nonzero denominator"})
             self.expect("*")
-        while (ch := self.peek()).isdecimal() or ch in ("(", "n"):
-            if self.accept("(1/"):
+        while (token := self.peek()).isdecimal() or token in ("(", "n"):
+            if self.accept("(", "1", "/"):
                 power = self.divide(power)
                 self.expect(")")
             else:
                 prefix = self.times(prefix)
             self.expect("*")
         parts = sorted(((b, c) for (_, b), c in prefix.items() if c), reverse=True)
-        start = self.pos
+        if parts != [(0, 1)] and self.peek() == "sum":
+            self.error({"tau", "sigma"})
         if self.accept("sum"):
-            if parts != [(0, 1)]:
-                self.pos = start
-                self.error({"tau", "sigma"})
             return (ConvolutionTerm(Fraction(numerator, denominator), -power, *self.convolution()),)
         if self.accept("tau"):
             j = 0
-            self.expect("(n)")
-        elif self.peek() == "s":
-            j = self.sigma("(n)")
+            self.expect("(", "n", ")")
+        elif self.peek().startswith("s"):
+            j = self.sigma("(", "n", ")")
         else:
             self.error({"tau", "sigma", "sum", "n", "("})
         if self.accept("/"):
@@ -566,47 +568,47 @@ class _AnchorParser(_Parser):
     def divide(self, power):
         """power less the k of the n^k read next, refused at that n when the
         term's divisions would pass n^MAX_POWER."""
-        self.skip_ws()
-        start = self.pos
+        start = self.i
         self.expect("n")
         power -= self.integer() if self.accept("^") else 1
         self.bound(start, -power)
         return power
 
     def bound(self, start, *powers):
-        """Refuse, at offset start, a power of m or n past MAX_POWER."""
+        """Refuse, at token start, a power of m or n past MAX_POWER."""
         if max(powers) > MAX_POWER:
-            raise ParseError(start, {f"a power of at most {MAX_POWER}"}, f"power {max(powers)}")
+            self.error({f"a power of at most {MAX_POWER}"}, f"power {max(powers)}", start)
 
     def times(self, poly):
         """poly times the factor read next, refused at that factor, before
         the product is formed, when its power of m or n would pass MAX_POWER."""
-        start = self.pos
+        start = self.i
         factor = self.poly_factor()
         self.bound(start, *map(add, map(max, zip(*poly)), map(max, zip(*factor))))
         return _poly_mul(poly, factor)
 
-    def sigma(self, argument):
-        """The exponent k of sigma[k] followed by argument; sigma is sigma_1."""
+    def sigma(self, *argument):
+        """The exponent k of sigma[k] followed by the argument's tokens; sigma is sigma_1."""
         self.expect("sigma")
         k = self.integer() if self.peek().isdecimal() else 1
         if k == 0:
             self.error({"positive sigma exponent"})
-        self.expect(argument)
+        self.expect(*argument)
         return k
 
     def convolution(self):
         """(P, a, b) of sum[_{m=1}^{n-1}] [P*]sigma_a(m)*sigma_b(n-m), the
         weight P as its sorted nonzero monomials ((a', b'), c')."""
-        self.accept("_{m=1}^{n-1}")
+        self.accept("_", "{", "m", "=", "1", "}", "^", "{", "n", "-", "1", "}")
         self.variables = ("m", "n")
         poly = {(0, 0): 1}
-        if self.peek() != "s":
+        if not self.peek().startswith("s"):
             poly = self.monomial()
             self.expect("*")
-        left = self.sigma("(m)")
+        left = self.sigma("(", "m", ")")
         self.expect("*")
-        return tuple(sorted((k, c) for k, c in poly.items() if c)), left, self.sigma("(n-m)")
+        poly = tuple(sorted((k, c) for k, c in poly.items() if c))
+        return poly, left, self.sigma("(", "n", "-", "m", ")")
 
     def polynomial(self):
         out = {}
@@ -619,23 +621,19 @@ class _AnchorParser(_Parser):
         """Factors joined by "*" or juxtaposition; a "*" that is not followed
         by a factor (the sigma factors of a convolution) is left unread."""
         poly = self.poly_factor()
-        while True:
-            mark = self.pos
+        while (t := self.tokens[self.i + (self.peek() == "*")]).isdecimal() or t in ("m", "n", "("):
             self.accept("*")
-            ch = self.peek()
-            if not (ch.isdecimal() or ch in ("m", "n", "(")):
-                self.pos = mark
-                return poly
             poly = self.times(poly)
+        return poly
 
     def poly_factor(self):
         """A factor [^k] of a weight or prefix, each "(" counted in the nesting depth."""
-        ch = self.peek()
-        if ch.isdecimal():
+        token = self.peek()
+        if token.isdecimal():
             base = {(0, 0): self.integer()}
-        elif ch in self.variables:
-            self.pos += 1
-            base = {(1, 0) if ch == "m" else (0, 1): 1}
+        elif token in self.variables:
+            self.accept(token)
+            base = {(1, 0) if token == "m" else (0, 1): 1}
         elif self.accept("("):
             self.depth += 1
             self.level(0)

@@ -817,6 +817,17 @@ def test_strategy_disagreement_exit_code(capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch):
+    # exit 1 would report the host's memory as a verification failure
+    import tauforms.cli as cli
+
+    def exhausted(n, strategy="product"):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "tau", exhausted)
+    assert run(capsys, "tau", "--n", "2") == (3, "", "error: out of memory running tau\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauforms import (
     EvalError,
@@ -27,6 +30,9 @@ def test_parse_shapes():
 def test_parse_whitespace_insensitive():
     assert parse(" E4 * E6 ") == parse("E4*E6")
     assert parse("D ( E2 )") == Deriv(1, Atom("E2"))
+    # linear in a run of trailing space: a token pattern that also read the space
+    # before each token took 12 s for 20000
+    assert parse("E4" + " " * 100000) == Atom("E4")
 
 
 def test_parse_leading_minus():
@@ -145,20 +151,33 @@ def test_non_decimal_digits_are_parse_errors(digit):
     assert "integer" in info.value.expected
 
 
+SAMPLES = [
+    "E8 - E4*E4",
+    "2 D^2(E8) - 9 D(E4)*D(E4)",
+    "[E4, E6]_2",
+    "[E4, [E6, E8]_1]_0",
+    "Phi(4; E2, 2, 1; E2, 2, 1)",
+    "1/2 E4 * (E6 - 3 Delta)",
+    "-E10 + 7/3 D(Delta)",
+    "0",
+]
+
+
 def test_print_parse_roundtrip():
-    samples = [
-        "E8 - E4*E4",
-        "2 D^2(E8) - 9 D(E4)*D(E4)",
-        "[E4, E6]_2",
-        "[E4, [E6, E8]_1]_0",
-        "Phi(4; E2, 2, 1; E2, 2, 1)",
-        "1/2 E4 * (E6 - 3 Delta)",
-        "-E10 + 7/3 D(Delta)",
-        "0",
-    ]
-    for text in samples:
+    for text in SAMPLES:
         ast = parse(text)
         assert parse(print_expr(ast)) == ast
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_runs_of_space_between_tokens_change_no_tree(data):
+    text = data.draw(st.sampled_from(SAMPLES))
+    # a word is kept whole (E4, D, Phi); space may go anywhere else
+    tokens = re.findall(r"\d+|[A-Za-z]\w*|\S", text) + [""]
+    spaces = st.text(" \t\n", max_size=3)  # a run of spaces, tabs and newlines, or none
+    gaps = data.draw(st.lists(spaces, min_size=len(tokens), max_size=len(tokens)))
+    assert parse("".join(map(str.__add__, gaps, tokens))) == parse(text)
 
 
 def test_eval_golden_relations():

@@ -20,6 +20,7 @@ from tauforms import (
     Side,
     VerificationReport,
     audit_all,
+    builtin_registry,
     certify,
     check_congruence,
     evaluate,
@@ -111,6 +112,50 @@ def test_malformed_anchor_is_rejected(anchor, offset):
         with pytest.raises(ParseError) as info:
             parse_record("bad", anchor)
         assert info.value.offset == offset
+
+
+def _reparsed(record, anchor):
+    """record as parsed from anchor, with record's own anchor text."""
+    return parse_record(record.id, anchor, getattr(record, "status", EXPECTED_TRUE))._replace(
+        anchor=record.anchor
+    )
+
+
+@pytest.mark.parametrize(
+    "spaced, unspaced",
+    [
+        ("tau(n) = 2*(1 / n)*sigma(n)", "tau(n) = 2*(1/n)*sigma(n)"),
+        ("tau(n) = sum_{m = 1}^{n - 1} sigma(m)*sigma(n-m)",
+         "tau(n) = sum_{m=1}^{n-1} sigma(m)*sigma(n-m)"),
+        ("tau(n) = sum sigma(m) * sigma(n - m)", "tau(n) = sum sigma(m)*sigma(n-m)"),
+        ("tau (n) = sigma( n )", "tau(n) = sigma(n)"),
+        ("tau(n) == sigma11(n) mod 691, gcd( n, 7 ) = 1",
+         "tau(n) == sigma11(n) mod 691, gcd(n,7)=1"),
+    ],
+)
+def test_space_inside_a_multi_character_token_sequence_is_ignored(spaced, unspaced):
+    assert _reparsed(parse_record("row", unspaced), spaced) == parse_record("row", unspaced)
+
+
+# the tokens of an anchor, words whole: "sigma3" is "sigma", "3" and "2n" is "2", "n"
+_ANCHOR_TOKENS = re.compile(r"\d+|[a-z]+|==|\S")
+_SPACES = st.text(" \t\n", max_size=3)  # a run of spaces, tabs and newlines, or none
+
+
+def test_every_catalogue_anchor_parses_alike_with_a_space_between_all_its_tokens():
+    for record in builtin_registry():
+        spaced = " ".join(_ANCHOR_TOKENS.findall(record.anchor))
+        assert _reparsed(record, spaced) == record, spaced
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_runs_of_space_between_anchor_tokens_change_no_record(data):
+    record = data.draw(st.sampled_from(tuple(builtin_registry())))
+    tokens = _ANCHOR_TOKENS.findall(record.anchor) + [""]
+    gaps = data.draw(st.lists(_SPACES, min_size=len(tokens), max_size=len(tokens)))
+    spaced = "".join(map(str.__add__, gaps, tokens))
+    assert _reparsed(record, spaced) == record
 
 
 @pytest.mark.parametrize(

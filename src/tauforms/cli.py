@@ -196,12 +196,10 @@ def cmd_certify(args):
 
 
 def cmd_congruences(args):
-    from .identities import builtin_registry, check_congruence, in_turn, make_context
-    registry = builtin_registry()
-    ctx = make_context(args.max_n)
+    from .identities import builtin_registry, check_congruences
+    records = builtin_registry().congruences
     failures = 0
-    for record in in_turn(registry.congruences, ctx):
-        report = check_congruence(record, args.max_n, ctx)
+    for record, report in zip(records, check_congruences(records, args.max_n)):
         line = f"{record.id}: {report.status} (mod {record.modulus}"
         if record.gcd_condition != 1:
             line += f", gcd(n,{record.gcd_condition})=1"

@@ -147,13 +147,14 @@ class _Parser:
 
     def error(self, expected, found=None, index=None):
         """Raise ParseError at the start of token `index`; by default at the
-        next token once it has been looked at, else just past the token read
-        last.  Offsets are found only here: finding them up front doubles the
-        tokenizing (0.44 to 0.96 ms for the 60 catalogue anchors, 2-core host)."""
+        next token once it has been looked at, else at the token read last,
+        which an error raised right after reading it is about.  Offsets are
+        found only here: finding them up front doubles the tokenizing (0.44
+        to 0.96 ms for the 60 catalogue anchors, 2-core host)."""
+        if index is None:
+            index = self.i if self.looked else self.i - 1
         starts = [m.start() for m in self.TOKEN.finditer(self.text)] + [len(self.text)]
-        at = starts[self.i if index is None else index]
-        if index is None and not self.looked:
-            at = len(self.text[:at].rstrip())
+        at = starts[index]
         raise ParseError(at, expected, found or self.text[at : at + 1] or "end of input")
 
     def peek(self):

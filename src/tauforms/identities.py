@@ -42,8 +42,9 @@ a convolution with equal sigmas is rewritten through squarings by Waring's
 formula.  Sides are evaluated as integers after clearing denominators
 (L * n^d * side(n), L the lcm of the expanded coefficients' denominators),
 and a range check streams L * n^d * (lhs(n) - rhs(n)), so pointwise checks
-are integer comparisons; a congruence check reduces the same stream, at
-d = 0, mod L times its modulus.
+are integer comparisons; a congruence check packs the values of the same
+terms, at d = 0, mod L times its modulus into one integer per term and
+decides each row by one division (see check_congruences).
 
 Three checks are available per identity: pointwise residuals over a range
 of n; certification, which checks that the same integer vectors agree
@@ -53,11 +54,14 @@ for entries that fail, an exact refit of the constants that reports the
 stated value next to the empirically determined one.
 """
 
+import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, and_, mod, mul, xor
+from operator import add, and_, eq, mod, mul, xor
 
 from ._value import Value
 from .expr import _Parser, _token_pattern, eval_expr, parse
@@ -104,6 +108,7 @@ __all__ = [
     "verify_range",
     "certify",
     "check_congruence",
+    "check_congruences",
     "fit_identity",
     "audit_all",
 ]
@@ -248,7 +253,7 @@ class Side(Value):
 
     def cleared(self, ctx, limit, scale, power):
         """[scale * n^power * side(n) for n = 0..limit], all exact integers."""
-        return list(_horner(ctx, limit, self.terms(power), scale))
+        return list(_horner(ctx, limit, _merged(self.terms(power), scale)))
 
     def value(self, n, ctx):
         """side(n) as an exact Fraction, for n >= 1."""
@@ -417,18 +422,9 @@ def make_context(limit):
     return EvalContext(limit)
 
 
-def _horner(ctx, limit, terms, scale):
-    """sum of scale * c * n^e * source[n] over (source, e, c) in terms, for
-    n = 0..limit, as a lazy stream of exact integers.
-
-    Terms on one (source, e) are merged.  By Horner's rule in n: from the
-    highest power of n down, the stream so far is multiplied by n and each
-    term k * source with that power is added, all as chained C-level maps,
-    so no n^e is formed and no vector is built.  The sources are fetched
-    from ctx when the stream is made.
-    """
-    if limit > ctx.limit:
-        raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
+def _merged(terms, scale):
+    """The terms (source, e, c) times scale as {e: {source: k}}, the
+    coefficients on one (source, e) summed to the integer k."""
     by_power = {}
     for source, e, c in terms:
         if e < 0:
@@ -438,6 +434,20 @@ def _horner(ctx, limit, terms, scale):
             raise IdentityStructureError(f"scale {scale} does not clear coefficient {c}")
         merged = by_power.setdefault(e, {})
         merged[source] = merged.get(source, 0) + k.numerator
+    return by_power
+
+
+def _horner(ctx, limit, by_power):
+    """sum of k * n^e * source[n] over the integer terms {e: {source: k}}
+    (see _merged), for n = 0..limit, as a lazy stream of exact integers.
+
+    By Horner's rule in n: from the highest power of n down, the stream so
+    far is multiplied by n and each term k * source with that power is
+    added, all as chained C-level maps, so no n^e is formed and no vector
+    is built.  The sources are fetched from ctx when the stream is made.
+    """
+    if limit > ctx.limit:
+        raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
     ns = range(limit + 1)
     out = None
     for e in range(max(by_power, default=0), -1, -1):
@@ -826,30 +836,25 @@ def evaluate(record, n, ctx):
 
 
 def verify_range(record, limit, ctx=None):
-    """Residuals for 1 <= n <= limit; reports success or the first failure."""
-    return _walk(record, limit, ctx, compress)
-
-
-def _walk(record, limit, ctx, failing):
-    """The report of record for 1 <= n <= limit, in ctx (a new context to
-    limit when None): failed at the first n of failing(ns, diff), with
-    diff the stream of L * n^d * (lhs(n) - rhs(n)) (see _difference) for
-    ns = 1..limit, or verified when there is none."""
+    """Residuals for 1 <= n <= limit, in ctx (a new context to limit when
+    None): failed at the first n where L * n^d * (lhs(n) - rhs(n)) (see
+    _difference) is not 0, or verified when there is none."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if ctx is None:
         ctx = make_context(limit)
     # every source is 0 at n = 0, so the sides can only differ from n = 1 on
     diff = islice(_difference(record, ctx, limit), 1, None)
-    n = next(failing(range(1, limit + 1), diff), None)
+    n = next(compress(count(1), diff), None)
     if n is None:
         return VerificationReport(record.id, status="verified", limit=limit)
-    return VerificationReport(
-        record.id,
-        status="failed",
-        limit=limit,
-        first_failure=(n, record.lhs.value(n, ctx), record.rhs.value(n, ctx)),
-    )
+    return _failed(record, limit, ctx, n)
+
+
+def _failed(record, limit, ctx, n):
+    """The report of record failing first at n."""
+    first = (n, record.lhs.value(n, ctx), record.rhs.value(n, ctx))
+    return VerificationReport(record.id, status="failed", limit=limit, first_failure=first)
 
 
 def _clearing(record):
@@ -862,9 +867,15 @@ def _difference(record, ctx, limit):
     """L * n^d * (lhs(n) - rhs(n)) for n = 0..limit (L, d from _clearing) as
     one lazy stream over the terms of both sides, so that neither side's
     vector is built."""
+    return _horner(ctx, limit, _difference_terms(record))
+
+
+def _difference_terms(record):
+    """The integer terms {e: {source: k}} of L * n^d * (lhs(n) - rhs(n)),
+    both sides merged (see _merged)."""
     scale, power = _clearing(record)
     rhs = ((source, e, -c) for source, e, c in record.rhs.terms(power))
-    return _horner(ctx, limit, chain(record.lhs.terms(power), rhs), scale)
+    return _merged(chain(record.lhs.terms(power), rhs), scale)
 
 
 def certification_weight(record):
@@ -946,23 +957,125 @@ def _failure_detail(record, ctx, truncation, weight, d):
     return f"nonzero coordinates {offending}"
 
 
+_SLOT_BITS = 64  # check_congruences packs its slots as whole 64-bit words
+
+
 def check_congruence(record, limit, ctx=None):
-    """lhs == rhs mod modulus for every n <= limit with gcd(n, g) = 1.
+    """lhs == rhs mod modulus for every n <= limit with gcd(n, g) = 1, in
+    ctx (a new context to limit when None): the one-record case of
+    check_congruences, whose docstring gives the method and why it is exact."""
+    return check_congruences((record,), limit, ctx)[0]
 
-    The sides are integers (see CongruenceRecord) and the clearing power
-    is 0, so the difference stream is L * (lhs(n) - rhs(n)), L being 2
-    where Waring's 1/2 enters an equal-sigma convolution and 1 otherwise;
-    it is 0 mod L * modulus exactly where the sides agree mod modulus.
+
+def check_congruences(records, limit, ctx=None):
+    """The report of each record of the sequence records, in order: lhs ==
+    rhs mod modulus for every n <= limit with gcd(n, g) = 1, in ctx (a new
+    context to limit when None), each record decided by one divisibility
+    test on packed integers.
+
+    The sides are integers (see CongruenceRecord) and the clearing power is
+    0, so L * (lhs - rhs) is sum k * n^e * source(n) over the record's
+    integer terms, L being 2 where Waring's 1/2 enters an equal-sigma
+    convolution and 1 otherwise; the sides agree mod the modulus M exactly
+    where it is 0 mod S = L * M.  With R the lcm of the batch's S, each
+    (source, e) is packed once, as the integer P whose w-bit slot n holds
+    n^e * source(n) mod R for n = 0..limit, and dropped after the last
+    record that reads it; the next record taken is the one that needs the
+    fewest vectors not packed yet, which keeps few of them alive.  A
+    record's D is sum (k mod S) * P, ANDed, when g > 1, with a mask that
+    clears every slot n with gcd(n, g) > 1 (slot 0 is 0 either way, as every
+    source is 0 at n = 0).  So every slot d_n of D is congruent to
+    L * (lhs(n) - rhs(n)) mod S, and w, the least multiple of 64 bits that
+    bounds every record's slots so, keeps each d_n below 2^(w - k), S < 2^k.
+
+    With q, r = divmod(D, S), the record holds exactly when r = 0 and no
+    slot of q has a bit at or above w - k: if S divides every d_n, q's
+    slots are the d_n / S; if r = 0 and every slot q_n is below 2^(w - k),
+    S * q_n < 2^w, so S * q is D's unique base-2^w expansion and S divides
+    every d_n.  A record that fails has its slots of D read back once, to
+    find its first failing n.
     """
-    g, modulus = record.gcd_condition, record.modulus
-    scaled = _clearing(record)[0] * modulus
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    if ctx is None:
+        ctx = make_context(limit)
+    if limit > ctx.limit:
+        raise ValueError(f"limit {limit} beyond context limit {ctx.limit}")
+    rows = []
+    for record in records:
+        s = _clearing(record)[0] * record.modulus
+        terms = {}
+        for e, merged in _difference_terms(record).items():
+            for source, k in merged.items():
+                if k := k % s:
+                    terms[source, e] = k
+        rows.append((record, s, terms))
+    big = lcm(1, *(s for _, s, _ in rows))
+    top = ((sum(terms.values()) * (big - 1)).bit_length() + s.bit_length() for _, s, terms in rows)
+    words = -(-max(top, default=1) // _SLOT_BITS)
+    width = _SLOT_BITS * words
+    ones = ((1 << width * (limit + 1)) - 1) // ((1 << width) - 1)
+    readers = Counter(key for _, _, terms in rows for key in terms)
+    ns = range(limit + 1)
+    packed, reports, todo = {}, [None] * len(rows), set(range(len(rows)))
+    while todo:
+        # next the record that needs the fewest vectors not packed yet
+        r = min(todo, key=lambda r: (sum(key not in packed for key in rows[r][2]), r))
+        todo.remove(r)
+        record, s, terms = rows[r]
+        d = 0
+        for key, k in terms.items():
+            if key not in packed:
+                source, e = key
+                values = islice(ctx.source(source), limit + 1)
+                if e:
+                    values = map(mul, values, map(pow, ns, repeat(e)))
+                packed[key] = _pack(map(mod, values, repeat(big)), words)
+            readers[key] -= 1
+            d += k * (packed[key] if readers[key] else packed.pop(key))
+        if record.gcd_condition != 1:
+            d &= _coprime_mask(record.gcd_condition, limit, words)
+        q, rem = divmod(d, s)
+        del d  # a failing record rebuilds D from q and rem: D is not held beside q
+        if not rem and not q & ones * ((1 << width) - (1 << width - s.bit_length())):
+            reports[r] = VerificationReport(record.id, status="verified", limit=limit)
+            continue
+        slots = _unpack(q * s + rem, words, limit)
+        n = next(n for n, slot in enumerate(slots) if slot % s)
+        reports[r] = _failed(record, limit, ctx, n)._replace(detail=f"mod {record.modulus}")
+    return reports
 
-    def failing(ns, diff):
-        off = compress(ns, map(mod, diff, repeat(scaled)))
-        return (n for n in off if gcd(n, g) == 1)
 
-    report = _walk(record, limit, ctx, failing)
-    return report if report.status == "verified" else report._replace(detail=f"mod {modulus}")
+def _pack(values, words):
+    """The int whose slot n, of `words` 64-bit words, holds the n-th of
+    values, each non-negative and below 2^(64 * words): 8-byte slots through
+    an array of unsigned 64-bit words, which is faster than joining each
+    value's bytes, and wider ones through those bytes."""
+    if words == 1:
+        slots = array("Q", values)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+    slots = map(int.to_bytes, values, repeat(8 * words), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _coprime_mask(g, limit, words):
+    """The _pack integer whose slots 0..limit, and maybe some past them,
+    are all ones at each n with gcd(n, g) = 1 and 0 elsewhere: the first
+    period of g slots, its bytes repeated."""
+    period = min(g, limit + 1)
+    full = repeat((1 << _SLOT_BITS * words) - 1)
+    one = _pack(map(mul, map(eq, map(gcd, range(period), repeat(g)), repeat(1)), full), words)
+    data = one.to_bytes(8 * words * period, "little")
+    return int.from_bytes(data * -(-(limit + 1) // period), "little")
+
+
+def _unpack(packed, words, limit):
+    """The slots 0..limit of a _pack integer, as ints."""
+    size = 8 * words
+    data = packed.to_bytes(size * (limit + 1), "little")
+    return (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
 
 
 # --------------------------------------------------------------------------
@@ -1172,12 +1285,11 @@ def audit_all(limit=500):
         entries.append(
             AuditEntry(record.id, record.anchor, record.status, status, rr, cr, fit)
         )
-    congruences = []
-    for record in in_turn(registry.congruences, ctx):
-        rr = check_congruence(record, limit, ctx)
-        congruences.append(
-            AuditEntry(record.id, record.anchor, EXPECTED_TRUE, rr.status, rr)
-        )
+    reports = check_congruences(registry.congruences, limit, ctx)
+    congruences = [
+        AuditEntry(record.id, record.anchor, EXPECTED_TRUE, rr.status, rr)
+        for record, rr in zip(registry.congruences, reports)
+    ]
     findings = [_normalization_finding()]
     for key, claimed, computed, detail, wrong, right in _FORM_ROWS:
         for statements, holds in ((wrong, False), (right, True)):

@@ -691,6 +691,29 @@ def test_verify_all_at_the_size_ceiling_runs_under_an_address_space_cap():
     assert out.count(": verified") == 43 and out.count(": audit-flagged") == 2
 
 
+@pytest.mark.ceiling
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_congruences_at_the_size_ceiling_run_under_an_address_space_cap():
+    # At N = 131072 congruences grows the address space by 56-60 MB past
+    # the imported catalogue (CPython 3.11, x86-64 Linux): the context's
+    # tables and, at most, the packed vectors of seven (source, n-power)
+    # pairs; 56 MB is refused.
+    code, out, err = _capped(["congruences", "--max-n", "131072"], 70, 300)
+    assert (code, err) == (0, "")
+    assert out.count(": verified") == 15
+
+
+@pytest.mark.ceiling
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_running_out_of_address_space_in_a_large_product_exits_3():
+    # verify at N = 131072 needs about 170 MB past the imported catalogue.
+    # Under 100 MB libgmp, asked for more than the cap left, used to abort
+    # the interpreter (SIGABRT, exit -6); a product it has no room for is
+    # now CPython's, which raises MemoryError (20-25 s here).
+    code, _, err = _capped(["verify", "--identity", "all", "--max-n", "131072"], 100, 300)
+    assert (code, err) == (3, "error: out of memory running verify\n")
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_peak_rss_script_runs_the_cli_commands(tmp_path):
     # scripts/peak_rss.py names its commands by their CLI options; each must

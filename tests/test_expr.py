@@ -67,6 +67,12 @@ def test_parse_error_offsets():
         parse("E4 E6)")
     assert info.value.offset == 5
 
+    # an error raised right after a token is read points at that token,
+    # not at the space that follows it
+    with pytest.raises(ParseError) as info:
+        parse("1/0 * E4")
+    assert (info.value.offset, info.value.found) == (2, "0")
+
 
 # expressions k levels deep, by shape: each parenthesis, D, bracket and Phi
 # nests a level, and each D, bracket, Phi and operator is a level of the tree
@@ -125,17 +131,17 @@ def test_the_deepest_admitted_expressions_evaluate():
 
 
 def test_depth_is_refused_where_it_is_reached():
-    # the offset of the level past MAX_DEPTH: an opening on the way down, or
-    # the end of the operand that lifts a chain past it
+    # the offset of the level past MAX_DEPTH: the opening that reaches it on
+    # the way down, or the end of the operand that lifts a chain past it
     with pytest.raises(ParseError) as info:
         parse("(" * 101 + "E4" + ")" * 101)
-    assert info.value.offset == 101
+    assert info.value.offset == 100
     with pytest.raises(ParseError) as info:
         parse("E4" + "-E4" * 101)
     assert info.value.offset == 2 + 3 * 101
     with pytest.raises(ParseError) as info:
         parse("[E4, " + "(" * 100 + "E6" + ")" * 100 + "]_1")
-    assert info.value.offset == 5 + 100
+    assert info.value.offset == 5 + 99
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u2460"])  # superscript two, circled one

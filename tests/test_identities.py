@@ -23,6 +23,7 @@ from tauforms import (
     builtin_registry,
     certify,
     check_congruence,
+    check_congruences,
     evaluate,
     fit_identity,
     generator_count,
@@ -98,7 +99,8 @@ def test_registry_structure_pinned(registry):
         ("tau(n) = 60*sum (2n-3m*(n-3m)*sigma3(m)*sigma3(n-m)", 29),  # unbalanced (
         ("tau(n) n^2*sigma7(n)", 7),  # no =
         ("tau(n) = 60*sum m*sigma3(m)", 27),  # no *sigma_b(n-m)
-        ("tau(n) = 1/0*sigma(n)", 12),  # a zero denominator, refused after it
+        ("tau(n) = 1/0*sigma(n)", 11),  # a zero denominator, refused at it
+        ("tau(n) = sigma0 (n)", 14),  # sigma0, refused at the 0, not the space after it
         # well-formed, but 8*3*5 is not the modulus
         ("12*tau(n) == 5*n*sigma3(n) + 7*n*sigma5(n) mod 840 = 8*3*5", None),
     ],
@@ -179,10 +181,10 @@ def test_anchor_nesting_is_bounded(levels):
     if levels <= MAX_DEPTH:
         assert parse_record("deep", anchor).rhs.conv[0].poly == (((1, 0), 1),)
     else:
-        # refused just past the parenthesis that opens level MAX_DEPTH + 1
+        # refused at the parenthesis that opens level MAX_DEPTH + 1
         with pytest.raises(ParseError) as info:
             parse_record("deep", anchor)
-        assert info.value.offset == len(head) + MAX_DEPTH + 1
+        assert info.value.offset == len(head) + MAX_DEPTH
 
 
 _P = MAX_POWER
@@ -1106,6 +1108,76 @@ def test_one_integer_pass_matches_the_oracle(record, ctx120):
     expected = congruence_failure(record, 60, ctx120)
     assert report.first_failure == expected
     assert report.status == ("verified" if expected is None else "failed")
+
+
+_drawn_closed = st.builds(
+    ClosedTerm,
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.integers(0, 3),
+    st.sampled_from((0,) + _SIGMAS),
+)
+_drawn_conv = st.builds(
+    lambda c, poly, sigmas: ConvolutionTerm(Fraction(c), 0, poly, *sigmas),
+    st.integers(-10**6, 10**6),
+    _polys,
+    st.sampled_from(((1, 1), (3, 3), (1, 3), (5, 7))),
+)
+
+
+@st.composite
+def _drawn_congruences(draw):
+    """A congruence row over tau and sigma_1..sigma_11 with n-powers 0..3,
+    a modulus from 1 to 10^6, a gcd condition and at most one convolution:
+    its right side restates the left's terms, each coefficient moved by a
+    multiple of the modulus, plus at most one closed term that may break it."""
+    modulus = draw(st.integers(1, 10**6))
+    closed = tuple(draw(st.lists(_drawn_closed, max_size=3)))
+    conv = tuple(draw(st.lists(_drawn_conv, max_size=1)))
+
+    def moved(terms):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=len(terms), max_size=len(terms)))
+        return tuple(t._replace(coefficient=t.coefficient + modulus * k) for t, k in zip(terms, ks))
+
+    extra = tuple(draw(st.lists(_drawn_closed, max_size=1)))
+    g = draw(st.integers(1, 200))  # past the limit too, where no n > 1 has gcd(n, g) = 1
+    lhs, rhs = Side(closed, conv), Side(moved(closed) + extra, moved(conv))
+    return CongruenceRecord("drawn", "", lhs, rhs, modulus, (modulus,), g)
+
+
+# Rows whose modulus alone makes a batch's slots wider than 8 bytes (over
+# 128 bits): tau == sigma11 mod 691, restated times P = _FACTOR, holds; tau ==
+# sigma11 mod 691 * P fails at n = 2.
+_FACTOR = 999983 * 1000003
+_WIDE_ROWS = (
+    parse_record("wide-holds", f"{_FACTOR}*tau(n) == {_FACTOR}*sigma11(n) mod {691 * _FACTOR}"),
+    parse_record("wide-fails", f"tau(n) == sigma11(n) mod {691 * _FACTOR}"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_drawn_congruences(), min_size=1, max_size=4), wide=st.booleans())
+def test_drawn_congruences_match_the_oracle_alone_and_in_one_batch(records, wide, ctx120):
+    records = [*records, *(_WIDE_ROWS if wide else ())]
+    alone = [check_congruence(record, 60, ctx120) for record in records]
+    for record, report in zip(records, alone):
+        expected = congruence_failure(record, 60, ctx120)
+        assert report.first_failure == expected
+        assert report.status == ("verified" if expected is None else "failed")
+    assert check_congruences(records, 60, ctx120) == alone
+
+
+def test_a_batch_past_8_byte_slots_matches_each_record_alone(registry, ctx120, monkeypatch):
+    from tauforms import identities
+
+    words, real = [], identities._pack
+    monkeypatch.setattr(identities, "_pack", lambda values, n: words.append(n) or real(values, n))
+    records = registry.congruences + _WIDE_ROWS
+    batch = check_congruences(records, 120, ctx120)
+    assert min(words) == 3
+    assert batch == [check_congruence(record, 120, ctx120) for record in records]
+    assert [r.status for r in batch] == ["verified"] * 16 + ["failed"]
+    assert batch[-1].first_failure == congruence_failure(_WIDE_ROWS[1], 120, ctx120)
+    assert batch[-1].first_failure[0] == 2
 
 
 _non_integers = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 36)).filter(

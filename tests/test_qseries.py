@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -634,6 +635,36 @@ def test_multiply_fills_every_word_of_its_buffer(with_gmp, extra):
     y = (1 << 64 * (words + 3)) - 1
     for a, b in ((x, y), (-x, y), (y, -x), (x, x), (-y, -y)):
         assert _multiply(a, b) == a * b
+
+
+_CAPPED_PRODUCT = (
+    "import resource, sys\n"
+    "from tauforms.qseries import _gmp, _multiply\n"
+    "assert _gmp() is not None\n"
+    "x = (1 << 64 * 2 ** 21) - 1\n"
+    "with open('/proc/self/statm') as fh:\n"
+    "    used = int(fh.read().split()[0]) * resource.getpagesize()\n"
+    "cap = used + (24 << 20)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "try:\n"
+    "    _multiply(x, x)\n"
+    "except MemoryError:\n"
+    "    print('MemoryError')\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+def test_a_product_libgmp_has_no_room_for_raises_memory_error(with_gmp):
+    # squaring 2^21 words (16 MB) takes 32 MB for the product alone, past a
+    # cap 24 MB above the address space in use: libgmp would abort the
+    # interpreter (SIGABRT); CPython's product raises MemoryError
+    import subprocess
+
+    src = str(Path(qseries.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", _CAPPED_PRODUCT]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "MemoryError\n", "")
 
 
 @pytest.fixture

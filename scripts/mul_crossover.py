@@ -43,7 +43,7 @@ from contextlib import contextmanager
 
 from tauforms import qseries
 from tauforms.forms import sigma_table
-from tauforms.qseries import _convolve_sum, _multiply, _packed_sum
+from tauforms.qseries import _convolve_sum, _multiply, _pack, _packed_sum
 
 SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
          12288, 16384)
@@ -123,11 +123,7 @@ def measure_gmp(k, size):
     a = list(sigma_table(k, size - 1).values)
     bound = size * max(a) ** 2
     width = (bound.bit_length() + 7) // 8
-
-    def pack():  # as _packed_sum packs a non-negative vector
-        return int.from_bytes(b"".join(v.to_bytes(width, "big") for v in reversed(a)), "big")
-
-    x, y = pack(), pack()
+    x, y = _pack(a, width), _pack(a, width)  # as _packed_sum packs a non-negative vector
     runs = 50 if size <= 256 else 7 if size <= 2048 else 3
     with kernel_set("_GMP_MIN_BITS", 0):
         if _multiply(x, y) != x * y:

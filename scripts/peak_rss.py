@@ -5,7 +5,9 @@ importing tauforms and building the catalogue (the set-up every CLI call
 pays), with its standard output sent to /dev/null.  The interpreter then
 reads its own peak resident set size, VmHWM in /proc/self/status (Linux
 only; unlike ru_maxrss it starts again at exec, so the parent does not
-show), and reports it with the seconds that main() took.
+show), and reports it with the seconds that main() took and with how far
+the address space grew past the set-up: VmPeak less the VmSize read after
+the catalogue was built, the quantity the size-ceiling tests cap.
 
 Without --max-n every command runs at the size of the benchmark's
 workloads (verify --format json at 2000, congruences at 10000, audit at
@@ -38,18 +40,23 @@ STRATEGIES = ("product", "eisenstein", "vdp", "niebur")
 CHILD = r"""
 import json, os, sys, time
 import tauforms, tauforms.cli
+
+def status_kb(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
 if sys.argv[2] == "without-gmp":
     tauforms.qseries._gmp = lambda: None
 tauforms.builtin_registry()
+size = status_kb("VmSize")
 argv = json.loads(sys.argv[1])
 stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
 start = time.perf_counter()
 code = tauforms.cli.main(argv)
 seconds = time.perf_counter() - start
 sys.stdout = stdout
-with open("/proc/self/status") as fh:
-    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"exit": code, "seconds": seconds, "vmhwm_kb": kb}))
+kb, growth = status_kb("VmHWM"), status_kb("VmPeak") - size
+print(json.dumps({"exit": code, "seconds": seconds, "vmhwm_kb": kb, "vm_growth_kb": growth}))
 """
 
 
@@ -71,7 +78,8 @@ def commands(max_n, out, fmt="csv"):
 
 
 def measure(argv, src, without_gmp=False):
-    """One fresh interpreter running argv: {"exit", "seconds", "vmhwm_kb"}."""
+    """One fresh interpreter running argv: {"exit", "seconds", "vmhwm_kb",
+    "vm_growth_kb"}."""
     env = dict(os.environ, PYTHONPATH=str(src))
     kernel = "without-gmp" if without_gmp else "as-found"
     proc = subprocess.run(
@@ -112,9 +120,11 @@ def main(argv=None):
                 run = measure(cmd, args.src, args.without_gmp)
                 entry = result["commands"].setdefault(
                     name, {"argv": cmd[:-2] if cmd[-2] == "--out" else cmd,
-                           "exit": run["exit"], "vmhwm_mb": [], "seconds": []}
+                           "exit": run["exit"], "vmhwm_mb": [], "vm_growth_mb": [],
+                           "seconds": []}
                 )
                 entry["vmhwm_mb"].append(round(run["vmhwm_kb"] / 1024, 2))
+                entry["vm_growth_mb"].append(round(run["vm_growth_kb"] / 1024, 2))
                 entry["seconds"].append(round(run["seconds"], 3))
     json.dump(result, sys.stdout, indent=2)
     print()

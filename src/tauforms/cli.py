@@ -160,7 +160,7 @@ def cmd_verify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(args.max_n)
-    reports = [verify_range(r, args.max_n, ctx) for r in in_turn(records, ctx)]
+    reports = in_turn(records, ctx, lambda r: verify_range(r, args.max_n, ctx))
     results = [_result_entry(r, rep) for r, rep in zip(records, reports)]
     if args.format == "json":
         for entry in results:
@@ -183,7 +183,7 @@ def cmd_certify(args):
     registry = builtin_registry()
     records = _select_identities(registry, args.identity)
     ctx = make_context(max(certification_limit(r) for r in records))
-    reports = [certify(r, ctx) for r in in_turn(records, ctx)]
+    reports = in_turn(records, ctx, lambda r: certify(r, ctx))
     failures = 0
     for record, report in zip(records, reports):
         status = _shown_status(record, report)

@@ -54,14 +54,11 @@ for entries that fail, an exact refit of the constants that reports the
 stated value next to the empirically determined one.
 """
 
-import sys
-from array import array
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, and_, eq, mod, mul, xor
+from operator import add, and_, mod, mul, xor
 
 from ._value import Value
 from .expr import _Parser, _token_pattern, eval_expr, parse
@@ -73,7 +70,7 @@ from .forms import (
     sigma_table,
     tau_range,
 )
-from .qseries import _coefficient_int, _convolve_int, _derived, _series
+from .qseries import _coefficient_int, _convolve_int, _derived, _pack, _series, _unpack
 from .quasidecomp import (
     GUARD_ROWS,
     LinearSolveError,
@@ -461,24 +458,36 @@ def _horner(ctx, limit, by_power):
     return repeat(0, limit + 1) if out is None else out
 
 
-def in_turn(records, ctx):
-    """Each record in order; once the caller is done with one, every
-    convolution that no later record reads is dropped from ctx, so a
-    command over the catalogue holds only what is still to be read.
+def _in_order(needs):
+    """(i, done) for each index i of the sequence needs, each entry the
+    collection of keys item i reads, in the order to run them: next the
+    item whose keys include the fewest not read by an earlier item (the
+    lowest index among equals), so that few keys are held at once, with
+    done the keys of item i that no later item reads."""
+    todo, read = dict(enumerate(map(set, needs))), set()
+    while todo:
+        i = min(todo, key=lambda i: (len(todo[i] - read), i))
+        keys = todo.pop(i)
+        read |= keys
+        yield i, keys.difference(*todo.values())
+
+
+def in_turn(records, ctx, check):
+    """[check(r) for r in records], in record order.  The records run in
+    the order _in_order gives over the convolutions each reads, and after
+    each, every convolution that no later record reads is dropped from ctx,
+    so a command over the catalogue holds only what is still to be read.
     records must be a sequence.
     """
-    last = {}
-    for r, record in enumerate(records):
-        for side in (record.lhs, record.rhs):
-            for source, _, _ in side.terms(0):
-                if isinstance(source, tuple):
-                    last[source] = r
-    done = [[] for _ in records]
-    for key, r in last.items():
-        done[r].append(key)
-    for record, keys in zip(records, done):
-        yield record
-        ctx.release(keys)
+    needs = [
+        [s for side in (r.lhs, r.rhs) for s, _, _ in side.terms(0) if isinstance(s, tuple)]
+        for r in records
+    ]
+    out = [None] * len(records)
+    for i, done in _in_order(needs):
+        out[i] = check(records[i])
+        ctx.release(done)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -881,9 +890,11 @@ def _difference_terms(record):
 def certification_weight(record):
     """Weight of the graded space certifying the identity, after clearing
     every 1/n and 1/n^2 prefactor by differentiation.  It is graded over
-    the unmerged terms, so terms that cancel (all of cor2.10's) still count."""
+    the unmerged terms, so terms that cancel (all of cor2.10's) still count,
+    and is at least 2, the least graded weight, which a record without
+    terms takes."""
     d = _clearing(record)[1]
-    w = 0
+    w = 2
     for side in (record.lhs, record.rhs):
         for source, e, _ in side.terms(d):
             if isinstance(source, tuple):  # D^a(E_{left+1}) * D^b(E_{right+1})
@@ -957,9 +968,6 @@ def _failure_detail(record, ctx, truncation, weight, d):
     return f"nonzero coordinates {offending}"
 
 
-_SLOT_BITS = 64  # check_congruences packs its slots as whole 64-bit words
-
-
 def check_congruence(record, limit, ctx=None):
     """lhs == rhs mod modulus for every n <= limit with gcd(n, g) = 1, in
     ctx (a new context to limit when None): the one-record case of
@@ -978,22 +986,22 @@ def check_congruences(records, limit, ctx=None):
     integer terms, L being 2 where Waring's 1/2 enters an equal-sigma
     convolution and 1 otherwise; the sides agree mod the modulus M exactly
     where it is 0 mod S = L * M.  With R the lcm of the batch's S, each
-    (source, e) is packed once, as the integer P whose w-bit slot n holds
-    n^e * source(n) mod R for n = 0..limit, and dropped after the last
-    record that reads it; the next record taken is the one that needs the
-    fewest vectors not packed yet, which keeps few of them alive.  A
-    record's D is sum (k mod S) * P, ANDed, when g > 1, with a mask that
+    (source, e) is packed once by qseries._pack, as the integer P whose
+    w-byte slot n holds n^e * source(n) mod R for n = 0..limit; the records
+    run in the order of _in_order over the pairs each reads, which keeps
+    few packed vectors alive, and each P is dropped after its last reader.
+    A record's D is sum (k mod S) * P, ANDed, when g > 1, with a mask that
     clears every slot n with gcd(n, g) > 1 (slot 0 is 0 either way, as every
     source is 0 at n = 0).  So every slot d_n of D is congruent to
-    L * (lhs(n) - rhs(n)) mod S, and w, the least multiple of 64 bits that
-    bounds every record's slots so, keeps each d_n below 2^(w - k), S < 2^k.
+    L * (lhs(n) - rhs(n)) mod S, and w, the least multiple of 8 bytes that
+    bounds every record's slots so, keeps each d_n below 2^(8w - k), S < 2^k.
 
     With q, r = divmod(D, S), the record holds exactly when r = 0 and no
-    slot of q has a bit at or above w - k: if S divides every d_n, q's
-    slots are the d_n / S; if r = 0 and every slot q_n is below 2^(w - k),
-    S * q_n < 2^w, so S * q is D's unique base-2^w expansion and S divides
-    every d_n.  A record that fails has its slots of D read back once, to
-    find its first failing n.
+    slot of q has a bit at or above 8w - k: if S divides every d_n, q's
+    slots are the d_n / S; if r = 0 and every slot q_n is below 2^(8w - k),
+    S * q_n < 2^(8w), so S * q is D's unique base-2^(8w) expansion and S
+    divides every d_n.  A record that fails has its slots of D read back
+    once, by qseries._unpack, to find its first failing n.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -1012,16 +1020,10 @@ def check_congruences(records, limit, ctx=None):
         rows.append((record, s, terms))
     big = lcm(1, *(s for _, s, _ in rows))
     top = ((sum(terms.values()) * (big - 1)).bit_length() + s.bit_length() for _, s, terms in rows)
-    words = -(-max(top, default=1) // _SLOT_BITS)
-    width = _SLOT_BITS * words
-    ones = ((1 << width * (limit + 1)) - 1) // ((1 << width) - 1)
-    readers = Counter(key for _, _, terms in rows for key in terms)
+    width = 8 * -(-max(top, default=1) // 64)
     ns = range(limit + 1)
-    packed, reports, todo = {}, [None] * len(rows), set(range(len(rows)))
-    while todo:
-        # next the record that needs the fewest vectors not packed yet
-        r = min(todo, key=lambda r: (sum(key not in packed for key in rows[r][2]), r))
-        todo.remove(r)
+    packed, reports = {}, [None] * len(rows)
+    for r, done in _in_order([terms for _, _, terms in rows]):
         record, s, terms = rows[r]
         d = 0
         for key, k in terms.items():
@@ -1030,52 +1032,29 @@ def check_congruences(records, limit, ctx=None):
                 values = islice(ctx.source(source), limit + 1)
                 if e:
                     values = map(mul, values, map(pow, ns, repeat(e)))
-                packed[key] = _pack(map(mod, values, repeat(big)), words)
-            readers[key] -= 1
-            d += k * (packed[key] if readers[key] else packed.pop(key))
+                packed[key] = _pack(map(mod, values, repeat(big)), width)
+            d += k * (packed.pop(key) if key in done else packed[key])
         if record.gcd_condition != 1:
-            d &= _coprime_mask(record.gcd_condition, limit, words)
+            d &= _coprime_mask(record.gcd_condition, limit, width)
         q, rem = divmod(d, s)
         del d  # a failing record rebuilds D from q and rem: D is not held beside q
-        if not rem and not q & ones * ((1 << width) - (1 << width - s.bit_length())):
+        high = ((1 << 8 * width) - (1 << 8 * width - s.bit_length())).to_bytes(width, "little")
+        if not rem and not q & int.from_bytes(high * (limit + 1), "little"):
             reports[r] = VerificationReport(record.id, status="verified", limit=limit)
             continue
-        slots = _unpack(q * s + rem, words, limit)
+        slots = _unpack(q * s + rem, width, limit + 1)
         n = next(n for n, slot in enumerate(slots) if slot % s)
         reports[r] = _failed(record, limit, ctx, n)._replace(detail=f"mod {record.modulus}")
     return reports
 
 
-def _pack(values, words):
-    """The int whose slot n, of `words` 64-bit words, holds the n-th of
-    values, each non-negative and below 2^(64 * words): 8-byte slots through
-    an array of unsigned 64-bit words, which is faster than joining each
-    value's bytes, and wider ones through those bytes."""
-    if words == 1:
-        slots = array("Q", values)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return int.from_bytes(slots, "little")
-    slots = map(int.to_bytes, values, repeat(8 * words), repeat("little"))
-    return int.from_bytes(b"".join(slots), "little")
-
-
-def _coprime_mask(g, limit, words):
-    """The _pack integer whose slots 0..limit, and maybe some past them,
-    are all ones at each n with gcd(n, g) = 1 and 0 elsewhere: the first
-    period of g slots, its bytes repeated."""
+def _coprime_mask(g, limit, width):
+    """The _pack integer whose `width`-byte slots 0..limit, and maybe some
+    past them, are all ones at each n with gcd(n, g) = 1 and 0 elsewhere:
+    the bytes of the first period of g slots, repeated."""
     period = min(g, limit + 1)
-    full = repeat((1 << _SLOT_BITS * words) - 1)
-    one = _pack(map(mul, map(eq, map(gcd, range(period), repeat(g)), repeat(1)), full), words)
-    data = one.to_bytes(8 * words * period, "little")
-    return int.from_bytes(data * -(-(limit + 1) // period), "little")
-
-
-def _unpack(packed, words, limit):
-    """The slots 0..limit of a _pack integer, as ints."""
-    size = 8 * words
-    data = packed.to_bytes(size * (limit + 1), "little")
-    return (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    slots = (bytes(width) if gcd(n, g) != 1 else b"\xff" * width for n in range(period))
+    return int.from_bytes(b"".join(slots) * -(-(limit + 1) // period), "little")
 
 
 # --------------------------------------------------------------------------
@@ -1258,17 +1237,18 @@ def audit_all(limit=500):
     certification order: each identity is walked once, to max(limit, its
     own T), and both its range report at limit and certify's report are
     read off that walk; a failure is refitted over the context's range.
-    Each convolution is dropped after the last entry that reads it (see
-    in_turn).  Each form-level finding is checked exactly: its printed
-    statements must fail and its corrections hold, with both sides of
-    each of equal weight, or InternalInconsistency names the finding.
+    The entries run in in_turn's order, and each convolution is dropped
+    after the last entry that reads it.  Each form-level finding is checked
+    exactly: its printed statements must fail and its corrections hold,
+    with both sides of each of equal weight, or InternalInconsistency
+    names the finding.
 
     The audit is successful when only pre-declared flagged entries fail.
     """
     registry = builtin_registry()
     ctx = make_context(max(limit, *map(certification_limit, registry.identities)))
-    entries = []
-    for record in in_turn(registry.identities, ctx):
+
+    def entry(record):
         truncation = certification_limit(record)
         walk = verify_range(record, max(limit, truncation), ctx)
         if walk.first_failure is not None and walk.first_failure[0] > limit:
@@ -1282,9 +1262,9 @@ def audit_all(limit=500):
         else:
             status = AUDIT_FLAGGED if record.status == AUDIT_FLAGGED else "failed"
         fit = None if passed else fit_identity(record, ctx)
-        entries.append(
-            AuditEntry(record.id, record.anchor, record.status, status, rr, cr, fit)
-        )
+        return AuditEntry(record.id, record.anchor, record.status, status, rr, cr, fit)
+
+    entries = in_turn(registry.identities, ctx, entry)
     reports = check_congruences(registry.congruences, limit, ctx)
     congruences = [
         AuditEntry(record.id, record.anchor, EXPECTED_TRUE, rr.status, rr)

@@ -17,26 +17,29 @@ denominators; a product is its one-term case, and a Rankin-Cohen bracket
 double loop.  Longer ones use Kronecker substitution: each vector becomes
 one big number with a fixed-width slot per coefficient, so a single
 big-number product yields every coefficient at once.  Signed vectors are
-packed with an offset that is taken off again as a multiple of the packed
-all-ones vector, and the sum is read back shifted up by the least value a
-slot of it can take, so every slot is non-negative.  Mid-size operands are
-packed as bytes, each vector in one pass of `int.to_bytes` and one
-`int.from_bytes`, multiplied by CPython's `int` (Karatsuba) and read back
-with `struct.iter_unpack`, so no number is turned into text.  A byte-route
-product whose smaller packed operand has at least _GMP_MIN_BITS bits goes
-to libgmp through `ctypes` where the library loads, its magnitudes as
-whole 64-bit words: it is looked up by its soname `libgmp.so.10`, then
-through `ctypes.util.find_library`, once, at the first such product and
-never at import.  libgmp multiplies the same integers exactly, so every
-result is identical with it and without it.
-On a host without libgmp, large operands are packed in decimal text and
-multiplied by libmpdec through `decimal`, which switches to a
-number-theoretic transform on huge operands, and their text is read back
-by `struct.iter_unpack` as well; where libgmp loads, every packed sum
-takes the byte route.  All routes are exact.
+packed with an offset, taken off again as the packed vector with that
+offset in every slot, and the sum is read back shifted up by the least
+value a slot of it can take, so every slot is non-negative.  Mid-size
+operands are packed as bytes by `_pack`, the package's one slot codec
+(slot 0 least significant, 8-byte slots through an `array` of 64-bit
+words), multiplied by CPython's `int` (Karatsuba) and read back by
+`_unpack`, so no number is turned into text; the congruence check of
+`tauforms.identities` packs through the same codec.  A byte-route product
+whose smaller packed operand has at least _GMP_MIN_BITS bits goes to
+libgmp through `ctypes` where the library loads, its magnitudes as whole
+64-bit words: it is looked up by its soname `libgmp.so.10`, then through
+`ctypes.util.find_library`, once, at the first such product and never at
+import.  libgmp multiplies the same integers exactly, so every result is
+identical with it and without it.
+On a host without libgmp, large operands are packed in decimal text, most
+significant slot first, multiplied by libmpdec through `decimal`, which
+switches to a number-theoretic transform on huge operands, and read back
+by `struct.iter_unpack`; where libgmp loads, every packed sum takes the
+byte route.  All routes are exact.
 """
 
 import sys
+from array import array
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal, Inexact, Rounded, localcontext
 )
@@ -211,55 +214,73 @@ def _schoolbook_convolve(a, b, n):
     return out
 
 
+def _pack(values, width):
+    """The int whose `width`-byte slot i, slot 0 least significant, holds the
+    i-th of values: 8-byte slots through an array of 64-bit words, which is
+    faster than joining each value's bytes, and other widths through those
+    bytes.  A value below 0 or from 256**width on raises OverflowError."""
+    if width == 8:
+        words = array("Q", values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
+    slots = map(int.to_bytes, values, repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _unpack(number, width, count):
+    """The slots 0..count - 1 of a _pack integer, lazily, as ints;
+    OverflowError unless 0 <= number < 256**(width * count)."""
+    slots = iter_unpack(f"{width}s", number.to_bytes(width * count, "little"))
+    return map(int.from_bytes, chain.from_iterable(slots), repeat("little"))
+
+
 def _packed_sum(terms, n, offset, base, width):
     """Kronecker substitution at x = base**width (base 256 or 10).
 
     terms are (c, a, lo_a, b, lo_b) with lo_v = min(0, v).  Each distinct
-    vector v is packed once, most significant slot first, as the bytes or
-    the decimal text of v - lo_v, and lo_v times the packed all-ones
-    vector is added back, giving sum v_i x^i exactly.  Every slot of the
-    sum, plus `offset`, must lie in [0, x), and only the low n + 1 slots
-    of the sum are read back.  The byte route turns no number into text,
-    and raises OverflowError on a slot that does not fit its width.
+    vector v is packed once, as v - lo_v, and the packed vector whose every
+    slot holds -lo_v is taken off again, giving sum v_i x^i exactly.  Every
+    slot of the sum, plus `offset`, must lie in [0, x), and only the low
+    n + 1 slots of the sum are read back.  The byte route packs and reads
+    back through _pack and _unpack, slot 0 least significant, and a vector
+    whose every slot holds c is c's bytes, repeated; it turns no number into
+    text, and raises OverflowError on a slot that does not fit its width.
+    The decimal route writes each vector's text, most significant slot
+    first, and reads the sum's text back with `struct.iter_unpack`.
     """
     if base == 256:
-        # shift(v, k) is v * x**k
-        zero, shift, multiply = 0, lambda v, k: v << 8 * width * k, _multiply
+        multiply, parse = _multiply, lambda vals: _pack(vals, width)
 
-        def parse(vals):
-            slots = map(int.to_bytes, vals, repeat(width), repeat("big"))
-            return int.from_bytes(b"".join(slots), "big")
+        def filled(c, length):
+            return int.from_bytes(c.to_bytes(width, "little") * length, "little")
 
     else:
-        zero, shift, multiply = Decimal(0), lambda v, k: v.scaleb(width * k), mul
-        fmt = f"%0{width}d"
+        multiply, fmt = mul, f"%0{width}d"
 
         def parse(vals):
-            vals = tuple(vals)
+            vals = tuple(vals)[::-1]
             return Decimal((fmt * len(vals)) % vals)
 
-    ones = {}  # length -> the packed all-ones vector of that length
-
-    def all_ones(length):
-        # doubling over the bits of length: R(2k) = R(k) + x**k R(k) and
-        # R(k + 1) = x R(k) + 1, far cheaper than parsing its text
-        if length not in ones:
-            r, k = zero, 0
+        def filled(c, length):
+            # c times the all-ones vector R, built by doubling over the bits
+            # of length: R(2k) = R(k) + x**k R(k) and R(k + 1) = x R(k) + 1,
+            # far cheaper than parsing its text
+            r, k = Decimal(0), 0
             for bit in bin(length)[2:]:
-                r, k = r + shift(r, k), 2 * k
+                r, k = r + r.scaleb(width * k), 2 * k
                 if bit == "1":
-                    r, k = shift(r, 1) + 1, k + 1
-            ones[length] = r
-        return ones[length]
+                    r, k = r.scaleb(width) + 1, k + 1
+            return c * r
 
     packed = {}  # id of a vector -> its packed value
 
     def pack(v, lo):
         x = packed.get(id(v))
         if x is None:
-            x = parse(map(sub, reversed(v), repeat(lo)) if lo else reversed(v))
+            x = parse(map(sub, v, repeat(lo)) if lo else v)
             if lo:
-                x += lo * all_ones(len(v))
+                x -= filled(-lo, len(v))
             packed[id(v)] = x
         return x
 
@@ -278,11 +299,7 @@ def _packed_sum(terms, n, offset, base, width):
         del product
         packed.clear()
         if offset:
-            lift = offset * all_ones(slots)
-            ones.clear()
-            total += lift
-            del lift
-        ones.clear()
+            total += filled(offset, slots)
         # every slot is in [0, x), so the result is total mod x**(n + 1):
         # the upper slots are dropped before any digit or byte is written
         size = (n + 1) * width
@@ -295,14 +312,14 @@ def _packed_sum(terms, n, offset, base, width):
             if total < 0 or total.bit_length() > 8 * slots * width:
                 raise OverflowError("a slot of the packed sum does not fit its width")
             total &= (1 << 8 * size) - 1
-            tail = total.to_bytes(size, "big")
+            out = _unpack(total, width, n + 1)
     del total
     if base == 10:
         tail = tail.encode()  # the text is dropped as soon as it is encoded
-    cells = chain.from_iterable(iter_unpack(f"{width}s", tail))
-    out = map(int, cells) if base == 10 else map(int.from_bytes, cells, repeat("big"))
+        out = map(int, chain.from_iterable(iter_unpack(f"{width}s", tail)))
     out = list(map(sub, out, repeat(offset)) if offset else out)
-    out.reverse()  # slot 0 came last
+    if base == 10:
+        out.reverse()  # slot 0 came last
     return out
 
 

@@ -3,7 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -535,8 +535,8 @@ def test_equal_sigma_sources_match_the_product(limit):
 
 
 def _first_convolution_off_by_one(monkeypatch, unequal=False):
-    """Make the first convolution the context builds (the first product of
-    two different vectors, if unequal) off by one at n = 65."""
+    """Make the first squaring the context builds (the first product of two
+    different vectors, if unequal) off by one at n = 65."""
     import tauforms.identities as identities
 
     real = identities._convolve_int
@@ -544,7 +544,7 @@ def _first_convolution_off_by_one(monkeypatch, unequal=False):
 
     def first_off_by_one(a, b, n):
         out = real(a, b, n)
-        if not faults and not (unequal and a is b):
+        if not faults and (a is b) != unequal:
             out[65] += 1
             faults.append(n)
         return out
@@ -562,8 +562,8 @@ def test_odd_symmetrised_sum_is_an_internal_inconsistency(key, monkeypatch):
 
 
 def test_a_squaring_fault_exits_3(monkeypatch, capsys):
-    # the first convolution verify builds is eq1.1's squaring of sigma3: a
-    # kernel fault is an internal error, not a failed identity
+    # a fault in the first squaring verify builds is an internal error, not
+    # a failed identity
     from tauforms.cli import main
 
     _first_convolution_off_by_one(monkeypatch)
@@ -708,6 +708,7 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
     reads = _still_needed(records, 0)
     # 19 unequal products and 7 squarings
     assert len(reads) == 26 and sum(k[:2] == k[2:] for k in reads) == 7
+    by_id = {record.id: record for record in records}
     for run in (
         lambda: cli.main(["verify", "--identity", "all", "--max-n", "300"]),
         lambda: identities.audit_all(300),
@@ -715,8 +716,10 @@ def test_catalogue_runs_drop_each_convolution_after_its_last_reader(
     ):
         held.clear(), contexts.clear(), built.clear()
         run()
-        for i, record in enumerate(records):
-            assert held[record.id] <= _still_needed(records, i), record.id
+        ran = [by_id[key] for key in held]  # in the order the records ran
+        assert sorted(ran, key=records.index) == list(records)
+        for i, record in enumerate(ran):
+            assert held[record.id] <= _still_needed(ran, i), record.id
         assert any(held.values())  # records that share a convolution still share it
         assert len(built) == len(reads)  # and none is built twice
         assert not [k for ctx in contexts for k in ctx._sources if isinstance(k, tuple)]
@@ -776,6 +779,16 @@ def test_certification_weight_examples(registry):
         "cor2.11": (12, 0), "id1": (10, 0), "id4": (8, 0), "id5": (10, 0),
     }
     assert certify(registry.by_id["cor2.10"]).certification_bound == 9
+
+
+def test_a_record_without_terms_certifies_at_the_least_graded_weight():
+    # "0 = 0" reads no source: it holds at every n, and certify grades it at
+    # weight 2, the least graded weight, rather than refusing weight 0
+    record = parse_record("zero", "0 = 0")
+    assert certification_weight(record) == (2, 0)
+    assert verify_range(record, 10).status == "verified"
+    report = certify(record)
+    assert report.certified and report.certification_bound == generator_count(2) + 4
 
 
 def _merged(side, power):
@@ -1166,14 +1179,37 @@ def test_drawn_congruences_match_the_oracle_alone_and_in_one_batch(records, wide
     assert check_congruences(records, 60, ctx120) == alone
 
 
+@pytest.mark.parametrize("width", [8, 24])
+def test_coprime_mask_keeps_exactly_the_slots_prime_to_g(width):
+    from tauforms.identities import _coprime_mask
+
+    full = 256 ** width - 1
+    for g in range(1, 61):
+        for limit in {g - 1, g + 1, 2 * g + 3, 97} - {0}:  # mostly not multiples of g
+            slots = list(qseries._unpack(_coprime_mask(g, limit, width), width, limit + 1 + g))
+            expected = [full if gcd(n, g) == 1 else 0 for n in range(limit + 1)]
+            assert slots[: limit + 1] == expected, (g, limit)
+
+
+def test_batches_run_the_item_with_fewest_unread_keys_first():
+    from tauforms.identities import _in_order
+
+    needs = [{"a", "b"}, {"c"}, {"a"}, set(), {"b", "c"}]
+    assert list(_in_order(needs)) == [
+        (3, set()), (1, set()), (2, set()), (0, {"a"}), (4, {"b", "c"})
+    ]
+
+
 def test_a_batch_past_8_byte_slots_matches_each_record_alone(registry, ctx120, monkeypatch):
     from tauforms import identities
 
-    words, real = [], identities._pack
-    monkeypatch.setattr(identities, "_pack", lambda values, n: words.append(n) or real(values, n))
+    widths, real = [], identities._pack
+    monkeypatch.setattr(
+        identities, "_pack", lambda values, width: widths.append(width) or real(values, width)
+    )
     records = registry.congruences + _WIDE_ROWS
     batch = check_congruences(records, 120, ctx120)
-    assert min(words) == 3
+    assert min(widths) == 24
     assert batch == [check_congruence(record, 120, ctx120) for record in records]
     assert [r.status for r in batch] == ["verified"] * 16 + ["failed"]
     assert batch[-1].first_failure == congruence_failure(_WIDE_ROWS[1], 120, ctx120)

@@ -23,7 +23,7 @@ from oracle import (
     plain_shift,
     plain_sub,
 )
-from tauforms import GradedForm, QSeries, delta_product, eisenstein, quasi_bracket
+from tauforms import GradedForm, QSeries, delta_product, eisenstein, quasi_bracket, sigma_table
 from tauforms import qseries
 from tauforms.qseries import (
     _DECIMAL_THRESHOLD,
@@ -33,7 +33,9 @@ from tauforms.qseries import (
     _convolve_int,
     _convolve_sum,
     _multiply,
+    _pack,
     _schoolbook_convolve,
+    _unpack,
     as_rational,
 )
 
@@ -312,6 +314,36 @@ def test_single_coefficient_matches_the_kernel(a, b, n, square):
     if square:
         b = a
     assert _coefficient_int(a, b, n) == _convolve_int(a, b, n)[n]
+
+
+@st.composite
+def _slots(draw):
+    """A width in 1..40 bytes, 8 (the array branch) often, and values that
+    fill such slots, the largest and zero included."""
+    width = draw(st.one_of(st.just(8), st.integers(1, 40)))
+    top = 256 ** width - 1
+    value = st.one_of(st.sampled_from((0, 1, top)), st.integers(0, top))
+    return width, draw(st.lists(value, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slots())
+def test_pack_and_unpack_round_trip(slots):
+    width, values = slots
+    packed = _pack(values, width)
+    # slot 0 is the least significant
+    assert packed == sum(v << 8 * width * i for i, v in enumerate(values))
+    assert list(_unpack(packed, width, len(values))) == values
+
+
+@pytest.mark.parametrize("width", [8, 3, 16])  # the array branch and the bytes branch
+def test_pack_refuses_a_value_outside_its_slot(width):
+    for bad in (256 ** width, -1):
+        with pytest.raises(OverflowError):
+            _pack([1, bad, 2], width)
+    for bad in (256 ** (2 * width), -1):
+        with pytest.raises(OverflowError):
+            _unpack(bad, width, 2)
 
 
 def test_packed_convolution_large_prefix():
@@ -726,7 +758,7 @@ def _mul_crossover_script():
     return script
 
 
-def test_mul_crossover_script_measures_both_routes():
+def test_mul_crossover_script_measures_both_routes(monkeypatch):
     # scripts/mul_crossover.py times the kernel's two packings and its
     # schoolbook cutoff by name; one small row of each keeps it in step
     # with the kernel
@@ -748,8 +780,12 @@ def test_mul_crossover_script_measures_both_routes():
     # operands, and puts the threshold back
     if script.gmp_version() is None:
         pytest.skip("libgmp does not load on this host: the script times no libgmp row")
+    operands = []
+    monkeypatch.setattr(script, "_multiply", lambda x, y: operands.append(x) or _multiply(x, y))
     row = script.measure_gmp(3, 16)
     assert row["coefficients"] == 16 and row["packed_bits"] > 8 * row["slot_bytes"] * 15
+    # the kernel's own packing of the operand
+    assert operands[0] == _pack(sigma_table(3, 15).values, row["slot_bytes"])
     keys = ("int_s", "gmp_s", "int_square_s", "gmp_square_s")
     assert all(row[key] > 0 for key in keys)
     assert qseries._GMP_MIN_BITS == _GMP_MIN_BITS
